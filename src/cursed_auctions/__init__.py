@@ -6,7 +6,6 @@ Carlo evaluation."""
 
 from .mechanisms import (
     AuctionContext,
-    ConstantOffsetRule,
     GVARule,
     MaskedRule,
     Mechanism,
@@ -14,12 +13,10 @@ from .mechanisms import (
     OptSpec,
     Outcome,
     RevenueOptimalRule,
-    TabulatedGridRule,
     ThresholdRule,
     compensation,
     critical_bid,
     make_context,
-    mask,
     masked_gva,
     revenue_optimal_rule,
     run,
@@ -48,7 +45,6 @@ from .valuations import (
     check_single_crossing,
     cursed_value,
     cursed_virtual_value,
-    interim_value,
     make_interim_cache,
     value,
 )

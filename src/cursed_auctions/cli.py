@@ -171,8 +171,8 @@ def cmd_simulate(args) -> int:
 
     summary = {"schema_version": ev.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": {}}
     for metric in ("revenue", "welfare", "transfers_out", "allocation_prob"):
-        rep = ev.estimate(mech, ctx, metric, cfg.samples, cfg.seed, workers=cfg.workers)
-        summary["metrics"][metric] = rep.to_json()
+        values = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
+        summary["metrics"][metric] = ev._summarize(metric, values, cfg.seed).to_json()
     _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'outcomes.csv'} and {out / 'summary.json'} ({cfg.samples} profiles)")
     return 0
@@ -356,25 +356,16 @@ def _experiment_half_welfare(cfg: ExperimentConfig, ns) -> dict:
 def _conditional_welfare(ctx, mech, n: int, n_samples: int, seed: int) -> dict:
     """Masked welfare conditioned on the allocation-guaranteeing mean event,
     estimated by rejection."""
-    from .valuations import WeightedSum as _WS
-
-    h = (lambda s: ctx.model.beta * s) if isinstance(ctx.model, _WS) else ctx.model.h
-    lam = ctx.model.beta * ctx.space.marginal.mean() if isinstance(ctx.model, _WS) else None
-    b = h(ctx.s_bar)
+    h, lam, b = ev._h_map_and_moments(ctx)
     cutoff = lam + b / n
-    chunk_rows = max(1, 2_000_000 // n)
-    total, count, done, chunk = 0.0, 0, 0, 0
-    while done < n_samples:
-        rows = min(chunk_rows, n_samples - done)
-        profiles = sample_profiles(ctx.space, RandomStream(seed, chunk), rows)
+
+    def values_fn(profiles):
         keep = h(profiles).mean(axis=1) >= cutoff
-        if keep.any():
-            batch = run_batch(mech, profiles[keep], ctx)
-            total += float(batch.welfare.sum())
-            count += int(keep.sum())
-        done += rows
-        chunk += 1
-    return {"mean": total / count if count else float("nan"), "count": count}
+        return {"welfare": run_batch(mech, profiles[keep], ctx).welfare}
+
+    moments = ev._reduce(ctx.space, ["welfare"], values_fn, n_samples, seed, max(1, 2_000_000 // n))
+    count, mean, _m2 = moments["welfare"]
+    return {"mean": mean if count else float("nan"), "count": count}
 
 
 def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:

@@ -1,12 +1,19 @@
 """Monte Carlo estimation of auction metrics, cursedness sweeps, and the
 two-bidder wallet-game demonstration.
 
-Estimates are deterministic in (seed, sample count): profiles are drawn in
-fixed-size chunks from counter-based streams and reduced in chunk order, so
-the result does not depend on how many workers processed the chunks.
-Cursedness sweeps reuse the identical draws for every chi (common random
-numbers); with a fixed rule this turns the pointwise payment monotonicity in
-chi into an exact, assertion-grade comparison of the sweep means.
+Every estimator streams through one reducer, ``_reduce``.  It draws chunk c
+as ``sample_profiles(space, RandomStream(seed, c), rows)`` with a chunk row
+count fixed by the caller, maps it to per-row values, and keeps each chunk's
+(count, sum, M2), where M2 is the sum of squared deviations from the chunk
+mean.  Chunks are merged in chunk order (Chan, Golub & LeVeque 1979): the
+mean is the exactly rounded sum of chunk sums over the count, and
+M2 = sum_c [M2_c + count_c * (mean_c - mean)^2], so the standard error does
+not cancel for metrics with a large mean.  Estimates are deterministic in
+(seed, sample count) and do not depend on how many workers processed the
+chunks.  Cursedness sweeps reuse the identical draws for every chi (common
+random numbers); with a fixed rule this turns the pointwise payment
+monotonicity in chi into an exact, assertion-grade comparison of the sweep
+means.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "wallet_report",
     "write_outcomes_csv",
     "write_estimates_csv",
-    "write_interim_grid_csv",
     "SCHEMA_VERSION",
 ]
 
@@ -70,13 +76,9 @@ class EstimateReport:
     confidence_interval_95: tuple
 
     @staticmethod
-    def from_moments(metric: str, total: float, total_sq: float, count: int, seed: int) -> "EstimateReport":
-        mean = total / count if count else 0.0
-        if count > 1:
-            var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-            se = math.sqrt(var / count)
-        else:
-            se = 0.0
+    def from_m2(metric: str, count: int, mean: float, m2: float, seed: int) -> "EstimateReport":
+        """Report from a sample count, mean and M2 (sum of squared deviations)."""
+        se = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
         return EstimateReport(
             metric=metric,
             mean=mean,
@@ -148,31 +150,75 @@ def _winner_virtual_values(chi: float, profiles: np.ndarray, batch, ctx: Auction
     return out
 
 
-def _chunked_mean(
-    ctx: AuctionContext,
-    values_fn: Callable[[np.ndarray], np.ndarray],
-    metric: str,
+def _chunk_rows(n: int) -> int:
+    return max(1, 2_000_000 // max(n, 1))
+
+
+def _moments(values: np.ndarray) -> tuple:
+    """(count, sum, M2) of one chunk's values; M2 sums squared deviations from
+    the chunk mean."""
+    count = len(values)
+    total = float(values.sum())
+    if count == 0:
+        return 0, 0.0, 0.0
+    dev = values - total / count
+    return count, total, float((dev * dev).sum())
+
+
+def _merge(parts) -> tuple:
+    """Merge per-chunk (count, sum, M2) in chunk order into (count, mean, M2)."""
+    count = sum(c for c, _s, _m2 in parts)
+    if count == 0:
+        return 0, 0.0, 0.0
+    mean = math.fsum(s for _c, s, _m2 in parts) / count
+    m2 = math.fsum(m2_c + c * (s / c - mean) ** 2 for c, s, m2_c in parts if c)
+    return count, mean, m2
+
+
+def _summarize(metric: str, values: np.ndarray, seed: int) -> EstimateReport:
+    """Report on an already computed array of per-profile values."""
+    return EstimateReport.from_m2(metric, *_merge([_moments(values)]), seed)
+
+
+def _reduce(
+    space: SignalSpace,
+    keys: Sequence,
+    values_fn: Callable[[np.ndarray], dict],
     n_samples: int,
     seed: int,
+    chunk_rows: int,
     workers: int = 1,
-) -> EstimateReport:
-    chunk_rows = max(1, 2_000_000 // max(ctx.space.n, 1))
-    spans = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range((n_samples + chunk_rows - 1) // chunk_rows)]
+) -> dict:
+    """The one Monte Carlo loop: {key: (count, mean, M2)} over ``n_samples`` profiles.
+
+    Chunk c holds ``sample_profiles(space, RandomStream(seed, c), rows)`` with
+    rows = ``chunk_rows`` except in the last chunk; ``values_fn(profiles)``
+    maps it to {key: 1-D values}, which may cover only some of the rows.
+    Chunks may run on ``workers`` threads; they are merged in chunk order, so
+    the result does not depend on the worker count.
+    """
+    spans = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range(-(-n_samples // chunk_rows))]
 
     def one(span):
         c, rows = span
-        profiles = sample_profiles(ctx.space, RandomStream(seed, c), rows)
-        vals = values_fn(profiles)
-        return float(vals.sum()), float((vals * vals).sum())
+        values = values_fn(sample_profiles(space, RandomStream(seed, c), rows))
+        return {k: _moments(values[k]) for k in keys}
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, spans))
     else:
         parts = [one(s) for s in spans]
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    return EstimateReport.from_moments(metric, total, total_sq, n_samples, seed)
+    return {k: _merge([p[k] for p in parts]) for k in keys}
+
+
+def _estimates(mech: Mechanism, ctx: AuctionContext, metrics: list, n_samples: int, seed: int, workers: int = 1) -> dict:
+    def values_fn(profiles):
+        batch = run_batch(mech, profiles, ctx)
+        return {m: _metric_from_batch(m, batch, profiles, ctx, mech) for m in metrics}
+
+    moments = _reduce(ctx.space, metrics, values_fn, n_samples, seed, _chunk_rows(ctx.space.n), workers)
+    return {m: EstimateReport.from_m2(m, *moments[m], seed) for m in metrics}
 
 
 def estimate(
@@ -188,7 +234,7 @@ def estimate(
         raise ValueError("n_samples must be non-negative")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    return _chunked_mean(ctx, lambda p: _metric_values(metric, mech, p, ctx), metric, n_samples, seed, workers)
+    return _estimates(mech, ctx, [metric], n_samples, seed, workers)[metric]
 
 
 def estimate_many(
@@ -207,24 +253,7 @@ def estimate_many(
     bad = [m for m in metrics if m not in METRICS]
     if bad:
         raise ValueError(f"unknown metrics {bad}; choose from {METRICS}")
-    chunk_rows = max(1, 2_000_000 // max(ctx.space.n, 1))
-    sums = {m: 0.0 for m in metrics}
-    sqs = {m: 0.0 for m in metrics}
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        rows = min(chunk_rows, n_samples - done)
-        profiles = sample_profiles(ctx.space, RandomStream(seed, chunk), rows)
-        batch = run_batch(mech, profiles, ctx)
-        for m in metrics:
-            vals = _metric_from_batch(m, batch, profiles, ctx, mech)
-            sums[m] += float(vals.sum())
-            sqs[m] += float((vals * vals).sum())
-        done += rows
-        chunk += 1
-    return {
-        m: EstimateReport.from_moments(m, sums[m], sqs[m], n_samples, seed) for m in metrics
-    }
+    return _estimates(mech, ctx, metrics, n_samples, seed)
 
 
 def optimal_welfare(ctx: AuctionContext, n_samples: int, seed: int, workers: int = 1) -> EstimateReport:
@@ -237,9 +266,10 @@ def optimal_welfare(ctx: AuctionContext, n_samples: int, seed: int, workers: int
         top = np.argmax(profiles, axis=1)
         rows = np.arange(len(profiles))
         stat = profile_stats(ctx.model, profiles)[rows, top]
-        return value_from_own_and_stat(ctx.model, profiles[rows, top], stat)
+        return {"optimal_welfare": value_from_own_and_stat(ctx.model, profiles[rows, top], stat)}
 
-    return _chunked_mean(ctx, values_fn, "optimal_welfare", n_samples, seed, workers)
+    moments = _reduce(ctx.space, ["optimal_welfare"], values_fn, n_samples, seed, _chunk_rows(ctx.space.n), workers)
+    return EstimateReport.from_m2("optimal_welfare", *moments["optimal_welfare"], seed)
 
 
 def chi_sweep(
@@ -254,24 +284,12 @@ def chi_sweep(
     numbers).  Returns [(chi, EstimateReport), ...] in grid order."""
     chis = list(chi_grid)
     mechs = [mechanism_factory(c) for c in chis]
-    chunk_rows = max(1, 2_000_000 // max(ctx.space.n, 1))
-    sums = [0.0] * len(chis)
-    sqs = [0.0] * len(chis)
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        rows = min(chunk_rows, n_samples - done)
-        profiles = sample_profiles(ctx.space, RandomStream(seed, chunk), rows)
-        for k, mech in enumerate(mechs):
-            vals = _metric_values(metric, mech, profiles, ctx)
-            sums[k] += float(vals.sum())
-            sqs[k] += float((vals * vals).sum())
-        done += rows
-        chunk += 1
-    return [
-        (c, EstimateReport.from_moments(metric, sums[k], sqs[k], n_samples, seed))
-        for k, c in enumerate(chis)
-    ]
+
+    def values_fn(profiles):
+        return {k: _metric_values(metric, mech, profiles, ctx) for k, mech in enumerate(mechs)}
+
+    moments = _reduce(ctx.space, range(len(mechs)), values_fn, n_samples, seed, _chunk_rows(ctx.space.n))
+    return [(c, EstimateReport.from_m2(metric, *moments[k], seed)) for k, c in enumerate(chis)]
 
 
 def _h_map_and_moments(ctx: AuctionContext):
@@ -301,20 +319,12 @@ def event_probability(ctx: AuctionContext, n: int, n_samples: int, seed: int) ->
     h, lam, b = _h_map_and_moments(ctx)
     cutoff = lam + b / n
     wide = SignalSpace(n, ctx.space.marginal) if n != ctx.space.n else ctx.space
-    chunk_rows = max(1, 4_000_000 // n)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        rows = min(chunk_rows, n_samples - done)
-        profiles = sample_profiles(wide, RandomStream(seed, chunk), rows)
-        hit = (h(profiles).mean(axis=1) >= cutoff).astype(float)
-        total += float(hit.sum())
-        total_sq += float(hit.sum())  # indicator: squares equal values
-        done += rows
-        chunk += 1
-    return EstimateReport.from_moments("event_probability", total, total_sq, n_samples, seed)
+
+    def values_fn(profiles):
+        return {"event_probability": (h(profiles).mean(axis=1) >= cutoff).astype(float)}
+
+    moments = _reduce(wide, ["event_probability"], values_fn, n_samples, seed, max(1, 4_000_000 // n))
+    return EstimateReport.from_m2("event_probability", *moments["event_probability"], seed)
 
 
 _WALLET_SUPPORTS = {
@@ -409,12 +419,3 @@ def write_estimates_csv(path, rows: Sequence[dict]) -> None:
         for row in rows:
             w.writerow(row)
 
-
-def write_interim_grid_csv(path, cache) -> None:
-    """Dump the interim-expectation table (signal, expected value) for inspection."""
-    s, mu = cache.export_grid()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["signal", "interim_value"])
-        for a, b in zip(s, mu):
-            w.writerow([f"{a:.12g}", f"{b:.12g}"])

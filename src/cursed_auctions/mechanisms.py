@@ -53,8 +53,6 @@ __all__ = [
     "GVARule",
     "RevenueOptimalRule",
     "MaskedRule",
-    "ConstantOffsetRule",
-    "TabulatedGridRule",
     "Mechanism",
     "Outcome",
     "BatchOutcome",
@@ -64,7 +62,6 @@ __all__ = [
     "run_batch",
     "agent_outcomes_for_bids",
     "revenue_optimal_rule",
-    "mask",
     "masked_gva",
     "threshold_revenue",
     "winner_price_via_identity",
@@ -114,30 +111,19 @@ def make_context(space: SignalSpace, model: ValuationModel, quad: QuadSpec = Qua
 
 
 class OthersView:
-    """Others' reports for one agent, reduced to what rules actually consume.
+    """Others' reports for one agent, reduced to what rules actually consume:
+    the others' maximum and the model's sufficient statistic."""
 
-    Exposes the others' maximum and the model's sufficient statistic; the full
-    rows are materialized lazily (only the tabulated oracle-exchange rule
-    needs them).
-    """
+    __slots__ = ("max", "stat")
 
-    __slots__ = ("max", "stat", "_rows")
-
-    def __init__(self, max_others: np.ndarray, stat: np.ndarray, rows: Optional[np.ndarray] = None):
+    def __init__(self, max_others: np.ndarray, stat: np.ndarray):
         self.max = np.asarray(max_others, dtype=float)
         self.stat = np.asarray(stat, dtype=float)
-        self._rows = rows
 
     @staticmethod
     def from_others(others: np.ndarray, model: ValuationModel) -> "OthersView":
         others = np.atleast_2d(np.asarray(others, dtype=float))
-        return OthersView(others.max(axis=1), others_stat(model, others), rows=others)
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            raise ValueError("this rule needs explicit others rows; build the view from_others")
-        return self._rows
+        return OthersView(others.max(axis=1), others_stat(model, others))
 
     def __len__(self) -> int:
         return len(self.max)
@@ -165,57 +151,6 @@ class GVARule(ThresholdRule):
 
     def to_config(self):
         return {"kind": "gva"}
-
-
-@dataclass
-class ConstantOffsetRule(ThresholdRule):
-    """max(others) + c, capped at s_bar.  A deliberately suboptimal control rule."""
-
-    offset: float
-
-    kind = "constant_offset"
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
-
-    def critical_bids(self, view, ctx):
-        return np.minimum(view.max + self.offset, ctx.s_bar)
-
-    def to_config(self):
-        return {"kind": "constant_offset", "offset": self.offset}
-
-
-@dataclass
-class TabulatedGridRule(ThresholdRule):
-    """Thresholds looked up from a table keyed by the sorted others multiset.
-
-    Exchange format with the brute-force oracle on discrete grids.
-    """
-
-    entries: dict
-
-    kind = "tabulated"
-
-    def critical_bids(self, view, ctx):
-        rows = view.rows
-        out = np.empty(len(rows))
-        for k, row in enumerate(rows):
-            key = tuple(np.round(np.sort(row), 12))
-            out[k] = self.entries[key]
-        return out
-
-    def to_config(self):
-        return {
-            "kind": "tabulated",
-            "entries": [{"others": list(k), "t": v} for k, v in sorted(self.entries.items())],
-        }
-
-    @staticmethod
-    def from_pairs(pairs) -> "TabulatedGridRule":
-        return TabulatedGridRule(
-            entries={tuple(np.round(np.sort(o), 12)): float(t) for o, t in pairs}
-        )
 
 
 @dataclass
@@ -272,8 +207,6 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
     kind = cfg.pop("kind")
     if kind == "gva":
         out = GVARule()
-    elif kind == "constant_offset":
-        out = ConstantOffsetRule(offset=float(cfg.pop("offset")))
     elif kind == "revenue_optimal":
         out = RevenueOptimalRule(
             chi=float(cfg.pop("chi")),
@@ -284,10 +217,6 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
         )
     elif kind == "masked":
         out = MaskedRule(base=rule_from_config(cfg.pop("base")))
-    elif kind == "tabulated":
-        out = TabulatedGridRule.from_pairs(
-            (e["others"], e["t"]) for e in cfg.pop("entries")
-        )
     else:
         raise ValueError(f"unknown rule kind {kind!r}")
     if cfg:
@@ -543,10 +472,7 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
         stats = profile_stats(ctx.model, rows)
         maxo = _max_excluding_self(rows)
         for i in range(n):
-            if _needs_rows(mech.rule):
-                view = OthersView(maxo[:, i], stats[:, i], rows=np.delete(rows, i, axis=1))
-            else:
-                view = OthersView(maxo[:, i], stats[:, i])
+            view = OthersView(maxo[:, i], stats[:, i])
             t = mech.rule.critical_bids(view, ctx)
             w = mech._win(rows[:, i][:, None], t, ctx)[:, 0]
             comp = mech._compensations(view, t, ctx)
@@ -565,14 +491,6 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
     winner = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
     revenue = payments.sum(axis=1)
     return BatchOutcome(winner, win, payments, thresholds, comps, welfare, revenue)
-
-
-def _needs_rows(rule: ThresholdRule) -> bool:
-    if isinstance(rule, TabulatedGridRule):
-        return True
-    if isinstance(rule, MaskedRule):
-        return _needs_rows(rule.base)
-    return False
 
 
 def run(mech: Mechanism, profile: np.ndarray, ctx: AuctionContext) -> Outcome:
@@ -647,13 +565,6 @@ def revenue_optimal_rule(ctx: AuctionContext, chi: float, opt_spec: OptSpec = Op
     if not (0.0 <= chi <= 1.0):
         raise ValueError(f"chi must lie in [0, 1], got {chi}")
     return RevenueOptimalRule(chi=chi, opt_spec=opt_spec)
-
-
-def mask(rule: ThresholdRule, ctx: AuctionContext) -> MaskedRule:
-    """Lift a rule to its curse-free masking (see MaskedRule)."""
-    if ctx.interim is None:
-        raise ValueError("masking needs an interim cache in the context")
-    return MaskedRule(base=rule)
 
 
 def masked_gva(ctx: AuctionContext, chi: float) -> Mechanism:

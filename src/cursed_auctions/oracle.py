@@ -26,9 +26,7 @@ from .mechanisms import (
     Mechanism,
     agent_outcomes_for_bids,
     make_context,
-    run_batch,
 )
-from .reports import CheckReport
 from .signals import DiscreteGridIID, SignalSpace
 from .valuations import ValuationModel, value
 
@@ -40,8 +38,6 @@ __all__ = [
     "brute_force_rev_optimal_threshold",
     "brute_force_best_response",
     "BestResponse",
-    "dump_outcomes_csv",
-    "compare",
 ]
 
 _MAX_N = 4
@@ -229,27 +225,4 @@ def brute_force_best_response(
         best_utility=float(utils[r, best_k[r]]),
         truthful_utility=float(u_truth[r]),
         witness_others=others[r].tolist(),
-    )
-
-
-def dump_outcomes_csv(grid: GridModel, mech: Mechanism, path) -> None:
-    """Write the full enumerated outcome table of a mechanism on the grid."""
-    from .evaluate import write_outcomes_csv
-
-    ctx = grid.context()
-    profiles = grid.all_profiles()
-    write_outcomes_csv(path, profiles, run_batch(mech, profiles, ctx))
-
-
-def compare(analytic_value: float, oracle_value: float, tol: float, name: str = "compare") -> CheckReport:
-    """Absolute-difference comparison packaged as a CheckReport."""
-    gap = abs(float(analytic_value) - float(oracle_value))
-    return CheckReport(
-        name=name,
-        max_violation=gap,
-        tolerance=tol,
-        samples_checked=1,
-        witnesses=[]
-        if gap <= tol
-        else [{"analytic": float(analytic_value), "oracle": float(oracle_value), "margin": gap}],
     )

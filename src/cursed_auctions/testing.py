@@ -1,20 +1,23 @@
-"""Deliberately broken mechanisms used as negative controls.
+"""Control mechanisms and rules used only by tests and the oracle-check suite.
 
-Each class violates exactly one property the checkers are supposed to catch;
-none of them should ever be used outside tests and the oracle-check suite.
+Each broken mechanism violates exactly one property the checkers are supposed
+to catch; ``ConstantOffsetRule`` is a valid but deliberately suboptimal rule.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, ThresholdRule
 from .valuations import cursed_value_from_parts, value_from_own_and_stat
 
 __all__ = [
     "RealizedPriceMechanism",
     "LoserSurchargeMechanism",
     "IntervalAllocationMechanism",
+    "ConstantOffsetRule",
 ]
 
 
@@ -49,3 +52,17 @@ class IntervalAllocationMechanism(Mechanism):
         t_col = t[:, None]
         width = self.window * ctx.s_bar
         return (np.asarray(bids) > t_col) & (np.asarray(bids) < t_col + width)
+
+
+@dataclass
+class ConstantOffsetRule(ThresholdRule):
+    """max(others) + c, capped at s_bar.  A deliberately suboptimal control rule."""
+
+    offset: float
+
+    def __post_init__(self):
+        if self.offset < 0:
+            raise ValueError("offset must be non-negative")
+
+    def critical_bids(self, view, ctx):
+        return np.minimum(view.max + self.offset, ctx.s_bar)

@@ -52,7 +52,6 @@ __all__ = [
     "value",
     "others_stat",
     "value_from_own_and_stat",
-    "interim_value",
     "cursed_value",
     "cursed_value_from_parts",
     "cursed_virtual_value",
@@ -325,11 +324,6 @@ class InterimCache:
             return _chunked_mean_over_stats(model, s, self._stat_samples, None)
         return np.interp(s, self._grid_s, self._grid_mu)
 
-    def export_grid(self) -> tuple:
-        """(s grid, mu values) pairs for inspection/CSV export."""
-        s = np.linspace(0.0, self.space.s_bar, self.quad.grid_points)
-        return s, self.expected_value(s)
-
 
 def make_interim_cache(
     space: SignalSpace, model: ValuationModel, quad: QuadSpec = QuadSpec()
@@ -384,11 +378,6 @@ def _reverse_cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     seg = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
     tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
     return tail
-
-
-def interim_value(cache: InterimCache, s_own):
-    """E[v(s_own, fresh others)]; the belief of a fully cursed bidder."""
-    return cache.expected_value(s_own)
 
 
 def cursed_value(cache: InterimCache, chi: float, profile: np.ndarray, i: int):

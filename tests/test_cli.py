@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -58,6 +60,27 @@ class TestSimulate:
         run_cli("--out", str(b), "--samples", "50", "simulate")
         assert (a / "outcomes.csv").read_bytes() == (b / "outcomes.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+    def test_summary_matches_outcomes_csv(self, tmp_path):
+        # 4001 rows at n=500 exceed one 2,000,000/n estimator chunk
+        code = run_cli("--out", str(tmp_path), "--n", "500", "--samples", "4001", "--chi", "1.0", "simulate")
+        assert code == 0
+        with open(tmp_path / "outcomes.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = list(reader)
+        col = {h: k for k, h in enumerate(header)}
+        pay = [k for k, h in enumerate(header) if h.startswith("payment_")]
+        from_csv = {
+            "revenue": math.fsum(float(r[col["revenue"]]) for r in rows) / len(rows),
+            "welfare": math.fsum(float(r[col["welfare"]]) for r in rows) / len(rows),
+            "transfers_out": math.fsum(max(0.0, -float(r[k])) for r in rows for k in pay) / len(rows),
+            "allocation_prob": sum(r[col["winner"]] != "" for r in rows) / len(rows),
+        }
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for metric, mean in from_csv.items():
+            assert summary["metrics"][metric]["mean"] == pytest.approx(mean, rel=1e-9, abs=1e-300)
 
 
 class TestVerify:

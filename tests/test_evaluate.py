@@ -55,13 +55,24 @@ class TestEstimate:
         assert a.mean == b.mean and a.standard_error == b.standard_error
 
     def test_estimate_many_matches_estimate(self, ctx):
+        wide = make_context(SignalSpace(200, UniformIID(1.0)), WeightedSum(0.5))
         mech = Mechanism(GVARule(), 1.0, "compensated")
-        many = estimate_many(mech, ctx, ["revenue", "transfers_out"], 5_000, seed=3)
-        assert many["revenue"].mean == estimate(mech, ctx, "revenue", 5_000, seed=3).mean
-        assert (
-            many["transfers_out"].mean
-            == estimate(mech, ctx, "transfers_out", 5_000, seed=3).mean
-        )
+        for c, samples in ((ctx, 5_000), (wide, 25_000)):  # one chunk, then three
+            many = estimate_many(mech, c, ["revenue", "transfers_out"], samples, seed=3)
+            for metric in ("revenue", "transfers_out"):
+                one = estimate(mech, c, metric, samples, seed=3)
+                assert many[metric].mean == one.mean
+                assert many[metric].standard_error == one.standard_error
+
+    def test_standard_error_free_of_cancellation(self):
+        # welfare near 2e6 with unit spread: sum-of-squares moments cancel here
+        space = SignalSpace(3, GenericIID("affine", (1e6, 1e6 + 1)))
+        wctx = make_context(space, WeightedSum(0.5))
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        rep = estimate(mech, wctx, "welfare", 20_000, seed=7)
+        values = run_batch(mech, sample_profiles(space, RandomStream(7, 0), 20_000), wctx).welfare
+        two_pass = values.std(ddof=1) / np.sqrt(len(values))
+        assert abs(rep.standard_error - two_pass) <= 1e-6 * two_pass
 
     def test_unknown_metric_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -215,12 +226,3 @@ def test_masked_welfare_never_exceeds_optimal_pointwise(ctx):
     best = value_from_own_and_stat(ctx.model, profiles[rows, top], stat)
     assert np.all(batch.welfare <= best + 1e-12)
 
-
-def test_interim_grid_csv(ctx, tmp_path):
-    from cursed_auctions.evaluate import write_interim_grid_csv
-
-    path = tmp_path / "mu.csv"
-    write_interim_grid_csv(path, ctx.interim)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "signal,interim_value"
-    assert len(lines) == ctx.interim.quad.grid_points + 1

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cursed_auctions.mechanisms import (
-    ConstantOffsetRule,
     GVARule,
     MaskedRule,
     Mechanism,
@@ -12,11 +11,9 @@ from cursed_auctions.mechanisms import (
     OptSpec,
     OthersView,
     RevenueOptimalRule,
-    TabulatedGridRule,
     compensation,
     critical_bid,
     make_context,
-    mask,
     masked_gva,
     revenue_optimal_rule,
     rule_from_config,
@@ -26,6 +23,7 @@ from cursed_auctions.mechanisms import (
     winner_price_via_identity,
 )
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
+from cursed_auctions.testing import ConstantOffsetRule
 from cursed_auctions.valuations import MaxSignal, WeightedSum, value
 
 
@@ -198,13 +196,13 @@ class TestRevenueOptimalRule:
 class TestMasking:
     def test_max_signal_masks_to_never_allocate(self):
         ctx = make_context(SignalSpace(3, UniformIID(1.0)), MaxSignal())
-        rule = mask(GVARule(), ctx)
+        rule = MaskedRule(GVARule())
         for others in ([0.2, 0.5], [0.0, 0.9], [0.99, 0.98]):
             assert critical_bid(rule, np.array(others), ctx) == 1.0
 
     def test_weighted_sum_mask_condition(self, three_ctx):
         # curse gap is constant in t: allocate at the base iff sum(others) >= (n-1)/2
-        rule = mask(GVARule(), three_ctx)
+        rule = MaskedRule(GVARule())
         others = sample_profiles(three_ctx.space, RandomStream(31), 200)[:, :2]
         for o in others:
             t = critical_bid(rule, o, three_ctx)
@@ -214,8 +212,8 @@ class TestMasking:
                 assert t == 1.0
 
     def test_mask_is_idempotent(self, three_ctx):
-        rule = mask(GVARule(), three_ctx)
-        twice = mask(rule, three_ctx)
+        rule = MaskedRule(GVARule())
+        twice = MaskedRule(rule)
         others = sample_profiles(three_ctx.space, RandomStream(37), 100)[:, :2]
         for o in others:
             assert critical_bid(rule, o, three_ctx) == critical_bid(twice, o, three_ctx)
@@ -271,10 +269,8 @@ class TestRuleConfig:
     def test_round_trips(self):
         rules = [
             GVARule(),
-            ConstantOffsetRule(0.2),
             RevenueOptimalRule(0.63, OptSpec(512, 30)),
             MaskedRule(GVARule()),
-            TabulatedGridRule.from_pairs([((0.0, 0.5), 0.5), ((0.5, 1.0), 1.0)]),
         ]
         for rule in rules:
             again = rule_from_config(rule.to_config())
@@ -283,10 +279,6 @@ class TestRuleConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             rule_from_config({"kind": "mystery"})
-
-    def test_tabulated_lookup(self, unit_ctx):
-        rule = TabulatedGridRule.from_pairs([((0.5,), 0.75)])
-        assert critical_bid(rule, np.array([0.5]), unit_ctx) == 0.75
 
 
 def test_mechanism_validation():

@@ -22,7 +22,6 @@ from cursed_auctions.valuations import (
     cursed_value,
     cursed_virtual_value,
     identity_map,
-    interim_value,
     log1p_scaled_map,
     make_interim_cache,
     model_from_config,
@@ -63,17 +62,17 @@ class TestValue:
 
 class TestInterim:
     def test_wallet_mu(self):
-        assert interim_value(wallet_cache(), 30.0) == 80.0
+        assert wallet_cache().expected_value(30.0) == 80.0
 
     def test_weighted_sum_closed_form_tight(self):
         cache = make_interim_cache(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
-        np.testing.assert_allclose(interim_value(cache, 0.5), 1.0, atol=1e-9)
+        np.testing.assert_allclose(cache.expected_value(0.5), 1.0, atol=1e-9)
 
     def test_max_signal_against_quadrature(self):
         cache = make_interim_cache(SignalSpace(2, UniformIID(1.0)), MaxSignal())
         oracle, _ = integrate.quad(lambda t: max(t, 0.5), 0.0, 1.0)
-        np.testing.assert_allclose(interim_value(cache, 0.5), oracle, atol=1e-4)
-        np.testing.assert_allclose(interim_value(cache, 0.5), 0.625, atol=1e-4)
+        np.testing.assert_allclose(cache.expected_value(0.5), oracle, atol=1e-4)
+        np.testing.assert_allclose(cache.expected_value(0.5), 0.625, atol=1e-4)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_max_signal_closed_form_family(self, n):
