@@ -14,7 +14,6 @@ from .mechanisms import (
     Outcome,
     RevenueOptimalRule,
     ThresholdRule,
-    compensation,
     critical_bid,
     make_context,
     masked_gva,

@@ -22,6 +22,7 @@ from . import oracle as orc
 from .mechanisms import (
     GVARule,
     Mechanism,
+    OthersView,
     make_context,
     masked_gva,
     revenue_optimal_rule,
@@ -125,8 +126,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.samples = args.samples
     if args.chi is not None:
         cfg.chi = args.chi
-        if not (0.0 <= cfg.chi <= 1.0):
-            raise ConfigError("chi must lie in [0, 1]")
     if args.workers is not None:
         cfg.workers = args.workers
     if args.n is not None:
@@ -142,7 +141,18 @@ def _load_config(args) -> ExperimentConfig:
         if cfg.model.get("family") != "weighted_sum":
             raise ConfigError("--beta only applies to the weighted_sum model")
         cfg.model = dict(cfg.model, beta=args.beta)
-    return cfg
+    return ExperimentConfig.from_dict(cfg.to_dict())  # validates the overrides too
+
+
+def _int_list(text: str, option: str, minimum: int) -> list:
+    """Comma-separated integers, each at least ``minimum``."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} takes comma-separated integers, got {text!r}") from None
+    if min(values) < minimum:
+        raise ConfigError(f"{option} values must be >= {minimum}, got {text!r}")
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -186,11 +196,14 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ConfigError(f"unknown properties {unknown}; available: {sorted(CHECKERS)}")
     _space, _model, ctx, mech = cfg.build()
-    plan = SamplingPlan(
-        profile_count=cfg.samples,
-        deviation_grid_size=args.deviations,
-        stream=RandomStream(cfg.seed),
-    )
+    try:
+        plan = SamplingPlan(
+            profile_count=cfg.samples,
+            deviation_grid_size=args.deviations,
+            stream=RandomStream(cfg.seed),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     reports = {name: CHECKERS[name](mech, ctx, plan) for name in names}
     payload = {
         "config": cfg.to_dict(),
@@ -207,7 +220,7 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    ns = [int(x) for x in args.n_list.split(",")] if args.n_list else None
+    ns = _int_list(args.n_list, "--n-list", 2) if args.n_list else None
     runner = {
         "wallet": _experiment_wallet,
         "negative-revenue": _experiment_negative_revenue,
@@ -404,11 +417,9 @@ def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:
         (1.0, lambda sj: max(0.25, sj)),
         (0.0, lambda sj: max((1.0 - sj) / 2.0, sj)),
     ):
-        rule = revenue_optimal_rule(ctx, chi)
-        for sj in test_points:
-            from .mechanisms import critical_bid
-
-            t_opt = critical_bid(rule, np.array([sj]), ctx)
+        view = OthersView.from_others(test_points[:, None], ctx.model)
+        t_opts = revenue_optimal_rule(ctx, chi).critical_bids(view, ctx)
+        for sj, t_opt in zip(test_points, t_opts.tolist()):
             err = abs(t_opt - closed(float(sj)))
             max_err[chi] = max(max_err[chi], err)
             rows.append(
@@ -437,11 +448,8 @@ def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    if args.m_values:
-        ms = [int(x) for x in args.m_values.split(",")]
-    else:
-        ms = [5, 11]
-    ns = [int(x) for x in args.n_list.split(",")] if args.n_list else [2, 3]
+    ms = _int_list(args.m_values, "--m-values", 1) if args.m_values else [5, 11]
+    ns = _int_list(args.n_list, "--n-list", 2) if args.n_list else [2, 3]
     try:
         suite = _oracle_suite(ns, ms, inject_broken=args.inject_broken)
     except ValueError as exc:
@@ -497,14 +505,13 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                                 }
                             )
                     # brute-force optimal thresholds vs the continuous optimizer
-                    rule = revenue_optimal_rule(ctx, chi)
+                    others = grid.others_profiles()
+                    view = OthersView.from_others(others, ctx.model)
+                    t_opts = revenue_optimal_rule(ctx, chi).critical_bids(view, ctx)
                     spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
                     worst_gap = 0.0
-                    from .mechanisms import critical_bid
-
-                    for o in grid.others_profiles():
+                    for o, t_opt in zip(others, t_opts.tolist()):
                         t_oracle = orc.brute_force_rev_optimal_threshold(grid, o)
-                        t_opt = critical_bid(rule, o, ctx)
                         worst_gap = max(worst_gap, abs(t_oracle - t_opt))
                     checks.append(
                         {

@@ -32,7 +32,7 @@ from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, sample_p
 from .valuations import (
     ConcaveSum,
     WeightedSum,
-    cursed_value_from_parts,
+    cursed_virtual_value,
     profile_stats,
     single_crossing_holds,
     value_from_own_and_stat,
@@ -125,28 +125,11 @@ def _winner_virtual_values(chi: float, profiles: np.ndarray, batch, ctx: Auction
     """Sum over agents of allocation times the cursed virtual value (only the
     winner contributes)."""
     out = np.zeros(len(profiles))
-    won = batch.winner >= 0
-    if not won.any():
-        return out
-    rows = np.where(won)[0]
-    cols = batch.winner[rows]
-    own = profiles[rows, cols]
-    stat = profile_stats(ctx.model, profiles[rows])[np.arange(len(rows)), cols]
-
-    def vchi(s):
-        v = value_from_own_and_stat(ctx.model, s, stat)
-        return cursed_value_from_parts(v, ctx.interim.expected_value(s), chi)
-
-    if isinstance(ctx.model, WeightedSum):
-        deriv = np.ones_like(own)
-    else:
-        h = 1e-5 * ctx.s_bar
-        lo = np.maximum(0.0, own - h)
-        hi = np.minimum(ctx.s_bar, own + h)
-        deriv = (vchi(hi) - vchi(lo)) / (hi - lo)
-    f = ctx.space.marginal.pdf(own)
-    F = ctx.space.marginal.cdf(own)
-    out[rows] = vchi(own) - deriv * (1.0 - F) / f
+    rows = np.flatnonzero(batch.winner >= 0)
+    if rows.size:
+        cols = batch.winner[rows]
+        stat = profile_stats(ctx.model, profiles[rows])[np.arange(len(rows)), cols]
+        out[rows] = cursed_virtual_value(ctx.interim, chi, profiles[rows, cols], stat)
     return out
 
 

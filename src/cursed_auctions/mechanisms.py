@@ -36,6 +36,7 @@ from .valuations import (
     InterimCache,
     QuadSpec,
     ValuationModel,
+    _chunked,
     _max_excluding_self,
     cursed_value_from_parts,
     make_interim_cache,
@@ -59,25 +60,33 @@ __all__ = [
     "Outcome",
     "BatchOutcome",
     "critical_bid",
-    "compensation",
     "run",
     "run_batch",
     "agent_outcomes_for_bids",
     "revenue_optimal_rule",
     "masked_gva",
-    "threshold_revenue",
-    "winner_price_via_identity",
     "ModelUnsupportedError",
+    "MechanismInvariantError",
     "rule_from_config",
 ]
 
 _SCAN_POINTS = 512
 _BISECT_ITERS = 40
 _ROW_CHUNK_FLOATS = 4_000_000
+_QUOTE_CHUNK_PAIRS = 100_000
 
 
 class ModelUnsupportedError(ValueError):
     """Raised when a mechanism's preconditions reject the valuation model."""
+
+
+class MechanismInvariantError(RuntimeError):
+    """A mechanism broke an invariant that holds by construction; ``row``,
+    ``agent`` and ``value`` are one witness."""
+
+    def __init__(self, what: str, row: int, agent: int, value: float):
+        super().__init__(f"{what}: row {row}, agent {agent}, value {value!r}")
+        self.row, self.agent, self.value = row, agent, value
 
 
 @dataclass(frozen=True)
@@ -231,7 +240,7 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
 # ---------------------------------------------------------------------------
 
 
-def threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
+def _threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
     """Expected per-bidder revenue of threshold t against fixed others.
 
     min{v, v_chi}(t, others) - v_chi(t, others) * F(t); broadcasts t against
@@ -245,37 +254,34 @@ def threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
 
 def _optimize_thresholds(view, ctx, chi, opt_spec):
     s_bar = ctx.s_bar
-    n_rows = len(view)
-    out = np.empty(n_rows)
     tie_tol = 1e-12 * max(ctx.scale(), 1.0)
     frac = np.linspace(0.0, 1.0, opt_spec.grid_size)
-    chunk = max(1, _ROW_CHUNK_FLOATS // opt_spec.grid_size)
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        sub = OthersView(view.max[start:stop], view.stat[start:stop])
-        lo = sub.max
+
+    def chunk(lo, stat):
+        sub = OthersView(lo, stat)
         span = s_bar - lo
         t_grid = lo[None, :] + frac[:, None] * span[None, :]
-        r = threshold_revenue(t_grid, sub, ctx, chi)
+        r = _threshold_revenue(t_grid, sub, ctx, chi)
         r[-1, :] = 0.0  # t = s_bar never allocates and earns exactly zero
         k = np.argmax(r, axis=0)
-        rows = np.arange(stop - start)
+        rows = np.arange(len(lo))
         r_grid_best = r[k, rows]
         t_grid_best = t_grid[k, rows]
         # golden-section refinement on the bracket around the best grid point
         b_lo = t_grid[np.maximum(k - 1, 0), rows]
         b_hi = t_grid[np.minimum(k + 1, opt_spec.grid_size - 1), rows]
         t_ref, r_ref = _golden_max(
-            lambda t: threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, opt_spec.refine_iters
+            lambda t: _threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, opt_spec.refine_iters
         )
         best = np.maximum.reduce([r_grid_best, r_ref, np.zeros_like(r_ref)])
         # smallest maximizing threshold; s_bar only when nothing interior matches
-        t_best = np.full(stop - start, s_bar)
+        t_best = np.full(len(lo), s_bar)
         for t_cand, r_cand in ((t_ref, r_ref), (t_grid_best, r_grid_best)):
             take = (r_cand >= best - tie_tol) & (t_cand <= t_best)
             t_best = np.where(take, t_cand, t_best)
-        out[start:stop] = np.where(span <= 0.0, s_bar, t_best)
-    return out
+        return np.where(span <= 0.0, s_bar, t_best)
+
+    return _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // opt_spec.grid_size), view.max, view.stat)
 
 
 def _golden_max(f, lo, hi, iters):
@@ -321,32 +327,16 @@ def _mask_thresholds(base_t, view, ctx):
     if isinstance(model, WeightedSum):
         # the gap is constant in t for weighted sums: allocate at the base or never
         return quick
-    todo = np.where((gap_base < 0.0) & (base_t < s_bar))[0]
-    if todo.size == 0:
-        return quick
-    scan_view = OthersView(view.max[todo], view.stat[todo])
-    quick[todo] = _mask_thresholds_scan(base_t[todo], scan_view, ctx, curse_gap)
-    return quick
-
-
-def _mask_thresholds_scan(base_t, view, ctx, curse_gap):
-    s_bar = ctx.s_bar
-    n_rows = len(view)
-    out = np.empty(n_rows)
     frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    chunk = max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS)
 
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        base = base_t[start:stop]
-        stat = view.stat[start:stop]
+    def scan(base, stat):
         span = np.maximum(s_bar - base, 0.0)
         t_grid = base[None, :] + frac[:, None] * span[None, :]
         gaps = curse_gap(t_grid, stat)
         ok = gaps >= 0.0
         any_ok = ok.any(axis=0)
         first = np.argmax(ok, axis=0)
-        res = np.full(stop - start, s_bar)
+        res = np.full(len(base), s_bar)
         # first admissible point is the base threshold itself: keep it exactly
         at_base = any_ok & (first == 0)
         res[at_base] = base[at_base]
@@ -364,8 +354,11 @@ def _mask_thresholds_scan(base_t, view, ctx, curse_gap):
                 hi = np.where(pos, mid, hi)
                 lo = np.where(pos, lo, mid)
             res[rows] = hi  # upper end: the returned threshold is curse-free
-        out[start:stop] = np.where(base >= s_bar, s_bar, res)
-    return out
+        return np.where(base >= s_bar, s_bar, res)
+
+    todo = np.where((gap_base < 0.0) & (base_t < s_bar))[0]
+    quick[todo] = _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base_t[todo], view.stat[todo])
+    return quick
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +392,77 @@ class Mechanism:
             "payment_policy": self.payment_policy,
         }
 
-    # --- overridable pieces (negative controls subclass these) ---
-    # Contract: bids has shape (N, G) -- G own-report candidates per row of
-    # others; view arrays and t have shape (N,).  _win and _winner_payments
-    # return (N, G); _compensations returns (N,).
+    # --- overridable pieces: each negative control in testing.py replaces one ---
+    # Contract: a Quote holds flat (M,) arrays for M quoted (row, agent) pairs
+    # and bids holds G own-report candidates per pair, shape (M, G) or (G,).
+    # _win (the win rule) and _winner_payments (the winner price) return
+    # arrays that broadcast to (M, G); _compensations (the loser charge) reads
+    # only the quote's t, v_t and mu_t and returns (M,).
 
-    def _win(self, bids, t, ctx):
-        return np.asarray(bids) > t[:, None]
+    def _win(self, bids, q, ctx):
+        return np.asarray(bids) > q.t[:, None]
 
-    def _threshold_parts(self, view, t, ctx):
-        v_t = value_from_own_and_stat(ctx.model, t, view.stat)
-        mu_t = ctx.interim.expected_value(t)
-        return v_t, mu_t
-
-    def _compensations(self, view, t, ctx):
+    def _compensations(self, q, ctx):
         if self.payment_policy == "zero-transfer":
-            return np.zeros_like(t)
-        v_t, mu_t = self._threshold_parts(view, t, ctx)
-        comp = -self.chi * np.maximum(0.0, mu_t - v_t)
-        comp = np.where(t >= ctx.s_bar, 0.0, comp) + 0.0  # +0.0 normalizes -0.0
-        if self.expect_zero_compensation and np.any(comp != 0.0):
-            raise AssertionError("masked mechanism produced a nonzero compensation")
-        return comp
+            return np.zeros_like(q.t)
+        comp = -self.chi * np.maximum(0.0, q.mu_t - q.v_t)
+        return np.where(q.t >= ctx.s_bar, 0.0, comp) + 0.0  # +0.0 normalizes -0.0
 
-    def _winner_payments(self, bids, view, t, ctx):
-        v_t, mu_t = self._threshold_parts(view, t, ctx)
-        if self.payment_policy == "zero-transfer":
-            pay = cursed_value_from_parts(v_t, mu_t, self.chi)
-        else:
-            pay = v_t + self.chi * np.minimum(0.0, mu_t - v_t)
-        return np.broadcast_to(pay[:, None], np.shape(bids))
+    def _winner_payments(self, bids, q, ctx):
+        return q.price[:, None]
+
+
+@dataclass
+class Quote:
+    """What the others' reports fix for each quoted (row, agent) pair, as flat
+    arrays: the others' statistic, the critical bid t, the true value v_t and
+    the interim expectation mu_t at t, the loser's charge (the compensation)
+    and the winner's price at t."""
+
+    stat: np.ndarray
+    t: np.ndarray
+    v_t: np.ndarray
+    mu_t: np.ndarray
+    compensation: Optional[np.ndarray] = None
+    price: Optional[np.ndarray] = None
+
+
+def _quote(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext, agents, first_row: int = 0) -> Quote:
+    """Quote the columns ``agents`` of ``profiles``, whose row r is profile row
+    ``first_row + r``: all those (row, agent) pairs go through one
+    ``critical_bids`` and one ``expected_value`` call, flattened in (row,
+    agent) order, with the others' maxima and statistics ``run_batch`` uses."""
+    maxo = _max_excluding_self(profiles)[:, agents].reshape(-1)
+    view = OthersView(maxo, profile_stats(ctx.model, profiles)[:, agents].reshape(-1))
+    t = mech.rule.critical_bids(view, ctx)
+    q = Quote(view.stat, t, value_from_own_and_stat(ctx.model, t, view.stat), ctx.interim.expected_value(t))
+    q.compensation = mech._compensations(q, ctx)
+    if mech.expect_zero_compensation and np.any(q.compensation != 0.0):
+        k = int(np.flatnonzero(q.compensation)[0])
+        what = "masked mechanism produced a nonzero compensation"
+        raise MechanismInvariantError(what, first_row + k // len(agents), agents[k % len(agents)], float(q.compensation[k]))
+    if mech.payment_policy == "zero-transfer":
+        q.price = cursed_value_from_parts(q.v_t, q.mu_t, mech.chi)
+    else:
+        q.price = q.v_t + mech.chi * np.minimum(0.0, q.mu_t - q.v_t)
+    return q
+
+
+def _outcomes(mech: Mechanism, q: Quote, bids, ctx: AuctionContext):
+    """(win, payments), both (M, G), of own reports ``bids`` ((M, G) or (G,))
+    against a quote."""
+    win = mech._win(bids, q, ctx)
+    return win, np.where(win, mech._winner_payments(bids, q, ctx), q.compensation[:, None])
+
+
+def _checked_profiles(profiles, ctx: AuctionContext) -> np.ndarray:
+    """Profiles as an (N, n) float array of finite signals in [0, s_bar]."""
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    if profiles.ndim != 2 or profiles.shape[1] != ctx.space.n:
+        raise ValueError(f"profiles must have shape (N, {ctx.space.n}), got {profiles.shape}")
+    if not np.all((profiles >= 0.0) & (profiles <= ctx.s_bar)):  # NaN fails both
+        raise ValueError(f"signals must be finite and lie in [0, {ctx.s_bar}]")
+    return profiles
 
 
 @dataclass
@@ -458,8 +492,12 @@ class BatchOutcome:
 
 
 def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> BatchOutcome:
-    """Execute the auction on every row of ``profiles`` (shape (N, n))."""
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    """Execute the auction on every row of ``profiles`` (shape (N, n)).
+
+    Raises ValueError unless every signal is finite and in [0, s_bar] and the
+    width is n; zero rows are fine.
+    """
+    profiles = _checked_profiles(profiles, ctx)
     N, n = profiles.shape
     win = np.zeros((N, n), dtype=bool)
     payments = np.empty((N, n))
@@ -467,29 +505,24 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
     comps = np.empty((N, n))
     welfare = np.zeros(N)
 
-    chunk = max(1, _ROW_CHUNK_FLOATS // max(n, 1))
+    chunk = max(1, _QUOTE_CHUNK_PAIRS // n)
     for start in range(0, N, chunk):
         stop = min(start + chunk, N)
         rows = profiles[start:stop]
-        stats = profile_stats(ctx.model, rows)
-        maxo = _max_excluding_self(rows)
-        for i in range(n):
-            view = OthersView(maxo[:, i], stats[:, i])
-            t = mech.rule.critical_bids(view, ctx)
-            w = mech._win(rows[:, i][:, None], t, ctx)[:, 0]
-            comp = mech._compensations(view, t, ctx)
-            pay_w = mech._winner_payments(rows[:, i][:, None], view, t, ctx)[:, 0]
-            win[start:stop, i] = w
-            thresholds[start:stop, i] = t
-            comps[start:stop, i] = comp
-            payments[start:stop, i] = np.where(w, pay_w, comp)
-            if w.any():
-                v_true = value_from_own_and_stat(ctx.model, rows[w, i], stats[w, i])
-                welfare[start:stop][w] = v_true
+        q = _quote(mech, rows, ctx, range(n), start)
+        w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
+        win[start:stop] = w.reshape(-1, n)
+        payments[start:stop] = pay.reshape(-1, n)
+        thresholds[start:stop] = q.t.reshape(-1, n)
+        comps[start:stop] = q.compensation.reshape(-1, n)
+        r, i = np.nonzero(win[start:stop])
+        welfare[start + r] = value_from_own_and_stat(ctx.model, rows[r, i], q.stat.reshape(-1, n)[r, i])
 
     n_winners = win.sum(axis=1)
     if np.any(n_winners > 1):
-        raise AssertionError("feasibility violated: more than one winner on a profile")
+        r = int(np.argmax(n_winners > 1))
+        second = int(np.flatnonzero(win[r])[1])
+        raise MechanismInvariantError("more than one winner", r, second, float(n_winners[r]))
     winner = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
     revenue = payments.sum(axis=1)
     return BatchOutcome(winner, win, payments, thresholds, comps, welfare, revenue)
@@ -517,49 +550,21 @@ def agent_outcomes_for_bids(
     """Allocation and payment of agent i for a grid of own reports.
 
     ``bids`` has shape (N, G) (or (G,), shared across rows); everyone else
-    reports truthfully, so agent i's critical bid, compensation, and
-    threshold-based price are fixed per row while the win indicator and any
-    report-dependent (broken) pricing vary across the grid.
+    reports truthfully, so agent i's quote (critical bid, compensation and
+    threshold price) is fixed per row while the win indicator and any
+    report-dependent (broken) pricing vary across the grid.  The bid column
+    ``profiles[:, [i]]`` reproduces column i of ``run_batch`` exactly.
     Returns (win (N, G), payments (N, G), thresholds (N,), compensations (N,)).
     """
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    others = np.delete(profiles, i, axis=1)
-    view = OthersView.from_others(others, ctx.model)
-    t = mech.rule.critical_bids(view, ctx)
-    comp = mech._compensations(view, t, ctx)
-    bids = np.asarray(bids, dtype=float)
-    if bids.ndim == 1:
-        bids = np.broadcast_to(bids[None, :], (len(profiles), len(bids)))
-    w = mech._win(bids, t, ctx)
-    pay_w = mech._winner_payments(bids, view, t, ctx)
-    payments = np.where(w, pay_w, comp[:, None])
-    return w, payments, t, comp
+    q = _quote(mech, _checked_profiles(profiles, ctx), ctx, [i])
+    win, payments = _outcomes(mech, q, np.asarray(bids, dtype=float), ctx)
+    return win, payments, q.t, q.compensation
 
 
 def critical_bid(rule: ThresholdRule, others: np.ndarray, ctx: AuctionContext) -> float:
     """Critical bid against one others-profile; always in [max(others), s_bar]."""
     view = OthersView.from_others(np.asarray(others, dtype=float)[None, :], ctx.model)
     return float(rule.critical_bids(view, ctx)[0])
-
-
-def compensation(mech: Mechanism, others: np.ndarray, ctx: AuctionContext) -> float:
-    """The non-positive participation constant paid to an agent at these others."""
-    view = OthersView.from_others(np.asarray(others, dtype=float)[None, :], ctx.model)
-    t = mech.rule.critical_bids(view, ctx)
-    return float(mech._compensations(view, t, ctx)[0])
-
-
-def winner_price_via_identity(mech: Mechanism, others: np.ndarray, ctx: AuctionContext) -> float:
-    """Winner price recomputed through the payment identity (cursed value at the
-    threshold plus the participation constant); must agree with the direct
-    min-rule price."""
-    view = OthersView.from_others(np.asarray(others, dtype=float)[None, :], ctx.model)
-    t = mech.rule.critical_bids(view, ctx)
-    v_t = value_from_own_and_stat(ctx.model, t, view.stat)
-    mu_t = ctx.interim.expected_value(t)
-    vchi_t = cursed_value_from_parts(v_t, mu_t, mech.chi)
-    comp = mech._compensations(view, t, ctx)
-    return float((vchi_t + comp)[0])
 
 
 def revenue_optimal_rule(ctx: AuctionContext, chi: float, opt_spec: OptSpec = OptSpec()) -> RevenueOptimalRule:
@@ -573,8 +578,9 @@ def masked_gva(ctx: AuctionContext, chi: float) -> Mechanism:
     """Masked generalized Vickrey auction: the welfare-optimal budget-balanced mechanism.
 
     At chi = 0 the mask is vacuous (no compensation is ever owed), so the
-    plain efficient rule is used; for chi > 0 compensations are provably zero
-    and asserted at run time.
+    plain efficient rule is used.  For chi > 0 compensations are provably
+    zero; every quote checks this and raises MechanismInvariantError, with
+    the row, agent and value, on the first nonzero one.
     """
     if not single_crossing_holds(ctx.model, ctx.space):
         raise ModelUnsupportedError("model fails single crossing; efficient rule undefined")

@@ -26,8 +26,8 @@ class RealizedPriceMechanism(Mechanism):
     at the critical bid; underbidding then lowers the price, breaking
     incentive compatibility."""
 
-    def _winner_payments(self, bids, view, t, ctx):
-        v_rep = value_from_own_and_stat(ctx.model, bids, view.stat[:, None])
+    def _winner_payments(self, bids, q, ctx):
+        v_rep = value_from_own_and_stat(ctx.model, bids, q.stat[:, None])
         mu_rep = ctx.interim.expected_value(bids)
         return cursed_value_from_parts(v_rep, mu_rep, self.chi)
 
@@ -36,8 +36,8 @@ class LoserSurchargeMechanism(Mechanism):
     """Adds a flat 0.01 charge to every loser, violating participation
     rationality for losing bidders."""
 
-    def _compensations(self, view, t, ctx):
-        return super()._compensations(view, t, ctx) + 0.01
+    def _compensations(self, q, ctx):
+        return super()._compensations(q, ctx) + 0.01
 
 
 class IntervalAllocationMechanism(Mechanism):
@@ -48,8 +48,8 @@ class IntervalAllocationMechanism(Mechanism):
         super().__init__(rule, chi, payment_policy)
         self.window = window
 
-    def _win(self, bids, t, ctx):
-        t_col = t[:, None]
+    def _win(self, bids, q, ctx):
+        t_col = q.t[:, None]
         width = self.window * ctx.s_bar
         return (np.asarray(bids) > t_col) & (np.asarray(bids) < t_col + width)
 

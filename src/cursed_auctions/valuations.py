@@ -317,11 +317,13 @@ class InterimCache:
             return s + model.beta * (space.n - 1) * space.mean_signal()
         if self._mode == "max_atoms":
             # exact sum over the distribution of the others' maximum
-            return (self._atom_pmf * np.maximum(s[..., None], self._atoms)).sum(axis=-1)
+            pmf, atoms = self._atom_pmf, self._atoms
+            exact = lambda x: (pmf * np.maximum(x[:, None], atoms)).sum(axis=1)
+            return _chunked(exact, max(1, 2_000_000 // len(atoms)), s.ravel()).reshape(s.shape)
         if self._mode == "max_tail":
             return s + np.interp(s, self._grid_s, self._grid_mu)
         if self._mode == "enum":
-            return _chunked_mean_over_stats(model, s, self._stat_samples, None)
+            return _mean_over_stats(model, s, self._stat_samples)
         return np.interp(s, self._grid_s, self._grid_mu)
 
 
@@ -358,19 +360,23 @@ def make_interim_cache(
     u = gen.random((quad.inner_samples, k))
     stats = model.h(marginal.quantile(u)).sum(axis=1)
     grid_s = np.linspace(0.0, space.s_bar, quad.grid_points)
-    grid_mu = _chunked_mean_over_stats(model, grid_s, stats, None)
+    grid_mu = _mean_over_stats(model, grid_s, stats)
     return InterimCache(space, model, quad, _mode="mc_grid", _grid_s=grid_s, _grid_mu=grid_mu)
 
 
-def _chunked_mean_over_stats(model: ConcaveSum, s: np.ndarray, stats: np.ndarray, _unused):
-    s_flat = np.atleast_1d(s).ravel()
-    out = np.empty_like(s_flat)
-    chunk = max(1, int(2_000_000 // max(len(stats), 1)))
-    g_vals = model.g(s_flat)
-    for start in range(0, len(s_flat), chunk):
-        stop = min(start + chunk, len(s_flat))
-        out[start:stop] = model.l(g_vals[start:stop, None] + stats[None, :]).mean(axis=1)
-    return out.reshape(np.shape(s))
+def _chunked(fn, chunk: int, *arrays) -> np.ndarray:
+    """``fn`` over consecutive chunks of the equal-length 1-D ``arrays``,
+    joined; each chunk's temporaries are freed before the next is built."""
+    out = np.empty(len(arrays[0]))
+    for start in range(0, len(out), chunk):
+        out[start:start + chunk] = fn(*(a[start:start + chunk] for a in arrays))
+    return out
+
+
+def _mean_over_stats(model: ConcaveSum, s: np.ndarray, stats: np.ndarray):
+    """Mean of v(s, stat) over the sampled or enumerated others' statistics."""
+    mean = lambda x: model.l(model.g(x)[:, None] + stats[None, :]).mean(axis=1)
+    return _chunked(mean, max(1, 2_000_000 // len(stats)), s.ravel()).reshape(s.shape)
 
 
 def _reverse_cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -399,18 +405,18 @@ def _check_chi(chi: float):
         raise ValueError(f"chi must lie in [0, 1], got {chi}")
 
 
-def cursed_virtual_value(cache: InterimCache, chi: float, s_own: float, others: np.ndarray):
+def cursed_virtual_value(cache: InterimCache, chi: float, s_own, stat):
     """Cursed value minus its own-signal slope times the inverse hazard rate.
 
-    Needs a marginal with a density; derivative is analytic for WeightedSum
-    and a central finite difference (one-sided at the support edges) otherwise.
+    Vectorized over the own signal and the others' statistic (see
+    ``others_stat``), which broadcast against each other.  Needs a marginal
+    with a density; the slope is analytic for WeightedSum and a central finite
+    difference (one-sided at the support edges) otherwise.
     """
     _check_chi(chi)
     space, model = cache.space, cache.model
     if not space.marginal.has_density:
         raise UnsupportedMarginalError("cursed virtual value needs a density")
-    others = np.asarray(others, dtype=float)
-    stat = others_stat(model, others)
 
     def vchi(t):
         return cursed_value_from_parts(
@@ -421,8 +427,8 @@ def cursed_virtual_value(cache: InterimCache, chi: float, s_own: float, others: 
         deriv = 1.0  # both v and the interim expectation have unit slope in s_i
     else:
         h = 1e-5 * space.s_bar
-        lo = max(0.0, s_own - h)
-        hi = min(space.s_bar, s_own + h)
+        lo = np.maximum(0.0, s_own - h)
+        hi = np.minimum(space.s_bar, s_own + h)
         deriv = (vchi(hi) - vchi(lo)) / (hi - lo)
     f = space.marginal.pdf(s_own)
     F = space.marginal.cdf(s_own)

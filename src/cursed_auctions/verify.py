@@ -1,7 +1,7 @@
 """Sampled checkers for the incentive and budget properties of auction mechanisms.
 
 Each checker draws signal profiles from a :class:`SamplingPlan`, executes the
-mechanism through its public run path, and returns a :class:`CheckReport`
+mechanism through the quotes ``run_batch`` uses, and returns a :class:`CheckReport`
 with the worst violation found and concrete witnesses.  Deviation-based
 checks evaluate a finite bid grid that always contains the truthful report,
 the support endpoints, and the agent's critical bid plus/minus a small nudge;
@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mechanisms import AuctionContext, Mechanism, ThresholdRule, agent_outcomes_for_bids, run_batch
+from .mechanisms import _outcomes, _quote
 from .reports import CheckReport
 from .signals import RandomStream, sample_profiles
 from .valuations import cursed_value, value, value_scale
@@ -50,6 +51,10 @@ class SamplingPlan:
     deviation_grid_size: int = 101
     tolerance: Optional[float] = None
     stream: RandomStream = field(default_factory=lambda: RandomStream(2024))
+
+    def __post_init__(self):
+        if self.profile_count < 0 or self.deviation_grid_size < 0:
+            raise ValueError("profile_count and deviation_grid_size must be non-negative")
 
     def resolve_tolerance(self, ctx: AuctionContext) -> float:
         if self.tolerance is not None:
@@ -82,30 +87,22 @@ def _deviation_regrets(mech: Mechanism, ctx: AuctionContext, profiles: np.ndarra
     the item (its cursed value under the relevant cursedness level).
     Returns (regret matrix (N, n), best-bid matrix (N, n)).
     """
-    n = ctx.space.n
+    (N, n), G = profiles.shape, plan.deviation_grid_size
     s_bar = ctx.s_bar
-    base_grid = np.linspace(0.0, s_bar, plan.deviation_grid_size)
-    regret = np.empty((len(profiles), n))
-    best_bid = np.empty((len(profiles), n))
+    rows = np.arange(N)
+    base_grid = np.broadcast_to(np.linspace(0.0, s_bar, G), (N, G))
+    regret = np.empty((N, n))
+    best_bid = np.empty((N, n))
     for i in range(n):
-        vals = agent_values[i]
-        win_g, pay_g, t_i, _comp = agent_outcomes_for_bids(mech, i, profiles, base_grid, ctx)
-        # enrich the grid with the truthful bid and the critical bid +- a nudge
-        extras = np.stack(
-            [
-                profiles[:, i],
-                np.clip(t_i - _NUDGE * s_bar, 0.0, s_bar),
-                np.clip(t_i + _NUDGE * s_bar, 0.0, s_bar),
-            ],
-            axis=1,
-        )
-        win_e, pay_e, _, _ = agent_outcomes_for_bids(mech, i, profiles, extras, ctx)
-        u_grid = np.concatenate([win_g * vals[:, None] - pay_g, win_e * vals[:, None] - pay_e], axis=1)
-        bids_all = np.concatenate([np.broadcast_to(base_grid, win_g.shape), extras], axis=1)
-        k = np.argmax(u_grid, axis=1)
-        u_truth = win_e[:, 0] * vals - pay_e[:, 0]  # first extra column is the truthful bid
-        regret[:, i] = u_grid[np.arange(len(profiles)), k] - u_truth
-        best_bid[:, i] = bids_all[np.arange(len(profiles)), k]
+        q = _quote(mech, profiles, ctx, [i])
+        # the grid, then the truthful bid and the critical bid +- a nudge
+        nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
+        bids = np.concatenate([base_grid, profiles[:, [i]], nudged], axis=1)
+        win, pay = _outcomes(mech, q, bids, ctx)
+        u = win * agent_values[i][:, None] - pay
+        k = np.argmax(u, axis=1)
+        regret[:, i] = u[rows, k] - u[:, G]  # column G is the truthful bid
+        best_bid[:, i] = bids[rows, k]
     return regret, best_bid
 
 

@@ -180,6 +180,25 @@ class TestOracleCheck:
         assert code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--deviations", "-1"],
+            ["experiment", "max-zero-welfare", "--n-list", "a"],
+            ["experiment", "max-zero-welfare", "--n-list", "1"],
+            ["oracle-check", "--m-values", "x"],
+            ["--samples", "-1", "simulate"],
+        ],
+    )
+    def test_exits_two(self, tmp_path, argv):
+        assert run_cli("--out", str(tmp_path), "--samples", "50", *argv) == 2
+
+    def test_zero_deviation_grid_is_valid(self, tmp_path):
+        code = run_cli("--out", str(tmp_path), "--samples", "50", "verify", "--properties", "cepic", "--deviations", "0")
+        assert code == 0
+
+
 def test_config_file_not_found(tmp_path):
     assert run_cli("--config", str(tmp_path / "missing.json"), "simulate") == 2
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cursed_auctions.evaluate import (
+    _metric_values,
     chi_sweep,
     estimate,
     estimate_many,
@@ -89,6 +90,30 @@ class TestEstimate:
         for i in range(3):
             utilities += batch.win[:, i] * value(ctx.model, profiles, i) - batch.payments[:, i]
         np.testing.assert_allclose(batch.revenue + utilities, batch.welfare, atol=1e-12)
+
+
+class TestVirtualSurplus:
+    @pytest.mark.parametrize("family", ["weighted_sum", "max_signal"])
+    def test_matches_closed_form_per_profile(self, family):
+        # two U[0, 1] bidders, GVA: the higher signal s wins against o < s.
+        # weighted sum (beta 1): v_chi = s + (1 - chi) o + chi/2, slope 1;
+        # max signal: v_chi = (1 - chi) s + chi (1 + s^2)/2, slope 1 - chi + chi s
+        # (finite-difference branch; the interim table is linear between grid
+        # points 1/4096 apart, so its slope is off by up to chi/8192).
+        # Virtual value = v_chi - slope (1 - s).
+        chi = 0.6
+        model = WeightedSum(1.0) if family == "weighted_sum" else MaxSignal()
+        vctx = make_context(SignalSpace(2, UniformIID(1.0)), model)
+        profiles = sample_profiles(vctx.space, RandomStream(19), 2000)
+        profiles[:5, 1] = profiles[:5, 0]  # ties allocate nothing
+        got = _metric_values("virtual_surplus", Mechanism(GVARule(), chi, "compensated"), profiles, vctx)
+        s, o = profiles.max(axis=1), profiles.min(axis=1)
+        if family == "weighted_sum":
+            vchi, slope, atol = s + (1 - chi) * o + chi / 2, 1.0, 1e-12
+        else:
+            vchi, slope, atol = (1 - chi) * s + chi * (1 + s**2) / 2, 1 - chi + chi * s, 1e-4
+        np.testing.assert_allclose(got, np.where(s > o, vchi - slope * (1 - s), 0.0), rtol=0, atol=atol)
+        assert np.all(got[:5] == 0.0)
 
 
 class TestOptimalWelfare:

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cursed_auctions import mechanisms
 from cursed_auctions.mechanisms import (
     GVARule,
     MaskedRule,
     Mechanism,
+    MechanismInvariantError,
     ModelUnsupportedError,
     OptSpec,
     OthersView,
     RevenueOptimalRule,
-    compensation,
+    _quote,
+    _threshold_revenue,
+    agent_outcomes_for_bids,
     critical_bid,
     make_context,
     masked_gva,
@@ -19,12 +23,18 @@ from cursed_auctions.mechanisms import (
     rule_from_config,
     run,
     run_batch,
-    threshold_revenue,
-    winner_price_via_identity,
 )
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.testing import ConstantOffsetRule
-from cursed_auctions.valuations import MaxSignal, WeightedSum, value
+from cursed_auctions.valuations import (
+    ConcaveSum,
+    MaxSignal,
+    QuadSpec,
+    ScalarMap,
+    WeightedSum,
+    cursed_value_from_parts,
+    value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,25 +86,29 @@ class TestCriticalBid:
         assert a == b
 
 
+def _compensation(mech, others, ctx):
+    """Agent 0's compensation at these others, read from an executed auction
+    (agent 0 reports 0, but the compensation depends on the others alone)."""
+    return run(mech, np.concatenate(([0.0], others)), ctx).compensations[0]
+
+
 class TestCompensation:
     def test_masked_rule_never_compensates(self, wallet_ctx):
         mech = masked_gva(wallet_ctx, 1.0)
         for others in ([10.0], [40.0], [60.0], [99.0]):
-            assert compensation(mech, np.array(others), wallet_ctx) == 0.0
+            assert _compensation(mech, others, wallet_ctx) == 0.0
 
     def test_gva_low_others(self, three_ctx):
         mech = Mechanism(GVARule(), 1.0, "compensated")
-        np.testing.assert_allclose(
-            compensation(mech, np.array([0.2, 0.2]), three_ctx), -0.3
-        )
+        np.testing.assert_allclose(_compensation(mech, [0.2, 0.2], three_ctx), -0.3)
 
     def test_chi_zero_no_compensation(self, three_ctx):
         mech = Mechanism(GVARule(), 0.0, "compensated")
-        assert compensation(mech, np.array([0.2, 0.2]), three_ctx) == 0.0
+        assert _compensation(mech, [0.2, 0.2], three_ctx) == 0.0
 
     def test_zero_transfer_policy(self, three_ctx):
         mech = Mechanism(GVARule(), 1.0, "zero-transfer")
-        assert compensation(mech, np.array([0.2, 0.2]), three_ctx) == 0.0
+        assert _compensation(mech, [0.2, 0.2], three_ctx) == 0.0
 
 
 class TestRun:
@@ -136,15 +150,17 @@ class TestRun:
         assert np.all(batch.win.sum(axis=1) <= 1)
 
     def test_winner_payment_identity_two_paths(self, three_ctx):
+        # the winner's min-rule price equals the cursed value at the threshold
+        # plus the participation constant, both read from the agent's quote
         mech = Mechanism(GVARule(), 0.7, "compensated")
         profiles = sample_profiles(three_ctx.space, RandomStream(21), 300)
         batch = run_batch(mech, profiles, three_ctx)
-        for r in np.where(batch.winner >= 0)[0][:50]:
-            i = batch.winner[r]
-            others = np.delete(profiles[r], i)
-            direct = batch.payments[r, i]
-            via_identity = winner_price_via_identity(mech, others, three_ctx)
-            np.testing.assert_allclose(direct, via_identity, atol=1e-12)
+        for i in range(3):
+            q = _quote(mech, profiles, three_ctx, [i])
+            via_identity = cursed_value_from_parts(q.v_t, q.mu_t, mech.chi) + q.compensation
+            won = batch.winner == i
+            assert won.any()
+            np.testing.assert_allclose(batch.payments[won, i], via_identity[won], atol=1e-12)
 
     def test_allocation_is_step_function_in_own_signal(self, three_ctx):
         mech = Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated")
@@ -163,7 +179,7 @@ class TestRevenueOptimalRule:
         t = critical_bid(rule, np.array([0.1]), unit_ctx)
         np.testing.assert_allclose(t, 0.25, atol=1e-6)
         view = OthersView.from_others(np.array([[0.1]]), unit_ctx.model)
-        r_star = float(threshold_revenue(np.array([t]), view, unit_ctx, 1.0)[0])
+        r_star = float(_threshold_revenue(np.array([t]), view, unit_ctx, 1.0)[0])
         # frozen via an independent 2e6-point grid scan of the objective
         np.testing.assert_allclose(r_star, 0.1625, atol=1e-6)
 
@@ -181,10 +197,10 @@ class TestRevenueOptimalRule:
         for o in others:
             t_star = critical_bid(rule, o, three_ctx)
             view = OthersView.from_others(o[None, :], three_ctx.model)
-            r_star = float(threshold_revenue(np.array([t_star]), view, three_ctx, 0.63)[0])
+            r_star = float(_threshold_revenue(np.array([t_star]), view, three_ctx, 0.63)[0])
             assert r_star >= -1e-12
             grid = np.linspace(o.max(), 1.0, 257)
-            r_grid = threshold_revenue(grid[:, None], OthersView(view.max, view.stat), three_ctx, 0.63)[:, 0]
+            r_grid = _threshold_revenue(grid[:, None], OthersView(view.max, view.stat), three_ctx, 0.63)[:, 0]
             r_grid[-1] = 0.0
             assert r_star >= r_grid.max() - 1e-9
 
@@ -300,3 +316,84 @@ def test_outcome_accounting(three_ctx):
             )
         else:
             assert batch.welfare[r] == 0.0
+
+
+class TestOneQuotePath:
+    """agent_outcomes_for_bids at the truthful bid is column i of run_batch."""
+
+    MODELS = {
+        "weighted_sum": WeightedSum(0.5),
+        "max_signal": MaxSignal(),
+        "concave_sum": ConcaveSum(ScalarMap("log1p_scaled", (1.0,)), ScalarMap("identity"), ScalarMap("power", (0.5,))),
+    }
+    MECHS = {
+        "gva": lambda: Mechanism(GVARule(), 0.7, "compensated"),
+        "gva_zero_transfer": lambda: Mechanism(GVARule(), 0.7, "zero-transfer"),
+        "masked": lambda: Mechanism(MaskedRule(GVARule()), 0.5, "compensated"),
+        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63, OptSpec(256, 30)), 0.63, "compensated"),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_truthful_column_matches_run_batch(self, model, n):
+        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model], QuadSpec(128, 5000))
+        profiles = sample_profiles(ctx.space, RandomStream(67, n), 400)
+        for name, make in self.MECHS.items():
+            mech = make()
+            batch = run_batch(mech, profiles, ctx)
+            for i in range(n):
+                win, pay, t, comp = agent_outcomes_for_bids(mech, i, profiles, profiles[:, [i]], ctx)
+                np.testing.assert_array_equal(win[:, 0], batch.win[:, i], err_msg=name)
+                np.testing.assert_array_equal(pay[:, 0], batch.payments[:, i], err_msg=name)
+                np.testing.assert_array_equal(t, batch.thresholds[:, i], err_msg=name)
+                np.testing.assert_array_equal(comp, batch.compensations[:, i], err_msg=name)
+
+
+class _TiesWinMechanism(Mechanism):
+    """Broken win rule: a report equal to the critical bid also wins."""
+
+    def _win(self, bids, q, ctx):
+        return np.asarray(bids) >= q.t[:, None]
+
+
+class TestInvariantErrors:
+    @pytest.mark.parametrize("chunk_pairs", [None, 3])  # 3: one row per run_batch chunk
+    def test_nonzero_masked_compensation_names_row_agent_value(self, three_ctx, monkeypatch, chunk_pairs):
+        if chunk_pairs:
+            monkeypatch.setattr(mechanisms, "_QUOTE_CHUNK_PAIRS", chunk_pairs)
+        mech = Mechanism(GVARule(), 1.0, "compensated")  # unmasked, yet claims zero compensation
+        mech.expect_zero_compensation = True
+        # only agent 2 of row 1 faces others summing below (n-1)/2 = 1
+        profiles = np.array([[0.9, 0.8, 0.7], [0.4, 0.5, 0.7]])
+        with pytest.raises(MechanismInvariantError) as err:
+            run_batch(mech, profiles, three_ctx)
+        assert (err.value.row, err.value.agent) == (1, 2)
+        np.testing.assert_allclose(err.value.value, -0.05)
+        with pytest.raises(MechanismInvariantError) as err:
+            agent_outcomes_for_bids(mech, 2, profiles, np.linspace(0.0, 1.0, 5), three_ctx)
+        assert (err.value.row, err.value.agent) == (1, 2)
+
+    def test_two_winners_names_row_agent_count(self, three_ctx):
+        mech = _TiesWinMechanism(GVARule(), 0.5, "compensated")
+        with pytest.raises(MechanismInvariantError) as err:
+            run_batch(mech, np.array([[0.9, 0.2, 0.1], [0.3, 0.6, 0.6]]), three_ctx)
+        assert (err.value.row, err.value.agent, err.value.value) == (1, 2, 2.0)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "profile",
+        [[0.5, np.nan, 0.1], [0.5, np.inf, 0.1], [0.5, -0.1, 0.1], [0.5, 1.1, 0.1], [0.5, 0.1], [0.5, 0.1, 0.2, 0.3]],
+    )
+    def test_bad_profiles_rejected(self, three_ctx, profile):
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        with pytest.raises(ValueError):
+            run(mech, np.array(profile), three_ctx)
+        with pytest.raises(ValueError):
+            run_batch(mech, np.array([profile, profile]), three_ctx)
+        with pytest.raises(ValueError):
+            agent_outcomes_for_bids(mech, 0, np.array([profile]), np.linspace(0.0, 1.0, 3), three_ctx)
+
+    def test_zero_rows_allowed(self, three_ctx):
+        batch = run_batch(masked_gva(three_ctx, 1.0), np.empty((0, 3)), three_ctx)
+        assert batch.payments.shape == (0, 3) and batch.welfare.shape == (0,)

@@ -157,19 +157,21 @@ class TestCursedValue:
 
 
 class TestCursedVirtualValue:
+    # with two bidders the others' statistic is the other signal itself
+
     def test_rational_uniform_closed_form(self):
         cache = make_interim_cache(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
-        got = cursed_virtual_value(cache, 0.0, 0.5, np.array([0.5]))
+        got = cursed_virtual_value(cache, 0.0, 0.5, 0.5)
         np.testing.assert_allclose(got, 0.5)  # 2 s + s_other - 1
 
     def test_fully_cursed_closed_form(self):
         cache = make_interim_cache(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
-        got = cursed_virtual_value(cache, 1.0, 0.25, np.array([0.9]))
+        got = cursed_virtual_value(cache, 1.0, 0.25, 0.9)
         np.testing.assert_allclose(got, 0.0, atol=1e-12)  # 2 s - 0.5
 
     def test_max_signal_highest(self):
         cache = make_interim_cache(SignalSpace(2, UniformIID(1.0)), MaxSignal())
-        got = cursed_virtual_value(cache, 0.0, 0.5, np.array([0.2]))
+        got = cursed_virtual_value(cache, 0.0, 0.5, 0.2)
         np.testing.assert_allclose(got, 0.0, atol=1e-4)
 
     def test_finite_difference_matches_analytic_slope(self):
@@ -183,7 +185,7 @@ class TestCursedVirtualValue:
     def test_density_free_marginal_rejected(self):
         cache = make_interim_cache(SignalSpace(2, DiscreteGridIID(points=(0.0, 1.0))), WeightedSum(1.0))
         with pytest.raises(UnsupportedMarginalError):
-            cursed_virtual_value(cache, 0.5, 0.0, np.array([1.0]))
+            cursed_virtual_value(cache, 0.5, 0.0, 1.0)
 
 
 class TestStructuralChecks:
