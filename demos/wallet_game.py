@@ -25,7 +25,7 @@ from cursed_auctions import (
 )
 from cursed_auctions.evaluate import wallet_report
 from cursed_auctions.mechanisms import GVARule, run_batch
-from cursed_auctions.verify import SamplingPlan, check_epbb, check_epir
+from cursed_auctions.verify import Draw, SamplingPlan, check_epbb, check_epir
 
 space = SignalSpace(2, UniformIID(100.0))
 ctx = make_context(space, WeightedSum(1.0))
@@ -61,6 +61,6 @@ for profile in ([80.0, 60.0], [80.0, 40.0]):
     print(f"  wallets {profile}: {verdict}")
 
 print("\n== Property check ==")
-plan = SamplingPlan(profile_count=4_000, stream=RandomStream(11))
-print("  masked auction, never pays a loser:", check_epbb(masked, ctx, plan).passed)
-print("  masked auction, winner never overpays:", check_epir(masked, ctx, plan).passed)
+draw = Draw(masked, ctx, SamplingPlan(profile_count=4_000, stream=RandomStream(11)))
+print("  masked auction, never pays a loser:", check_epbb(draw).passed)
+print("  masked auction, winner never overpays:", check_epir(draw).passed)

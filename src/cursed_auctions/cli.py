@@ -31,7 +31,7 @@ from .mechanisms import (
 )
 from .signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from .valuations import MaxSignal, WeightedSum, model_from_config
-from .verify import CHECKERS, SamplingPlan
+from .verify import CHECKERS, Draw, SamplingPlan
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
 
@@ -204,7 +204,8 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    reports = {name: CHECKERS[name](mech, ctx, plan) for name in names}
+    draw = Draw(mech, ctx, plan)
+    reports = {name: CHECKERS[name](draw) for name in names}
     payload = {
         "config": cfg.to_dict(),
         "reports": {k: r.to_json() for k, r in reports.items()},

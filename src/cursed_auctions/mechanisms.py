@@ -499,33 +499,41 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
     """
     profiles = _checked_profiles(profiles, ctx)
     N, n = profiles.shape
-    win = np.zeros((N, n), dtype=bool)
-    payments = np.empty((N, n))
-    thresholds = np.empty((N, n))
-    comps = np.empty((N, n))
-    welfare = np.zeros(N)
-
+    out = _empty_batch(N, n)
     chunk = max(1, _QUOTE_CHUNK_PAIRS // n)
     for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        rows = profiles[start:stop]
-        q = _quote(mech, rows, ctx, range(n), start)
-        w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
-        win[start:stop] = w.reshape(-1, n)
-        payments[start:stop] = pay.reshape(-1, n)
-        thresholds[start:stop] = q.t.reshape(-1, n)
-        comps[start:stop] = q.compensation.reshape(-1, n)
-        r, i = np.nonzero(win[start:stop])
-        welfare[start + r] = value_from_own_and_stat(ctx.model, rows[r, i], q.stat.reshape(-1, n)[r, i])
+        rows = profiles[start:start + chunk]
+        _execute(out, start, mech, rows, _quote(mech, rows, ctx, range(n), start), ctx)
+    return out
 
+
+def _empty_batch(N: int, n: int) -> BatchOutcome:
+    return BatchOutcome(
+        np.empty(N, dtype=np.intp), np.empty((N, n), dtype=bool), np.empty((N, n)),
+        np.empty((N, n)), np.empty((N, n)), np.zeros(N), np.empty(N),
+    )
+
+
+def _execute(out: BatchOutcome, start: int, mech: Mechanism, rows: np.ndarray, q: Quote, ctx: AuctionContext):
+    """Write the truthful outcomes of ``rows``, profile rows ``start`` on, into
+    ``out`` from their all-agent quote ``q``; raises MechanismInvariantError
+    on a row with more than one winner."""
+    stop, n = start + len(rows), rows.shape[1]
+    w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
+    win = w.reshape(-1, n)
     n_winners = win.sum(axis=1)
     if np.any(n_winners > 1):
         r = int(np.argmax(n_winners > 1))
         second = int(np.flatnonzero(win[r])[1])
-        raise MechanismInvariantError("more than one winner", r, second, float(n_winners[r]))
-    winner = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
-    revenue = payments.sum(axis=1)
-    return BatchOutcome(winner, win, payments, thresholds, comps, welfare, revenue)
+        raise MechanismInvariantError("more than one winner", start + r, second, float(n_winners[r]))
+    out.win[start:stop] = win
+    out.payments[start:stop] = pay.reshape(-1, n)
+    out.thresholds[start:stop] = q.t.reshape(-1, n)
+    out.compensations[start:stop] = q.compensation.reshape(-1, n)
+    r, i = np.nonzero(win)
+    out.welfare[start + r] = value_from_own_and_stat(ctx.model, rows[r, i], q.stat.reshape(-1, n)[r, i])
+    out.winner[start:stop] = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
+    out.revenue[start:stop] = out.payments[start:stop].sum(axis=1)
 
 
 def run(mech: Mechanism, profile: np.ndarray, ctx: AuctionContext) -> Outcome:

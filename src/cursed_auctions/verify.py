@@ -1,8 +1,10 @@
 """Sampled checkers for the incentive and budget properties of auction mechanisms.
 
-Each checker draws signal profiles from a :class:`SamplingPlan`, executes the
-mechanism through the quotes ``run_batch`` uses, and returns a :class:`CheckReport`
-with the worst violation found and concrete witnesses.  Deviation-based
+Each checker reads one :class:`Draw` -- the signal profiles a
+:class:`SamplingPlan` draws, one quote of every (row, agent) pair and the
+truthful outcomes ``run_batch`` would execute from it -- and returns a
+:class:`CheckReport` with the worst violation found and concrete witnesses, so
+the properties of one verify run are checked on the same sample.  Deviation-based
 checks evaluate a finite bid grid that always contains the truthful report,
 the support endpoints, and the agent's critical bid plus/minus a small nudge;
 for threshold mechanisms a bidder's utility is piecewise constant in the bid
@@ -15,19 +17,21 @@ the same checks stay meaningful on [0, 1] and [0, 100] supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import AuctionContext, Mechanism, ThresholdRule, agent_outcomes_for_bids, run_batch
-from .mechanisms import _outcomes, _quote
+from .mechanisms import AuctionContext, Mechanism, ThresholdRule, run_batch
+from .mechanisms import Quote, _empty_batch, _execute, _outcomes, _quote
 from .reports import CheckReport
 from .signals import RandomStream, sample_profiles
 from .valuations import cursed_value, value, value_scale
 
 __all__ = [
     "SamplingPlan",
+    "Draw",
     "check_cepic",
     "check_epir",
     "check_cepir",
@@ -41,6 +45,7 @@ __all__ = [
 
 _MAX_WITNESSES = 5
 _NUDGE = 1e-6
+_MONOTONE_SCAN_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class SamplingPlan:
     def __post_init__(self):
         if self.profile_count < 0 or self.deviation_grid_size < 0:
             raise ValueError("profile_count and deviation_grid_size must be non-negative")
+        if self.tolerance is not None and not (0.0 <= self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 
     def resolve_tolerance(self, ctx: AuctionContext) -> float:
         if self.tolerance is not None:
@@ -62,43 +69,70 @@ class SamplingPlan:
         return 1e-9 * max(ctx.scale(), 1.0)
 
 
-def _draw(plan: SamplingPlan, ctx: AuctionContext) -> np.ndarray:
-    return sample_profiles(ctx.space, plan.stream, plan.profile_count)
+class Draw:
+    """The sample one verify run checks: the plan's profiles, drawn once, the
+    tolerance, one quote of every (row, agent) pair and the truthful outcomes
+    executed from it, so every checker reads the same profiles and thresholds."""
+
+    def __init__(self, mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()):
+        self.mech, self.ctx, self.plan = mech, ctx, plan
+        self.tolerance = plan.resolve_tolerance(ctx)
+        self.profiles = sample_profiles(ctx.space, plan.stream, plan.profile_count)
+        N, n = self.profiles.shape
+        self.quote = _quote(mech, self.profiles, ctx, range(n))
+        self.batch = _empty_batch(N, n)
+        _execute(self.batch, 0, mech, self.profiles, self.quote, ctx)
+
+    def agent_quote(self, i: int) -> Quote:
+        """Agent i's quote per profile row, as column views of the shared quote."""
+        n = self.ctx.space.n
+        return Quote(**{k: a.reshape(-1, n)[:, i] for k, a in vars(self.quote).items()})
+
+    def values(self, chi: Optional[float] = None) -> list:
+        """Each agent's per-profile value of the item: true, or cursed at ``chi``."""
+        ctx, P = self.ctx, self.profiles
+        if chi is None:
+            return [value(ctx.model, P, i) for i in range(ctx.space.n)]
+        return [cursed_value(ctx.interim, chi, P, i) for i in range(ctx.space.n)]
 
 
-def _top_witnesses(viol: np.ndarray, profiles: np.ndarray, extra_fn=None) -> list:
-    order = np.argsort(viol)[::-1]
-    out = []
-    for k in order[:_MAX_WITNESSES]:
+def _report(draw: Draw, name: str, max_violation: float, witnesses: list, per_profile: int = 1) -> CheckReport:
+    return CheckReport(name, max_violation, draw.tolerance, len(draw.profiles) * per_profile, witnesses)
+
+
+def _profile_report(draw: Draw, name: str, viol: np.ndarray, extra_fn=None) -> CheckReport:
+    """Report per-profile violations: the worst is the maximum, and the worst
+    positive profiles are the witnesses."""
+    witnesses = []
+    for k in np.argsort(viol)[::-1][:_MAX_WITNESSES]:
         if viol[k] <= 0:
             break
-        w = {"profile": profiles[k].tolist(), "margin": float(viol[k])}
+        w = {"profile": draw.profiles[k].tolist(), "margin": float(viol[k])}
         if extra_fn is not None:
             w.update(extra_fn(int(k)))
-        out.append(w)
-    return out
+        witnesses.append(w)
+    return _report(draw, name, float(viol.max(initial=0.0)), witnesses)
 
 
-def _deviation_regrets(mech: Mechanism, ctx: AuctionContext, profiles: np.ndarray,
-                       plan: SamplingPlan, agent_values: Sequence[np.ndarray]):
+def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
     """Worst deviation gain per (profile, agent) against truthful opponents.
 
     ``agent_values[i]`` is the per-profile value the deviating agent assigns
     the item (its cursed value under the relevant cursedness level).
     Returns (regret matrix (N, n), best-bid matrix (N, n)).
     """
-    (N, n), G = profiles.shape, plan.deviation_grid_size
-    s_bar = ctx.s_bar
+    (N, n), G = draw.profiles.shape, draw.plan.deviation_grid_size
+    s_bar = draw.ctx.s_bar
     rows = np.arange(N)
     base_grid = np.broadcast_to(np.linspace(0.0, s_bar, G), (N, G))
     regret = np.empty((N, n))
     best_bid = np.empty((N, n))
     for i in range(n):
-        q = _quote(mech, profiles, ctx, [i])
+        q = draw.agent_quote(i)
         # the grid, then the truthful bid and the critical bid +- a nudge
         nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
-        bids = np.concatenate([base_grid, profiles[:, [i]], nudged], axis=1)
-        win, pay = _outcomes(mech, q, bids, ctx)
+        bids = np.concatenate([base_grid, draw.profiles[:, [i]], nudged], axis=1)
+        win, pay = _outcomes(draw.mech, q, bids, draw.ctx)
         u = win * agent_values[i][:, None] - pay
         k = np.argmax(u, axis=1)
         regret[:, i] = u[rows, k] - u[:, G]  # column G is the truthful bid
@@ -106,116 +140,52 @@ def _deviation_regrets(mech: Mechanism, ctx: AuctionContext, profiles: np.ndarra
     return regret, best_bid
 
 
-def check_cepic(mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()) -> CheckReport:
+def check_cepic(draw: Draw) -> CheckReport:
     """Truthful reporting maximizes the cursed utility against every sampled
     deviation, profile by profile."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    vals = [cursed_value(ctx.interim, mech.chi, profiles, i) for i in range(ctx.space.n)]
-    regret, best_bid = _deviation_regrets(mech, ctx, profiles, plan, vals)
-    worst_per_profile = regret.max(axis=1)
+    regret, best_bid = _deviation_regrets(draw, draw.values(draw.mech.chi))
     agent_idx = regret.argmax(axis=1)
-    witnesses = _top_witnesses(
-        worst_per_profile,
-        profiles,
+    return _profile_report(
+        draw,
+        "cepic",
+        regret.max(axis=1),
         lambda k: {"agent": int(agent_idx[k]), "deviation": float(best_bid[k, agent_idx[k]])},
     )
-    return CheckReport(
-        name="cepic",
-        max_violation=float(max(0.0, worst_per_profile.max(initial=0.0))),
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=witnesses,
-    )
 
 
-def _truthful_utilities(mech, ctx, profiles, use_cursed: bool):
-    batch = run_batch(mech, profiles, ctx)
-    n = ctx.space.n
-    utils = np.empty((len(profiles), n))
-    for i in range(n):
-        v = (
-            cursed_value(ctx.interim, mech.chi, profiles, i)
-            if use_cursed
-            else value(ctx.model, profiles, i)
-        )
-        utils[:, i] = batch.win[:, i] * v - batch.payments[:, i]
-    return utils, batch
+def _ir_report(draw: Draw, name: str, agent_values: Sequence[np.ndarray]) -> CheckReport:
+    b = draw.batch
+    utils = np.column_stack([b.win[:, i] * v - b.payments[:, i] for i, v in enumerate(agent_values)])
+    return _profile_report(draw, name, np.maximum(0.0, -utils.min(axis=1)))
 
 
-def check_epir(mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()) -> CheckReport:
+def check_epir(draw: Draw) -> CheckReport:
     """No agent's realized true-value utility is negative under truthful play."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    utils, _ = _truthful_utilities(mech, ctx, profiles, use_cursed=False)
-    viol = np.maximum(0.0, -utils.min(axis=1))
-    return CheckReport(
-        name="epir",
-        max_violation=float(viol.max(initial=0.0)),
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=_top_witnesses(viol, profiles),
-    )
+    return _ir_report(draw, "epir", draw.values())
 
 
-def check_cepir(mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()) -> CheckReport:
+def check_cepir(draw: Draw) -> CheckReport:
     """No agent's cursed utility is negative under truthful play."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    utils, _ = _truthful_utilities(mech, ctx, profiles, use_cursed=True)
-    viol = np.maximum(0.0, -utils.min(axis=1))
-    return CheckReport(
-        name="cepir",
-        max_violation=float(viol.max(initial=0.0)),
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=_top_witnesses(viol, profiles),
-    )
+    return _ir_report(draw, "cepir", draw.values(draw.mech.chi))
 
 
-def check_epbb(mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()) -> CheckReport:
+def check_epbb(draw: Draw) -> CheckReport:
     """The seller's total collected payment is non-negative on every profile."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    batch = run_batch(mech, profiles, ctx)
-    viol = np.maximum(0.0, -batch.revenue)
-    return CheckReport(
-        name="epbb",
-        max_violation=float(viol.max(initial=0.0)),
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=_top_witnesses(viol, profiles),
-    )
+    return _profile_report(draw, "epbb", np.maximum(0.0, -draw.batch.revenue))
 
 
-def check_no_positive_transfers(
-    mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()
-) -> CheckReport:
+def check_no_positive_transfers(draw: Draw) -> CheckReport:
     """The participation constant is exactly zero at every sampled others-profile."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    batch = run_batch(mech, profiles, ctx)
-    viol = np.abs(batch.compensations).max(axis=1)
-    return CheckReport(
-        name="no_positive_transfers",
-        max_violation=float(viol.max(initial=0.0)),
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=_top_witnesses(viol, profiles),
-    )
+    return _profile_report(draw, "no_positive_transfers", np.abs(draw.batch.compensations).max(axis=1))
 
 
-def check_allocation_monotone(
-    mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan(), scan_points: int = 201
-) -> CheckReport:
+def check_allocation_monotone(draw: Draw) -> CheckReport:
     """Fixing the others, the win indicator is non-decreasing in the own report."""
-    tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
-    s_grid = np.linspace(0.0, ctx.s_bar, scan_points)
+    s_grid = np.linspace(0.0, draw.ctx.s_bar, _MONOTONE_SCAN_POINTS)
     worst = 0.0
     witnesses = []
-    for i in range(ctx.space.n):
-        win, _, _, _ = agent_outcomes_for_bids(mech, i, profiles, s_grid, ctx)
+    for i in range(draw.ctx.space.n):
+        win = draw.mech._win(s_grid, draw.agent_quote(i), draw.ctx)
         drops = np.diff(win.astype(np.int8), axis=1) < 0
         bad = drops.any(axis=1)
         if bad.any():
@@ -223,43 +193,30 @@ def check_allocation_monotone(
             rows = np.where(bad)[0][:_MAX_WITNESSES]
             witnesses += [
                 {
-                    "profile": profiles[r].tolist(),
+                    "profile": draw.profiles[r].tolist(),
                     "agent": i,
                     "drop_at": float(s_grid[int(np.argmax(drops[r])) + 1]),
                     "margin": 1.0,
                 }
                 for r in rows
             ]
-    return CheckReport(
-        name="allocation_monotone",
-        max_violation=worst,
-        tolerance=tol,
-        samples_checked=len(profiles),
-        witnesses=witnesses[:_MAX_WITNESSES],
-    )
+    return _report(draw, "allocation_monotone", worst, witnesses[:_MAX_WITNESSES])
 
 
-def check_chi_robustness(
-    mech: Mechanism,
-    ctx: AuctionContext,
-    eps_list: Sequence[float],
-    plan: SamplingPlan = SamplingPlan(),
-) -> CheckReport:
+def check_chi_robustness(draw: Draw, eps_list: Sequence[float]) -> CheckReport:
     """Truthful play stays an approximate best response when bidders are a bit
     more cursed than the mechanism assumes: the deviation gain under
     cursedness chi + eps is at most eps times the value at the all-s_bar
     profile."""
-    tol = plan.resolve_tolerance(ctx)
-    scale = value_scale(ctx.model, ctx.space)
-    profiles = _draw(plan, ctx)
+    eps_list = list(eps_list)
+    for eps in eps_list:
+        if not (0.0 <= draw.mech.chi + eps <= 1.0):
+            raise ValueError(f"chi + eps = {draw.mech.chi + eps} outside [0, 1]")
+    scale = value_scale(draw.ctx.model, draw.ctx.space)
     worst = 0.0
     witnesses = []
     for eps in eps_list:
-        chi_eff = mech.chi + eps
-        if not (0.0 <= chi_eff <= 1.0):
-            raise ValueError(f"chi + eps = {chi_eff} outside [0, 1]")
-        vals = [cursed_value(ctx.interim, chi_eff, profiles, i) for i in range(ctx.space.n)]
-        regret, best_bid = _deviation_regrets(mech, ctx, profiles, plan, vals)
+        regret, _ = _deviation_regrets(draw, draw.values(draw.mech.chi + eps))
         bound = eps * scale
         excess = regret.max(axis=1) - bound
         k = int(np.argmax(excess))
@@ -267,20 +224,14 @@ def check_chi_robustness(
             worst = float(excess[k])
             witnesses = [
                 {
-                    "profile": profiles[k].tolist(),
+                    "profile": draw.profiles[k].tolist(),
                     "eps": eps,
                     "regret": float(regret[k].max()),
                     "bound": bound,
                     "margin": worst,
                 }
             ]
-    return CheckReport(
-        name="chi_robustness",
-        max_violation=max(0.0, worst),
-        tolerance=tol,
-        samples_checked=len(profiles) * len(list(eps_list)),
-        witnesses=witnesses,
-    )
+    return _report(draw, "chi_robustness", max(0.0, worst), witnesses, len(eps_list))
 
 
 def check_payment_chi_monotone(
@@ -295,7 +246,7 @@ def check_payment_chi_monotone(
     if any(b < a for a, b in zip(chis, chis[1:])):
         raise ValueError("chi grid must be sorted ascending")
     tol = plan.resolve_tolerance(ctx)
-    profiles = _draw(plan, ctx)
+    profiles = sample_profiles(ctx.space, plan.stream, plan.profile_count)
     payments = [
         run_batch(Mechanism(rule, c, "compensated"), profiles, ctx).payments for c in chis
     ]

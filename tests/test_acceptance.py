@@ -37,6 +37,7 @@ from cursed_auctions.testing import (
 )
 from cursed_auctions.valuations import MaxSignal, WeightedSum, cursed_value
 from cursed_auctions.verify import (
+    Draw,
     SamplingPlan,
     check_allocation_monotone,
     check_cepic,
@@ -210,18 +211,19 @@ def test_c07_property_suites():
         check_allocation_monotone,
     )
     incentive_checkers = (check_cepic, check_epir, check_cepir, check_allocation_monotone)
-    rev_opt = Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated")
+    masked = Draw(masked_gva(ctx, 1.0), ctx, plan)
+    rev_opt = Draw(Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated"), ctx, plan)
     failures = []
     for checker in all_checkers:
-        rep = checker(masked_gva(ctx, 1.0), ctx, plan)
+        rep = checker(masked)
         if not rep.passed:
             failures.append(f"masked_gva.{rep.name}={rep.max_violation:.2e}")
     for checker in incentive_checkers:
-        rep = checker(rev_opt, ctx, plan)
+        rep = checker(rev_opt)
         if not rep.passed:
             failures.append(f"revenue_optimal.{rep.name}={rep.max_violation:.2e}")
     for checker in (check_epbb, check_no_positive_transfers):
-        rep = checker(rev_opt, ctx, plan)
+        rep = checker(rev_opt)
         if rep.passed or not rep.witnesses:
             failures.append(f"revenue_optimal.{rep.name} unexpectedly balanced")
 
@@ -235,7 +237,7 @@ def test_c07_property_suites():
         ("interval.monotone", check_allocation_monotone, IntervalAllocationMechanism(GVARule(), 0.5)),
     ]
     for name, checker, mech in controls:
-        rep = checker(mech, ctx, control_plan)
+        rep = checker(Draw(mech, ctx, control_plan))
         if rep.passed or not rep.witnesses:
             failures.append(f"control {name} did not fail with a witness")
     ok = not failures
@@ -293,7 +295,7 @@ def test_c09_chi_robustness():
     plan = SamplingPlan(
         profile_count=10_000, deviation_grid_size=101, tolerance=1e-9, stream=RandomStream(SEED)
     )
-    rep = check_chi_robustness(mech, ctx, [0.05, 0.1], plan)
+    rep = check_chi_robustness(Draw(mech, ctx, plan), [0.05, 0.1])
     ok = rep.passed
     _report(9, "chi robustness", ok, f"max excess over bound={rep.max_violation:.2e} <= 1e-9")
     assert ok

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from cursed_auctions import mechanisms, verify
 from cursed_auctions.mechanisms import (
     GVARule,
+    MaskedRule,
     Mechanism,
+    OptSpec,
+    RevenueOptimalRule,
+    ThresholdRule,
+    _quote,
     critical_bid,
     make_context,
     masked_gva,
     revenue_optimal_rule,
     run,
+    run_batch,
 )
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.testing import (
@@ -16,8 +23,10 @@ from cursed_auctions.testing import (
     LoserSurchargeMechanism,
     RealizedPriceMechanism,
 )
-from cursed_auctions.valuations import WeightedSum, cursed_value
+from cursed_auctions.valuations import ConcaveSum, MaxSignal, QuadSpec, ScalarMap, WeightedSum, cursed_value
 from cursed_auctions.verify import (
+    CHECKERS,
+    Draw,
     SamplingPlan,
     check_allocation_monotone,
     check_cepic,
@@ -44,17 +53,17 @@ def wallet_ctx():
 
 class TestCepic:
     def test_masked_gva_passes(self, wallet_ctx):
-        rep = check_cepic(masked_gva(wallet_ctx, 1.0), wallet_ctx, PLAN)
+        rep = check_cepic(Draw(masked_gva(wallet_ctx, 1.0), wallet_ctx, PLAN))
         assert rep.passed and rep.max_violation <= rep.tolerance
 
     def test_revenue_optimal_passes(self, ctx):
         mech = Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated")
-        rep = check_cepic(mech, ctx, PLAN)
+        rep = check_cepic(Draw(mech, ctx, PLAN))
         assert rep.passed
 
     def test_realized_price_control_fails_with_witness(self, ctx):
         broken = RealizedPriceMechanism(GVARule(), 1.0, "compensated")
-        rep = check_cepic(broken, ctx, PLAN)
+        rep = check_cepic(Draw(broken, ctx, PLAN))
         assert not rep.passed
         assert rep.witnesses and "deviation" in rep.witnesses[0]
 
@@ -78,55 +87,56 @@ class TestCepic:
 
 class TestEpir:
     def test_compensated_gva_passes(self, ctx):
-        rep = check_epir(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN)
+        rep = check_epir(Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN))
         assert rep.passed
 
     def test_zero_transfer_control_fails(self, ctx):
-        rep = check_epir(Mechanism(GVARule(), 1.0, "zero-transfer"), ctx, PLAN)
+        rep = check_epir(Draw(Mechanism(GVARule(), 1.0, "zero-transfer"), ctx, PLAN))
         assert not rep.passed
         assert rep.witnesses
 
     def test_rational_zero_transfer_passes(self, ctx):
-        rep = check_epir(Mechanism(GVARule(), 0.0, "zero-transfer"), ctx, PLAN)
+        rep = check_epir(Draw(Mechanism(GVARule(), 0.0, "zero-transfer"), ctx, PLAN))
         assert rep.passed
 
 
 class TestCepir:
     def test_compensated_gva_any_chi(self, ctx):
         for chi in (0.0, 0.63, 1.0):
-            rep = check_cepir(Mechanism(GVARule(), chi, "compensated"), ctx, PLAN)
+            rep = check_cepir(Draw(Mechanism(GVARule(), chi, "compensated"), ctx, PLAN))
             assert rep.passed
 
     def test_masked_gva(self, ctx):
-        assert check_cepir(masked_gva(ctx, 1.0), ctx, PLAN).passed
+        assert check_cepir(Draw(masked_gva(ctx, 1.0), ctx, PLAN)).passed
 
     def test_loser_surcharge_control_fails(self, ctx):
-        rep = check_cepir(LoserSurchargeMechanism(GVARule(), 0.5, "compensated"), ctx, PLAN)
+        rep = check_cepir(Draw(LoserSurchargeMechanism(GVARule(), 0.5, "compensated"), ctx, PLAN))
         assert not rep.passed
 
 
 class TestBudget:
     def test_masked_gva_budget_balanced(self, ctx):
-        assert check_epbb(masked_gva(ctx, 1.0), ctx, PLAN).passed
+        assert check_epbb(Draw(masked_gva(ctx, 1.0), ctx, PLAN)).passed
 
     def test_unmasked_compensated_gva_fails(self, ctx):
-        rep = check_epbb(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN)
+        rep = check_epbb(Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN))
         assert not rep.passed
         assert rep.witnesses
 
     def test_rational_always_balanced(self, ctx):
-        assert check_epbb(Mechanism(GVARule(), 0.0, "compensated"), ctx, PLAN).passed
+        assert check_epbb(Draw(Mechanism(GVARule(), 0.0, "compensated"), ctx, PLAN)).passed
 
     def test_no_positive_transfers(self, ctx):
-        assert check_no_positive_transfers(masked_gva(ctx, 1.0), ctx, PLAN).passed
-        rep = check_no_positive_transfers(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN)
+        assert check_no_positive_transfers(Draw(masked_gva(ctx, 1.0), ctx, PLAN)).passed
+        rep = check_no_positive_transfers(Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, PLAN))
         assert not rep.passed
 
     def test_npt_implies_epbb_on_same_samples(self, ctx):
         # sum of non-negative payments: whenever npt passes, epbb must pass too
         for mech in (masked_gva(ctx, 1.0), Mechanism(GVARule(), 0.0, "compensated")):
-            npt = check_no_positive_transfers(mech, ctx, PLAN)
-            epbb = check_epbb(mech, ctx, PLAN)
+            draw = Draw(mech, ctx, PLAN)
+            npt = check_no_positive_transfers(draw)
+            epbb = check_epbb(draw)
             if npt.passed:
                 assert epbb.passed
 
@@ -137,44 +147,53 @@ class TestAllocationMonotone:
             masked_gva(ctx, 1.0),
             Mechanism(revenue_optimal_rule(ctx, 0.63), 0.63, "compensated"),
         ):
-            assert check_allocation_monotone(mech, ctx, PLAN).passed
+            assert check_allocation_monotone(Draw(mech, ctx, PLAN)).passed
 
     def test_interval_control_fails(self, ctx):
         rep = check_allocation_monotone(
-            IntervalAllocationMechanism(GVARule(), 0.5, "compensated"), ctx, PLAN
+            Draw(IntervalAllocationMechanism(GVARule(), 0.5, "compensated"), ctx, PLAN)
         )
         assert not rep.passed
         assert rep.witnesses
 
     def test_masked_max_signal_vacuous_pass(self):
-        from cursed_auctions.valuations import MaxSignal
-
         mctx = make_context(SignalSpace(3, UniformIID(1.0)), MaxSignal())
-        assert check_allocation_monotone(masked_gva(mctx, 0.5), mctx, PLAN).passed
+        assert check_allocation_monotone(Draw(masked_gva(mctx, 0.5), mctx, PLAN)).passed
 
 
 class TestChiRobustness:
     def test_masked_gva_bound(self):
         ctx2 = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
         mech = masked_gva(ctx2, 0.5)
-        rep = check_chi_robustness(mech, ctx2, [0.1], PLAN)
+        rep = check_chi_robustness(Draw(mech, ctx2, PLAN), [0.1])
         assert rep.passed  # bound is eps * v(s_bar, s_bar) = 0.2
 
     def test_eps_zero_collapses_to_cepic(self):
         ctx2 = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
         mech = masked_gva(ctx2, 0.5)
-        rep = check_chi_robustness(mech, ctx2, [0.0], PLAN)
+        rep = check_chi_robustness(Draw(mech, ctx2, PLAN), [0.0])
         assert rep.passed and rep.max_violation <= rep.tolerance
 
     def test_large_eps_loose_bound(self):
         ctx2 = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
         mech = masked_gva(ctx2, 0.5)
-        assert check_chi_robustness(mech, ctx2, [0.5], PLAN).passed
+        assert check_chi_robustness(Draw(mech, ctx2, PLAN), [0.5]).passed
 
-    def test_out_of_range_eps_rejected(self):
+    def test_out_of_range_eps_rejected(self, monkeypatch):
         ctx2 = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
-        with pytest.raises(ValueError):
-            check_chi_robustness(masked_gva(ctx2, 0.5), ctx2, [0.6], PLAN)
+        draw = Draw(masked_gva(ctx2, 0.5), ctx2, PLAN)
+        monkeypatch.setattr(verify, "_deviation_regrets", None)  # rejected before any regret: a call raises TypeError
+        for eps_list in ([0.6], [0.1, 0.6]):
+            with pytest.raises(ValueError):
+                check_chi_robustness(draw, eps_list)
+
+    def test_eps_generator_read_once(self):
+        ctx2 = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
+        draw = Draw(masked_gva(ctx2, 0.5), ctx2, PLAN)
+        listed = check_chi_robustness(draw, [0.1, 0.2])
+        generated = check_chi_robustness(draw, (eps for eps in (0.1, 0.2)))
+        assert generated.samples_checked == 2 * PLAN.profile_count
+        assert generated.to_json() == listed.to_json()
 
 
 class TestPaymentChiMonotone:
@@ -183,8 +202,6 @@ class TestPaymentChiMonotone:
         assert rep.passed
 
     def test_mean_revenue_monotone_exactly(self, ctx):
-        from cursed_auctions.mechanisms import run_batch
-
         profiles = sample_profiles(ctx.space, PLAN.stream, PLAN.profile_count)
         means = [
             run_batch(Mechanism(GVARule(), c, "compensated"), profiles, ctx).revenue.sum()
@@ -203,8 +220,8 @@ class TestPaymentChiMonotone:
 
 def test_checker_determinism(ctx):
     mech = masked_gva(ctx, 1.0)
-    a = check_cepic(mech, ctx, PLAN)
-    b = check_cepic(mech, ctx, PLAN)
+    a = check_cepic(Draw(mech, ctx, PLAN))
+    b = check_cepic(Draw(mech, ctx, PLAN))
     assert a.max_violation == b.max_violation
     assert a.samples_checked == b.samples_checked
 
@@ -212,7 +229,80 @@ def test_checker_determinism(ctx):
 def test_report_json_round_trip(ctx):
     import json
 
-    rep = check_epir(Mechanism(GVARule(), 1.0, "zero-transfer"), ctx, PLAN)
+    rep = check_epir(Draw(Mechanism(GVARule(), 1.0, "zero-transfer"), ctx, PLAN))
     payload = json.loads(json.dumps(rep.to_json()))
     assert payload["passed"] == rep.passed
     assert payload["witnesses"]
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_bad_tolerance_rejected(tolerance):
+    with pytest.raises(ValueError):
+        SamplingPlan(tolerance=tolerance)
+
+
+def test_zero_tolerance_accepted(ctx):
+    rep = check_epir(Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, SamplingPlan(profile_count=50, tolerance=0.0)))
+    assert rep.tolerance == 0.0 and rep.passed
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDraw:
+    """A Draw's one all-pairs quote serves the per-agent quotes and the
+    truthful outcomes that separate quotes and run_batch compute."""
+
+    MODELS = {
+        "weighted_sum": WeightedSum(0.5),
+        "max_signal": MaxSignal(),
+        "concave_sum": ConcaveSum(ScalarMap("log1p_scaled", (1.0,)), ScalarMap("identity"), ScalarMap("power", (0.5,))),
+    }
+    MECHS = {
+        "gva": lambda: Mechanism(GVARule(), 0.7, "compensated"),
+        "gva_zero_transfer": lambda: Mechanism(GVARule(), 0.7, "zero-transfer"),
+        "masked": lambda: Mechanism(MaskedRule(GVARule()), 0.5, "compensated"),
+        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63, OptSpec(256, 30)), 0.63, "compensated"),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_separate_quotes_and_run_batch(self, monkeypatch, model, n):
+        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model], QuadSpec(128, 5000))
+        plan = SamplingPlan(profile_count=300, stream=RandomStream(67, n))
+        for name, make in self.MECHS.items():
+            mech = make()
+            draw = Draw(mech, ctx, plan)
+            for i in range(n):
+                alone = _quote(mech, draw.profiles, ctx, [i])
+                column = draw.agent_quote(i)
+                for field, a in vars(alone).items():
+                    assert _same_bits(getattr(column, field), a), (name, i, field)
+            for chunk_pairs in (mechanisms._QUOTE_CHUNK_PAIRS, 7 * n):  # one run_batch chunk, then 43
+                monkeypatch.setattr(mechanisms, "_QUOTE_CHUNK_PAIRS", chunk_pairs)
+                batch = run_batch(mech, draw.profiles, ctx)
+                for field, a in vars(batch).items():
+                    assert _same_bits(getattr(draw.batch, field), a), (name, chunk_pairs, field)
+
+
+class _CountingRule(ThresholdRule):
+    """Delegates to a rule and records the rows of every critical_bids call."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def critical_bids(self, view, ctx):
+        self.calls.append(len(view))
+        return self.base.critical_bids(view, ctx)
+
+
+def test_every_checker_reads_one_quote(ctx):
+    rule = _CountingRule(RevenueOptimalRule(0.5, OptSpec(256, 30)))
+    plan = SamplingPlan(profile_count=200, deviation_grid_size=11, stream=RandomStream(5))
+    draw = Draw(Mechanism(rule, 0.5, "compensated"), ctx, plan)
+    for checker in CHECKERS.values():
+        checker(draw)
+    check_chi_robustness(draw, [0.1, 0.2])
+    assert rule.calls == [200 * ctx.space.n]
