@@ -17,7 +17,12 @@ it is individually rational only in the bidders' own (cursed) estimation.
 
 Masking raises a threshold to the first point where the winner no longer
 overestimates the item (true value at the threshold >= interim expectation),
-and never allocates if no such point exists below s_bar.  The masked
+and never allocates if no such point exists below s_bar.  MaxSignal rows
+(continuous marginals) are decided in closed form: for t >= max(others) the gap
+is -E[(M - t)^+] < 0, so the masked efficient auction never allocates (the
+collapse result) and one probe of the gap confirms it.  WeightedSum rows are
+decided at the base threshold, where the constant gap is read off; ConcaveSum
+models and discrete grids keep a grid scan refined by bisection.  The masked
 generalized Vickrey auction applies this to the efficient rule
 t(others) = max(others); its compensations vanish identically, which makes it
 budget balanced profile by profile.
@@ -34,8 +39,10 @@ import numpy as np
 from .signals import SignalSpace
 from .valuations import (
     InterimCache,
+    MaxSignal,
     QuadSpec,
     ValuationModel,
+    WeightedSum,
     _chunked,
     _max_excluding_self,
     cursed_value_from_parts,
@@ -71,6 +78,7 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 512
+_SCAN_FRAC = np.linspace(0.0, 1.0, _SCAN_POINTS)
 _BISECT_ITERS = 40
 _ROW_CHUNK_FLOATS = 4_000_000
 _QUOTE_CHUNK_PAIRS = 100_000
@@ -196,9 +204,14 @@ class RevenueOptimalRule(ThresholdRule):
 class MaskedRule(ThresholdRule):
     """Base rule lifted to the first threshold where winning is curse-free.
 
-    Scans d(t) = v(t, others) - interim(t) from the base threshold to s_bar and
-    returns the first sign change refined by bisection (the upper bracket end,
-    so d >= 0 holds at the returned threshold); s_bar when d < 0 throughout.
+    Returns the first t in [base, s_bar] where the curse gap
+    d(t) = v(t, others) - interim(t) is >= 0, and s_bar when d < 0 throughout.
+    MaxSignal rows with continuous marginals are decided in closed form (the
+    collapse result: d < 0 on [max(others), s_bar), checked by one probe
+    against the table's rounding next to s_bar) and WeightedSum rows at the
+    base, where d is constant in t.  ConcaveSum and discrete grids scan d on a
+    grid and refine the first sign change by bisection (the upper bracket end,
+    so d >= 0 holds at the returned threshold).
     """
 
     base: ThresholdRule
@@ -310,55 +323,68 @@ def _golden_max(f, lo, hi, iters):
     return np.where(take_c, c, d), np.where(take_c, fc, fd)
 
 
-def _mask_thresholds(base_t, view, ctx):
-    from .valuations import WeightedSum  # local: avoids widening the module surface
+def _curse_gap(t, stat, ctx):
+    """v(t, others) - interim(t): the winner's true value minus its cursed
+    estimate at own signal t; broadcasts t against the others' statistic."""
+    return value_from_own_and_stat(ctx.model, t, stat) - ctx.interim.expected_value(t)
 
+
+def _mask_scan(base, stat, ctx):
+    """Generic mask search per row: the first point of a _SCAN_POINTS grid on
+    [base, s_bar] where the curse gap is >= 0, refined by bisection (upper
+    bracket end); base itself when admissible there, s_bar when no point is."""
     s_bar = ctx.s_bar
-    model = ctx.model
+    span = np.maximum(s_bar - base, 0.0)
+    t_grid = base[None, :] + _SCAN_FRAC[:, None] * span[None, :]
+    gaps = _curse_gap(t_grid, stat, ctx)
+    ok = gaps >= 0.0
+    any_ok = ok.any(axis=0)
+    first = np.argmax(ok, axis=0)
+    res = np.full(len(base), s_bar)
+    # first admissible point is the base threshold itself: keep it exactly
+    at_base = any_ok & (first == 0)
+    res[at_base] = base[at_base]
+    # admissible only where the gap touches zero at s_bar: the infimum is s_bar
+    touches_end = any_ok & (first == _SCAN_POINTS - 1) & (gaps[-1, :] <= 0.0)
+    inner = any_ok & (first > 0) & ~touches_end
+    if inner.any():
+        rows = np.where(inner)[0]
+        lo = t_grid[first[rows] - 1, rows]
+        hi = t_grid[first[rows], rows]
+        st = stat[rows]
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            pos = _curse_gap(mid, st, ctx) >= 0.0
+            hi = np.where(pos, mid, hi)
+            lo = np.where(pos, lo, mid)
+        res[rows] = hi  # upper end: the returned threshold is curse-free
+    return np.where(base >= s_bar, s_bar, res)
 
-    def curse_gap(t, stat):
-        return value_from_own_and_stat(model, t, stat) - ctx.interim.expected_value(t)
 
+def _mask_thresholds(base_t, view, ctx):
+    s_bar = ctx.s_bar
     # Rows already curse-free at the base threshold keep it exactly (the scan's
     # first grid point is the base, so this matches the generic path).
-    gap_base = curse_gap(base_t, view.stat)
-    quick = np.where(gap_base >= 0.0, base_t, s_bar)
-    quick = np.where(base_t >= s_bar, s_bar, quick)
-    if isinstance(model, WeightedSum):
+    gap_base = _curse_gap(base_t, view.stat, ctx)
+    out = np.where((gap_base >= 0.0) & (base_t < s_bar), base_t, s_bar)
+    if isinstance(ctx.model, WeightedSum):
         # the gap is constant in t for weighted sums: allocate at the base or never
-        return quick
-    frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
-
-    def scan(base, stat):
-        span = np.maximum(s_bar - base, 0.0)
-        t_grid = base[None, :] + frac[:, None] * span[None, :]
-        gaps = curse_gap(t_grid, stat)
-        ok = gaps >= 0.0
-        any_ok = ok.any(axis=0)
-        first = np.argmax(ok, axis=0)
-        res = np.full(len(base), s_bar)
-        # first admissible point is the base threshold itself: keep it exactly
-        at_base = any_ok & (first == 0)
-        res[at_base] = base[at_base]
-        # admissible only where the gap touches zero at s_bar: the infimum is s_bar
-        touches_end = any_ok & (first == _SCAN_POINTS - 1) & (gaps[-1, :] <= 0.0)
-        inner = any_ok & (first > 0) & ~touches_end
-        if inner.any():
-            rows = np.where(inner)[0]
-            lo = t_grid[first[rows] - 1, rows]
-            hi = t_grid[first[rows], rows]
-            st = stat[rows]
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                pos = curse_gap(mid, st) >= 0.0
-                hi = np.where(pos, mid, hi)
-                lo = np.where(pos, lo, mid)
-            res[rows] = hi  # upper end: the returned threshold is curse-free
-        return np.where(base >= s_bar, s_bar, res)
-
-    todo = np.where((gap_base < 0.0) & (base_t < s_bar))[0]
-    quick[todo] = _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base_t[todo], view.stat[todo])
-    return quick
+        return out
+    todo = (gap_base < 0.0) & (base_t < s_bar)
+    if isinstance(ctx.model, MaxSignal) and ctx.interim._mode == "max_tail":
+        # Collapse: for t >= stat the computed gap is t - fl(t + tail(t)) with
+        # a non-increasing tail table, so the admissible set is an upper set and
+        # the scan finds a point below s_bar only if its last interior point is
+        # admissible.  Rows inadmissible there never allocate; the rest (a
+        # rounding band next to s_bar, and rows with base < stat) are scanned.
+        rows = np.flatnonzero(todo & (base_t >= view.stat))
+        base = base_t[rows]
+        probe = base + _SCAN_FRAC[-2] * np.maximum(s_bar - base, 0.0)  # formed as the scan forms it
+        todo[rows[_curse_gap(probe, view.stat[rows], ctx) < 0.0]] = False
+    rows = np.flatnonzero(todo)
+    scan = lambda base, stat: _mask_scan(base, stat, ctx)
+    out[rows] = _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base_t[rows], view.stat[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------

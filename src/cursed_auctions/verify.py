@@ -46,6 +46,7 @@ __all__ = [
 _MAX_WITNESSES = 5
 _NUDGE = 1e-6
 _MONOTONE_SCAN_POINTS = 201
+_CHUNK_FLOATS = 1_000_000  # (rows x bids) cells per deviation or monotonicity chunk
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ class Draw:
         self.batch = _empty_batch(N, n)
         _execute(self.batch, 0, mech, self.profiles, self.quote, ctx)
 
-    def agent_quote(self, i: int) -> Quote:
-        """Agent i's quote per profile row, as column views of the shared quote."""
+    def agent_quote(self, i: int, rows: slice = slice(None)) -> Quote:
+        """Agent i's quote for the profile rows ``rows``, as views of the shared quote."""
         n = self.ctx.space.n
-        return Quote(**{k: a.reshape(-1, n)[:, i] for k, a in vars(self.quote).items()})
+        return Quote(**{k: a.reshape(-1, n)[rows, i] for k, a in vars(self.quote).items()})
 
     def values(self, chi: Optional[float] = None) -> list:
         """Each agent's per-profile value of the item: true, or cursed at ``chi``."""
@@ -114,6 +115,13 @@ def _profile_report(draw: Draw, name: str, viol: np.ndarray, extra_fn=None) -> C
     return _report(draw, name, float(viol.max(initial=0.0)), witnesses)
 
 
+def _row_chunks(N: int, width: int) -> list:
+    """Consecutive slices of the N profile rows, each at most
+    ``_CHUNK_FLOATS // width`` rows, so a (rows, width) array stays bounded."""
+    step = max(1, _CHUNK_FLOATS // width)
+    return [slice(start, start + step) for start in range(0, N, step)]
+
+
 def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
     """Worst deviation gain per (profile, agent) against truthful opponents.
 
@@ -123,20 +131,22 @@ def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
     """
     (N, n), G = draw.profiles.shape, draw.plan.deviation_grid_size
     s_bar = draw.ctx.s_bar
-    rows = np.arange(N)
-    base_grid = np.broadcast_to(np.linspace(0.0, s_bar, G), (N, G))
+    grid = np.linspace(0.0, s_bar, G)
     regret = np.empty((N, n))
     best_bid = np.empty((N, n))
     for i in range(n):
-        q = draw.agent_quote(i)
-        # the grid, then the truthful bid and the critical bid +- a nudge
-        nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
-        bids = np.concatenate([base_grid, draw.profiles[:, [i]], nudged], axis=1)
-        win, pay = _outcomes(draw.mech, q, bids, draw.ctx)
-        u = win * agent_values[i][:, None] - pay
-        k = np.argmax(u, axis=1)
-        regret[:, i] = u[rows, k] - u[:, G]  # column G is the truthful bid
-        best_bid[:, i] = bids[rows, k]
+        for rows in _row_chunks(N, G + 3):
+            q = draw.agent_quote(i, rows)
+            # the grid, then the truthful bid and the critical bid +- a nudge
+            nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
+            own = draw.profiles[rows, i:i + 1]
+            bids = np.concatenate([np.broadcast_to(grid, (len(own), G)), own, nudged], axis=1)
+            win, pay = _outcomes(draw.mech, q, bids, draw.ctx)
+            u = win * agent_values[i][rows, None] - pay
+            k = np.argmax(u, axis=1)
+            at = np.arange(len(k))
+            regret[rows, i] = u[at, k] - u[:, G]  # column G is the truthful bid
+            best_bid[rows, i] = bids[at, k]
     return regret, best_bid
 
 
@@ -182,12 +192,17 @@ def check_no_positive_transfers(draw: Draw) -> CheckReport:
 def check_allocation_monotone(draw: Draw) -> CheckReport:
     """Fixing the others, the win indicator is non-decreasing in the own report."""
     s_grid = np.linspace(0.0, draw.ctx.s_bar, _MONOTONE_SCAN_POINTS)
+    N = len(draw.profiles)
     worst = 0.0
     witnesses = []
     for i in range(draw.ctx.space.n):
-        win = draw.mech._win(s_grid, draw.agent_quote(i), draw.ctx)
-        drops = np.diff(win.astype(np.int8), axis=1) < 0
-        bad = drops.any(axis=1)
+        bad = np.zeros(N, dtype=bool)
+        first_drop = np.zeros(N, dtype=np.intp)
+        for chunk in _row_chunks(N, _MONOTONE_SCAN_POINTS):
+            win = draw.mech._win(s_grid, draw.agent_quote(i, chunk), draw.ctx)
+            drops = np.diff(win.astype(np.int8), axis=1) < 0
+            bad[chunk] = drops.any(axis=1)
+            first_drop[chunk] = np.argmax(drops, axis=1)
         if bad.any():
             worst = 1.0
             rows = np.where(bad)[0][:_MAX_WITNESSES]
@@ -195,7 +210,7 @@ def check_allocation_monotone(draw: Draw) -> CheckReport:
                 {
                     "profile": draw.profiles[r].tolist(),
                     "agent": i,
-                    "drop_at": float(s_grid[int(np.argmax(drops[r])) + 1]),
+                    "drop_at": float(s_grid[first_drop[r] + 1]),
                     "margin": 1.0,
                 }
                 for r in rows

@@ -24,7 +24,7 @@ from cursed_auctions.mechanisms import (
     run,
     run_batch,
 )
-from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
+from cursed_auctions.signals import GenericIID, RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.testing import ConstantOffsetRule
 from cursed_auctions.valuations import (
     ConcaveSum,
@@ -32,6 +32,7 @@ from cursed_auctions.valuations import (
     QuadSpec,
     ScalarMap,
     WeightedSum,
+    _chunked,
     cursed_value_from_parts,
     value,
 )
@@ -248,6 +249,60 @@ class TestMasking:
         batch = run_batch(mech, profiles, three_ctx)
         assert np.all(batch.payments >= 0.0)
         assert np.all(batch.revenue >= 0.0)
+
+
+class TestMaxSignalMaskClosedForm:
+    """The one-probe MaxSignal decision equals the generic mask scan bit for bit."""
+
+    BAND = (0.0, 1e-16, 2.2e-16, 1e-15, 1e-13, 1e-12, 1e-9)
+
+    @pytest.fixture(params=[UniformIID(1.0), UniformIID(2.0), GenericIID("power", (0.5, 1.0))], ids=repr)
+    def marginal(self, request):
+        return request.param
+
+    @staticmethod
+    def _masked_and_scanned(view, ctx, monkeypatch):
+        scanned = []
+        scan = mechanisms._mask_scan
+
+        def spy(base, stat, ctx):
+            scanned.append(base.copy())
+            return scan(base, stat, ctx)
+
+        monkeypatch.setattr(mechanisms, "_mask_scan", spy)
+        got = MaskedRule(GVARule()).critical_bids(view, ctx)
+        monkeypatch.undo()
+        ref = _chunked(lambda b, s: mechanisms._mask_scan(b, s, ctx), 1000, view.max, view.stat)
+        return got, ref, np.concatenate([np.empty(0)] + scanned)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_scan(self, marginal, n, monkeypatch):
+        ctx = make_context(SignalSpace(n, marginal), MaxSignal())
+        s_bar = ctx.s_bar
+        profiles = sample_profiles(ctx.space, RandomStream(53 + n), 2000)
+
+        # GVA bases: every row is decided without the scan, and never allocates
+        gva = OthersView.from_others(profiles[:, 1:], ctx.model)
+        got, ref, scanned = self._masked_and_scanned(gva, ctx, monkeypatch)
+        assert np.array_equal(got, ref)
+        assert np.all(got == s_bar) and scanned.size == 0
+
+        # bases next to s_bar: the rows where the scan returns an interior
+        # threshold (the rounding band) must reach the scan; the sweep puts
+        # the band's edge in the scan's last interior cell for a few rows
+        band = s_bar - np.concatenate([self.BAND, s_bar * np.geomspace(1e-15, 1e-9, 120)])
+        got, ref, scanned = self._masked_and_scanned(OthersView(band, band), ctx, monkeypatch)
+        assert np.array_equal(got, ref)
+        interior = (ref > band) & (ref < s_bar)
+        assert interior.any()
+        assert np.isin(band[interior], scanned).all()
+
+        # off-contract rows with base < stat go through the scan
+        stat = gva.stat
+        below = OthersView(stat * RandomStream(59).generator().random(len(stat)), stat)
+        got, ref, scanned = self._masked_and_scanned(below, ctx, monkeypatch)
+        assert np.array_equal(got, ref)
+        assert np.any(ref < s_bar) and scanned.size > 0
 
 
 class TestMaskedGva:

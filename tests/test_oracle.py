@@ -149,6 +149,18 @@ class TestBestResponse:
         )
         assert worst > 1e-6
 
+    @pytest.mark.parametrize("beta,chi", [(0.5, 0.0), (0.5, 0.5), (1.0, 0.0), (1.0, 0.5)])
+    def test_others_stat_rounding_pinned(self, beta, chi):
+        """The mechanism forms the others' weighted sum as S - s_i and the
+        oracle sums the others, so on m=11 grids the two roundings leave
+        regrets of an ulp or two (oracle-check reads 2.2e-16 and 4.4e-16),
+        never more than 4 eps times the value scale."""
+        grid = GridModel(n=3, m=11, model=WeightedSum(beta), chi=chi)
+        ctx = grid.context()
+        mech = masked_gva(ctx, chi)
+        worst = max(brute_force_best_response(grid, mech, 0, float(s), ctx).regret for s in grid.points)
+        assert 0.0 <= worst <= 4 * np.finfo(float).eps * max(ctx.scale(), 1.0)
+
     def test_result_structure(self):
         grid = GridModel(n=2, m=5, model=WeightedSum(1.0), chi=0.5)
         ctx = grid.context()

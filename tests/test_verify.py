@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,27 @@ def test_every_checker_reads_one_quote(ctx):
         checker(draw)
     check_chi_robustness(draw, [0.1, 0.2])
     assert rule.calls == [200 * ctx.space.n]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mechanism(RevenueOptimalRule(0.5, OptSpec(256, 30)), 0.5, "compensated"),
+        lambda: RealizedPriceMechanism(GVARule(), 0.5, "compensated"),
+        lambda: IntervalAllocationMechanism(GVARule(), 0.5, "compensated"),
+    ],
+    ids=["revenue_optimal", "realized_price", "interval_allocation"],
+)
+def test_row_chunks_match_one_chunk(ctx, monkeypatch, make):
+    """Reports, witnesses included, do not depend on how the deviation and
+    monotonicity passes split the profile rows."""
+    plan = SamplingPlan(profile_count=200, deviation_grid_size=11, stream=RandomStream(13))
+    draw = Draw(make(), ctx, plan)
+
+    def reports():
+        out = [checker(draw).to_json() for checker in CHECKERS.values()]
+        return json.dumps(out + [check_chi_robustness(draw, [0.1, 0.2]).to_json()])
+
+    whole = reports()
+    monkeypatch.setattr(verify, "_CHUNK_FLOATS", 7 * 14)  # 7-row deviation chunks, 1-row monotonicity chunks
+    assert reports() == whole
