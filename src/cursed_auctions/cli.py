@@ -42,6 +42,8 @@ EXPERIMENTS = (
     "half-welfare",
     "rev-optimal-threshold",
 )
+# Experiments that estimate from cfg.samples profiles; zero samples estimate nothing.
+_SAMPLING_EXPERIMENTS = ("negative-revenue", "max-zero-welfare", "half-welfare")
 
 
 class ConfigError(ValueError):
@@ -131,13 +133,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.n is not None:
         cfg.space = dict(cfg.space, n=args.n)
     if args.model is not None:
-        if args.model == "weighted_sum":
-            cfg.model = {"family": "weighted_sum", "beta": args.beta if args.beta is not None else 0.5}
-        elif args.model == "max_signal":
-            cfg.model = {"family": "max_signal"}
-        else:
-            raise ConfigError(f"unknown --model {args.model!r}")
-    elif args.beta is not None:
+        cfg.model = {"family": "weighted_sum", "beta": 0.5} if args.model == "weighted_sum" else {"family": args.model}
+    if args.beta is not None:
         if cfg.model.get("family") != "weighted_sum":
             raise ConfigError("--beta only applies to the weighted_sum model")
         cfg.model = dict(cfg.model, beta=args.beta)
@@ -220,6 +217,8 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args)
+    if args.name in _SAMPLING_EXPERIMENTS and cfg.samples < 1:
+        raise ConfigError(f"experiment {args.name} needs at least one sample")
     out = _out_dir(args)
     ns = _int_list(args.n_list, "--n-list", 2) if args.n_list else None
     runner = {
@@ -363,7 +362,7 @@ def _experiment_half_welfare(cfg: ExperimentConfig, ns) -> dict:
         w = ev.estimate(mech, ctx, "welfare", cfg.samples, cfg.seed, workers=cfg.workers)
         opt = ev.optimal_welfare(ctx, cfg.samples, cfg.seed, workers=cfg.workers)
         prob = ev.event_probability(ctx, n, cfg.samples, cfg.seed)
-        cond = _conditional_welfare(ctx, mech, n, cfg.samples, cfg.seed)
+        cond = ev.conditional_welfare(mech, ctx, cfg.samples, cfg.seed)
         ratios[n] = w.mean / opt.mean
         rows.append(
             {
@@ -377,8 +376,8 @@ def _experiment_half_welfare(cfg: ExperimentConfig, ns) -> dict:
                 "event_probability": prob.mean,
                 "masked_welfare": w.mean,
                 "optimal_welfare": opt.mean,
-                "conditional_welfare": cond["mean"],
-                "post_rejection_count": cond["count"],
+                "conditional_welfare": cond.mean,
+                "post_rejection_count": cond.sample_count,
             }
         )
     prob_1000 = ev.event_probability(
@@ -391,21 +390,6 @@ def _experiment_half_welfare(cfg: ExperimentConfig, ns) -> dict:
         "event_probability_n1000": prob_1000.mean,
         "passed": bool(passed),
     }
-
-
-def _conditional_welfare(ctx, mech, n: int, n_samples: int, seed: int) -> dict:
-    """Masked welfare conditioned on the allocation-guaranteeing mean event,
-    estimated by rejection."""
-    h, lam, b = ev._h_map_and_moments(ctx)
-    cutoff = lam + b / n
-
-    def values_fn(profiles):
-        keep = h(profiles).mean(axis=1) >= cutoff
-        return {"welfare": run_batch(mech, profiles[keep], ctx).welfare}
-
-    moments = ev._reduce(ctx.space, ["welfare"], values_fn, n_samples, seed, max(1, 2_000_000 // n))
-    count, mean, _m2 = moments["welfare"]
-    return {"mean": mean if count else float("nan"), "count": count}
 
 
 def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:

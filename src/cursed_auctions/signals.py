@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = [
     "RandomStream",
@@ -56,9 +57,9 @@ class RandomStream:
     def child(self, offset: int) -> "RandomStream":
         return RandomStream(self.seed, self.stream_index + offset)
 
-    def generator(self, chunk: int = 0) -> np.random.Generator:
+    def generator(self, chunk: int = 0) -> Generator:
         jumps = self.stream_index * _STREAM_STRIDE + chunk
-        return np.random.Generator(np.random.Philox(key=self.seed).jumped(jumps))
+        return Generator(Philox(key=self.seed).jumped(jumps))
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,10 @@ class SamplingPlan:
     stream: RandomStream = field(default_factory=lambda: RandomStream(2024))
 
     def __post_init__(self):
-        if self.profile_count < 0 or self.deviation_grid_size < 0:
-            raise ValueError("profile_count and deviation_grid_size must be non-negative")
+        if self.profile_count < 1:
+            raise ValueError("profile_count must be positive: no property is checked on zero profiles")
+        if self.deviation_grid_size < 0:
+            raise ValueError("deviation_grid_size must be non-negative")
         if self.tolerance is not None and not (0.0 <= self.tolerance < math.inf):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 

@@ -189,10 +189,28 @@ class TestUsageErrors:
             ["experiment", "max-zero-welfare", "--n-list", "1"],
             ["oracle-check", "--m-values", "x"],
             ["--samples", "-1", "simulate"],
+            ["--samples", "0", "verify"],
+            ["--samples", "0", "experiment", "half-welfare"],
+            ["--samples", "0", "experiment", "max-zero-welfare"],
+            ["--samples", "0", "experiment", "negative-revenue"],
+            ["--model", "max_signal", "--beta", "0.3", "simulate"],
         ],
     )
     def test_exits_two(self, tmp_path, argv):
         assert run_cli("--out", str(tmp_path), "--samples", "50", *argv) == 2
+
+    def test_beta_applies_to_weighted_sum_only(self, tmp_path):
+        argv = ["--out", str(tmp_path), "--samples", "5", "--model", "weighted_sum", "--beta", "0.3", "simulate"]
+        assert run_cli(*argv) == 0
+        model = json.loads((tmp_path / "summary.json").read_text())["config"]["model"]
+        assert model == {"family": "weighted_sum", "beta": 0.3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"family": "max_signal"}}))
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path), "--beta", "0.3", "simulate") == 2
+
+    @pytest.mark.parametrize("name", ["wallet", "rev-optimal-threshold"])
+    def test_zero_samples_valid_without_sampling(self, tmp_path, name):
+        assert run_cli("--out", str(tmp_path), "--samples", "0", "experiment", name) == 0
 
     def test_zero_deviation_grid_is_valid(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "--samples", "50", "verify", "--properties", "cepic", "--deviations", "0")

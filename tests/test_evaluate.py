@@ -1,9 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cursed_auctions.evaluate import (
+    _h_map_and_moments,
     _metric_values,
     chi_sweep,
+    conditional_welfare,
     estimate,
     estimate_many,
     event_probability,
@@ -12,6 +21,7 @@ from cursed_auctions.evaluate import (
     write_outcomes_csv,
 )
 from cursed_auctions.mechanisms import (
+    AuctionContext,
     GVARule,
     Mechanism,
     make_context,
@@ -27,7 +37,7 @@ from cursed_auctions.signals import (
     UniformIID,
     sample_profiles,
 )
-from cursed_auctions.valuations import MaxSignal, WeightedSum
+from cursed_auctions.valuations import ConcaveSum, MaxSignal, ScalarMap, WeightedSum
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +184,101 @@ class TestEventProbability:
         rep = event_probability(ctx2, 1000, 50_000, seed=2024)
         assert 0.4 < rep.mean < 0.5
 
+    def test_conditional_welfare_on_event_rows(self, ctx):
+        mech = masked_gva(ctx, 1.0)
+        cond = conditional_welfare(mech, ctx, 20_000, seed=7)
+        # 20k rows fit in one chunk, so the draws are chunk 0 of the stream
+        profiles = sample_profiles(ctx.space, RandomStream(7, 0), 20_000)
+        kept = profiles[0.5 * profiles.mean(axis=1) >= 0.25 + 0.5 / 3]
+        batch = run_batch(mech, kept, ctx)
+        assert cond.sample_count == len(kept) > 0
+        assert np.all(batch.winner >= 0)  # the masked auction allocates on the event
+        assert cond.mean == pytest.approx(batch.welfare.mean(), rel=1e-12)
+        assert event_probability(ctx, 3, 20_000, seed=7).mean == len(kept) / 20_000
+
     def test_needs_additive_family(self):
         mctx = make_context(SignalSpace(2, UniformIID(1.0)), MaxSignal())
         with pytest.raises(ValueError):
             event_probability(mctx, 10, 100, seed=1)
+
+
+def _concave_ctx(marginal, h):
+    # E[h] reads only the space and the model, so the (slow) interim cache is skipped
+    model = ConcaveSum(ScalarMap("identity"), ScalarMap("identity"), h)
+    return AuctionContext(SignalSpace(2, marginal), model, interim=None)
+
+
+_MARGINALS = [
+    UniformIID(1.0),
+    UniformIID(100.0),
+    GenericIID("affine", (1.0, 4.0)),
+    GenericIID("affine", (0.0, 2.0)),
+    GenericIID("power", (0.5, 1.0)),
+    GenericIID("power", (3.0, 2.0)),
+    GenericIID("power", (0.1, 1.0)),
+]
+_MAPS = [
+    ScalarMap("identity"),
+    ScalarMap("affine", (2.0, 1.0)),
+    ScalarMap("power", (0.5,)),
+    ScalarMap("power", (0.1,)),
+    ScalarMap("power", (2.0,)),
+    ScalarMap("log1p_scaled", (1.0,)),
+    ScalarMap("log1p_scaled", (3.0,)),
+]
+
+
+class TestConcaveSumMoment:
+    """E[h(signal)] for ConcaveSum on a continuous marginal (a fixed quadrature rule)."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 1.0, 2.0, 7.0])
+    def test_uniform_power_closed_form(self, q):
+        _h, lam, _b = _h_map_and_moments(_concave_ctx(UniformIID(1.0), ScalarMap("power", (q,))))
+        assert lam == pytest.approx(1.0 / (q + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("s_bar", [0.5, 2.0])
+    def test_power_marginal_closed_form(self, p, q, s_bar):
+        # signal = s_bar * U**p, so E[signal**q] = s_bar**q / (p q + 1)
+        ctx = _concave_ctx(GenericIID("power", (p, s_bar)), ScalarMap("power", (q,)))
+        _h, lam, b = _h_map_and_moments(ctx)
+        assert lam == pytest.approx(s_bar**q / (p * q + 1.0), rel=1e-12)
+        assert b == pytest.approx(s_bar**q, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+    def test_uniform_log1p_closed_form(self, c):
+        _h, lam, _b = _h_map_and_moments(_concave_ctx(UniformIID(1.0), ScalarMap("log1p_scaled", (c,))))
+        assert lam == pytest.approx(c * (2.0 * math.log(2.0) - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("marginal", _MARGINALS, ids=repr)
+    def test_matches_adaptive_quadrature(self, marginal):
+        for h in _MAPS:
+            _h, lam, _b = _h_map_and_moments(_concave_ctx(marginal, h))
+            ref, _err = integrate.quad(lambda u: float(h(marginal.quantile(u))), 0.0, 1.0, limit=200)
+            assert lam == pytest.approx(ref, rel=1e-10), h
+
+    def test_grid_marginal_is_atom_mean(self):
+        grid = DiscreteGridIID(points=(0.0, 0.25, 1.0))
+        _h, lam, _b = _h_map_and_moments(_concave_ctx(grid, ScalarMap("power", (0.5,))))
+        assert lam == pytest.approx((0.5 + 1.0) / 3.0, rel=1e-15)
+
+    def test_event_probability_large_n(self):
+        ctx = _concave_ctx(UniformIID(1.0), ScalarMap("power", (0.5,)))
+        rep = event_probability(ctx, 1000, 50_000, seed=2024)
+        assert 0.4 < rep.mean < 0.5
+
+
+def test_cli_import_needs_no_scipy():
+    code = (
+        "import sys; import cursed_auctions.cli; "
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))); "
+        "print('numpy.random' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 class TestWalletReport:
