@@ -178,8 +178,11 @@ def _reduce(
     rows = ``chunk_rows`` except in the last chunk; ``values_fn(profiles)``
     maps it to {key: 1-D values}, which may cover only some of the rows.
     Chunks may run on ``workers`` threads; they are merged in chunk order, so
-    the result does not depend on the worker count.
+    the result does not depend on the worker count.  Fewer than one sample is
+    a ValueError: an empty sample has no mean.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     spans = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range(-(-n_samples // chunk_rows))]
 
     def one(span):
@@ -213,8 +216,6 @@ def estimate(
     workers: int = 1,
 ) -> EstimateReport:
     """Monte Carlo mean of a per-auction metric over i.i.d. signal profiles."""
-    if n_samples < 0:
-        raise ValueError("n_samples must be non-negative")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
     return _estimates(mech, ctx, [metric], n_samples, seed, workers)[metric]

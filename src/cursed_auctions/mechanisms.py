@@ -17,15 +17,15 @@ it is individually rational only in the bidders' own (cursed) estimation.
 
 Masking raises a threshold to the first point where the winner no longer
 overestimates the item (true value at the threshold >= interim expectation),
-and never allocates if no such point exists below s_bar.  MaxSignal rows
-(continuous marginals) are decided in closed form: for t >= max(others) the gap
-is -E[(M - t)^+] < 0, so the masked efficient auction never allocates (the
+and never allocates if no such point exists below s_bar.  MaxSignal rows are
+decided in closed form on any marginal: for t >= max(others) the gap is
+-E[(M - t)^+] < 0, so the masked efficient auction never allocates (the
 collapse result) and one probe of the gap confirms it.  WeightedSum rows are
 decided at the base threshold, where the constant gap is read off; ConcaveSum
-models and discrete grids keep a grid scan refined by bisection.  The masked
-generalized Vickrey auction applies this to the efficient rule
-t(others) = max(others); its compensations vanish identically, which makes it
-budget balanced profile by profile.
+models keep a grid scan refined by bisection.  The masked generalized Vickrey
+auction applies this to the efficient rule t(others) = max(others); its
+compensations vanish identically, which makes it budget balanced profile by
+profile.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .valuations import (
     QuadSpec,
     ValuationModel,
     WeightedSum,
+    _check_chi,
     _chunked,
     _max_excluding_self,
     cursed_value_from_parts,
@@ -188,6 +189,9 @@ class RevenueOptimalRule(ThresholdRule):
 
     kind = "revenue_optimal"
 
+    def __post_init__(self):
+        _check_chi(self.chi)
+
     def critical_bids(self, view, ctx):
         return _optimize_thresholds(view, ctx, self.chi, self.opt_spec)
 
@@ -206,12 +210,12 @@ class MaskedRule(ThresholdRule):
 
     Returns the first t in [base, s_bar] where the curse gap
     d(t) = v(t, others) - interim(t) is >= 0, and s_bar when d < 0 throughout.
-    MaxSignal rows with continuous marginals are decided in closed form (the
-    collapse result: d < 0 on [max(others), s_bar), checked by one probe
-    against the table's rounding next to s_bar) and WeightedSum rows at the
-    base, where d is constant in t.  ConcaveSum and discrete grids scan d on a
-    grid and refine the first sign change by bisection (the upper bracket end,
-    so d >= 0 holds at the returned threshold).
+    MaxSignal rows are decided in closed form (the collapse result: d < 0 on
+    [max(others), s_bar), checked by one probe against the table's rounding
+    next to s_bar) and WeightedSum rows at the base, where d is constant in t.
+    ConcaveSum scans d on a grid and refines the first sign change by
+    bisection (the upper bracket end, so d >= 0 holds at the returned
+    threshold).
     """
 
     base: ThresholdRule
@@ -371,7 +375,7 @@ def _mask_thresholds(base_t, view, ctx):
         # the gap is constant in t for weighted sums: allocate at the base or never
         return out
     todo = (gap_base < 0.0) & (base_t < s_bar)
-    if isinstance(ctx.model, MaxSignal) and ctx.interim._mode == "max_tail":
+    if isinstance(ctx.model, MaxSignal):
         # Collapse: for t >= stat the computed gap is t - fl(t + tail(t)) with
         # a non-increasing tail table, so the admissible set is an upper set and
         # the scan finds a point below s_bar only if its last interior point is
@@ -402,8 +406,7 @@ class Mechanism:
     """
 
     def __init__(self, rule: ThresholdRule, chi: float, payment_policy: str = "compensated"):
-        if not (0.0 <= chi <= 1.0):
-            raise ValueError(f"chi must lie in [0, 1], got {chi}")
+        _check_chi(chi)
         if payment_policy not in ("compensated", "zero-transfer"):
             raise ValueError(f"unknown payment policy {payment_policy!r}")
         self.rule = rule
@@ -603,8 +606,6 @@ def critical_bid(rule: ThresholdRule, others: np.ndarray, ctx: AuctionContext) -
 
 def revenue_optimal_rule(ctx: AuctionContext, chi: float, opt_spec: OptSpec = OptSpec()) -> RevenueOptimalRule:
     """The revenue-maximizing deterministic anonymous threshold rule."""
-    if not (0.0 <= chi <= 1.0):
-        raise ValueError(f"chi must lie in [0, 1], got {chi}")
     return RevenueOptimalRule(chi=chi, opt_spec=opt_spec)
 
 

@@ -293,7 +293,10 @@ class QuadSpec:
 class InterimCache:
     """Precomputed s -> E[v(s, fresh others)] for one (space, model) pair.
 
-    Closed forms are used for WeightedSum (any marginal) and MaxSignal; the
+    WeightedSum has a closed form (any marginal).  MaxSignal reads
+    s + E[(M - s)^+], M the others' maximum, off one non-increasing tail table:
+    knotted at the atoms of a discrete grid, where linear interpolation is
+    exact, and trapezoids on a dense grid for continuous marginals.  The
     concave-sum family falls back to exact enumeration on small discrete grids
     and otherwise to a fixed-seed inner Monte Carlo tabulated on a dense grid
     with linear interpolation.
@@ -305,8 +308,6 @@ class InterimCache:
     _mode: str
     _grid_s: Optional[np.ndarray] = None
     _grid_mu: Optional[np.ndarray] = None
-    _atoms: Optional[np.ndarray] = None
-    _atom_pmf: Optional[np.ndarray] = None
     _stat_samples: Optional[np.ndarray] = None
 
     def expected_value(self, s):
@@ -315,11 +316,6 @@ class InterimCache:
         model, space = self.model, self.space
         if self._mode == "weighted_sum":
             return s + model.beta * (space.n - 1) * space.mean_signal()
-        if self._mode == "max_atoms":
-            # exact sum over the distribution of the others' maximum
-            pmf, atoms = self._atom_pmf, self._atoms
-            exact = lambda x: (pmf * np.maximum(x[:, None], atoms)).sum(axis=1)
-            return _chunked(exact, max(1, 2_000_000 // len(atoms)), s.ravel()).reshape(s.shape)
         if self._mode == "max_tail":
             return s + np.interp(s, self._grid_s, self._grid_mu)
         if self._mode == "enum":
@@ -336,17 +332,18 @@ def make_interim_cache(
         return InterimCache(space, model, quad, _mode="weighted_sum")
 
     if isinstance(model, MaxSignal):
-        if isinstance(marginal, DiscreteGridIID):
-            atoms = marginal.atoms()
-            cdf_atoms = np.arange(1, len(atoms) + 1, dtype=float) / len(atoms)
-            cdf_max = cdf_atoms**k
-            pmf = np.diff(np.concatenate(([0.0], cdf_max)))
-            return InterimCache(space, model, quad, _mode="max_atoms", _atoms=atoms, _atom_pmf=pmf)
         # E[max(s, M)] = s + integral_s^{s_bar} (1 - F(t)^k) dt, tabulated from the top
-        fine = np.linspace(0.0, space.s_bar, 8 * quad.grid_points + 1)
-        surv = 1.0 - marginal.cdf(fine) ** k
-        tail = _reverse_cumtrapz(surv, fine)
-        return InterimCache(space, model, quad, _mode="max_tail", _grid_s=fine, _grid_mu=tail)
+        if isinstance(marginal, DiscreteGridIID):
+            # 1 - F(t)^k is constant between atoms, so left sums on the atoms
+            # (and 0) are exact and the integral is linear between them
+            knots = np.unique(np.concatenate(([0.0], marginal.atoms())))
+            seg = (1.0 - marginal.cdf(knots[:-1]) ** k) * np.diff(knots)
+        else:
+            knots = np.linspace(0.0, space.s_bar, 8 * quad.grid_points + 1)
+            surv = 1.0 - marginal.cdf(knots) ** k
+            seg = 0.5 * (surv[1:] + surv[:-1]) * np.diff(knots)
+        tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        return InterimCache(space, model, quad, _mode="max_tail", _grid_s=knots, _grid_mu=tail)
 
     # concave-sum
     if isinstance(marginal, DiscreteGridIID) and len(marginal.points) ** k <= _MAX_EXACT_ENUM:
@@ -377,13 +374,6 @@ def _mean_over_stats(model: ConcaveSum, s: np.ndarray, stats: np.ndarray):
     """Mean of v(s, stat) over the sampled or enumerated others' statistics."""
     mean = lambda x: model.l(model.g(x)[:, None] + stats[None, :]).mean(axis=1)
     return _chunked(mean, max(1, 2_000_000 // len(stats)), s.ravel()).reshape(s.shape)
-
-
-def _reverse_cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """integral_x^{x_max} y dt on the grid, by trapezoids accumulated from the top."""
-    seg = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-    return tail
 
 
 def cursed_value(cache: InterimCache, chi: float, profile: np.ndarray, i: int):

@@ -227,6 +227,14 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert run_cli("--config", str(cfg), "--out", str(tmp_path), "simulate") == 2
 
 
+@pytest.mark.parametrize("chi", [1.5, "nan"])
+def test_revenue_optimal_rule_chi_outside_unit_interval_exits_two(tmp_path, chi):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mechanism": {"rule": {"kind": "revenue_optimal", "chi": chi}}, "samples": 5}))
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path), "simulate") == 2
+    assert not (tmp_path / "outcomes.csv").exists()
+
+
 class TestMechanismConfig:
     def test_m_gva_sugar_and_masked_equivalence(self, tmp_path):
         import numpy as np

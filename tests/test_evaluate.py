@@ -54,6 +54,25 @@ class TestEstimate:
         out = run(mech, profile, ctx)
         np.testing.assert_allclose(rep.mean, out.revenue)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mech, ctx, n: estimate(mech, ctx, "revenue", n, 1),
+            lambda mech, ctx, n: estimate_many(mech, ctx, ["revenue", "welfare"], n, 1),
+            lambda mech, ctx, n: optimal_welfare(ctx, n, 1),
+            lambda mech, ctx, n: chi_sweep(lambda c: Mechanism(GVARule(), c), ctx, [0.0, 1.0], "revenue", n, 1),
+            lambda mech, ctx, n: event_probability(ctx, 3, n, 1),
+            lambda mech, ctx, n: conditional_welfare(mech, ctx, n, 1),
+        ],
+        ids=["estimate", "estimate_many", "optimal_welfare", "chi_sweep", "event_probability", "conditional_welfare"],
+    )
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_empty_sample_is_an_error(self, ctx, call, n_samples):
+        mech = masked_gva(ctx, 1.0)
+        with pytest.raises(ValueError, match="n_samples"):
+            call(mech, ctx, n_samples)
+        call(mech, ctx, 1)  # one sample is fine
+
     def test_masked_max_signal_never_allocates(self):
         mctx = make_context(SignalSpace(3, UniformIID(1.0)), MaxSignal())
         rep = estimate(masked_gva(mctx, 0.5), mctx, "allocation_prob", 20_000, seed=7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cursed_auctions.mechanisms import (
     GVARule,
     Mechanism,
     critical_bid,
+    make_context,
     masked_gva,
     revenue_optimal_rule,
     run_batch,
@@ -19,8 +22,11 @@ from cursed_auctions.oracle import (
     exact_interim_mu,
     oracle_payments,
 )
+from cursed_auctions.signals import DiscreteGridIID, SignalSpace
 from cursed_auctions.testing import RealizedPriceMechanism
 from cursed_auctions.valuations import MaxSignal, WeightedSum
+
+_EPS = np.finfo(float).eps
 
 
 class TestExactInterim:
@@ -48,6 +54,38 @@ class TestExactInterim:
             np.testing.assert_allclose(
                 exact_interim_mu(grid, float(s)), ctx.interim.expected_value(s), atol=1e-13
             )
+        # MaxSignal reads the atom-knotted tail table: enumeration agrees to rounding
+        for n in (2, 3, 4):
+            for m in (1, 2, 5, 11, 21):
+                grid = GridModel(n=n, m=m, model=MaxSignal(), chi=1.0)
+                ctx = grid.context()
+                got = ctx.interim.expected_value(grid.points)
+                want = [exact_interim_mu(grid, float(s)) for s in grid.points]
+                np.testing.assert_allclose(got, want, rtol=0, atol=4 * _EPS * max(ctx.scale(), 1.0))
+
+    @staticmethod
+    def _max_atom_sum(points, n, s):
+        """E[max(s, M)] as fsum over the atoms of M, the max of n - 1 grid draws."""
+        m, k = len(points), n - 1
+        terms, below = [], 0
+        for a in sorted(set(points)):
+            upto = sum(p <= a for p in points)
+            terms.append((upto**k - below**k) / m**k * max(s, a))
+            below = upto
+        return math.fsum(terms)
+
+    @pytest.mark.parametrize(
+        "n,points",
+        [(n, tuple(np.linspace(0.0, 1.0, m))) for n in (2, 3, 4) for m in (2, 5, 11, 21)]
+        + [(3, (0.4,)), (3, (0.0, 0.5, 0.5, 1.0)), (3, (0.2, 0.5, 1.0)), (3, tuple(np.linspace(0.0, 2.5, 6)))],
+    )
+    def test_max_signal_cache_off_grid(self, n, points):
+        ctx = make_context(SignalSpace(n, DiscreteGridIID(points)), MaxSignal())
+        s = np.linspace(0.0, ctx.s_bar, 997)
+        want = [self._max_atom_sum(points, n, float(x)) for x in s]
+        np.testing.assert_allclose(
+            ctx.interim.expected_value(s), want, rtol=0, atol=4 * _EPS * max(ctx.scale(), 1.0)
+        )
 
 
 class TestExactExpectation:
