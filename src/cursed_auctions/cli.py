@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +67,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         cfg = ExperimentConfig()
         for key in ExperimentConfig._KEYS:
@@ -73,10 +76,11 @@ class ExperimentConfig:
                 setattr(cfg, key, raw.pop(key))
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
-        cfg.chi = float(cfg.chi)
-        cfg.samples = int(cfg.samples)
-        cfg.seed = int(cfg.seed)
-        cfg.workers = int(cfg.workers)
+        for key, kind in (("chi", float), ("samples", int), ("seed", int), ("workers", int)):
+            given = getattr(cfg, key)  # int() would silently truncate 2.7, so fractions are an error
+            if isinstance(given, bool) or not isinstance(given, numbers.Real) or (kind is int and given % 1):
+                raise ConfigError(f"{key} must be {'a number' if kind is float else 'an integer'}, got {given!r}")
+            setattr(cfg, key, kind(given))
         if not (0.0 <= cfg.chi <= 1.0):
             raise ConfigError(f"chi must lie in [0, 1], got {cfg.chi}")
         if cfg.samples < 0 or cfg.workers < 1:
@@ -119,8 +123,10 @@ def build_mechanism(mech_cfg: dict, chi: float, ctx) -> Mechanism:
 def _load_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError covers JSON and text decoding
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -476,10 +482,7 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                             }
                         )
                         if mech_name in ("masked_gva", "revenue_optimal", "broken_realized_price") and chi >= 0:
-                            worst = max(
-                                orc.brute_force_best_response(grid, mech, 0, float(s), ctx).regret
-                                for s in grid.points
-                            )
+                            worst = orc.brute_force_best_response(grid, mech, 0, ctx).regret
                             expected_ic = mech_name != "broken_realized_price"
                             ok = (worst <= 1e-9 * scale) == expected_ic
                             checks.append(
@@ -561,9 +564,6 @@ def main(argv=None) -> int:
             return cmd_oracle_check(args)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

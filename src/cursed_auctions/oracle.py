@@ -3,9 +3,9 @@
 Everything here is an independent cross-check of the mechanism module: interim
 expectations come from full enumeration of the others' grid profiles,
 expectations from full enumeration of all grid profiles, optimal thresholds
-from exhaustive scans, and incentive checks from exhaustive deviation search.
-Sums are accumulated with ``math.fsum`` (exactly rounded compensated
-summation), so enumeration results carry no accumulation error.
+from exhaustive scans, and incentive checks from one deviation search over all
+grid profiles.  Sums are accumulated with ``math.fsum`` (exactly rounded
+compensated summation), so enumeration results carry no accumulation error.
 
 Grids are deliberately capped at n <= 4 bidders and m <= 21 points; beyond
 that enumeration is not the point.
@@ -28,7 +28,7 @@ from .mechanisms import (
     make_context,
 )
 from .signals import DiscreteGridIID, SignalSpace
-from .valuations import ValuationModel, value
+from .valuations import ValuationModel, _check_chi, value
 
 __all__ = [
     "GridModel",
@@ -59,8 +59,9 @@ class GridModel:
             raise ValueError(f"grid oracle supports 2 <= n <= {_MAX_N}, got {self.n}")
         if not (1 <= self.m <= _MAX_M):
             raise ValueError(f"grid oracle supports 1 <= m <= {_MAX_M}, got {self.m}")
-        if not (0.0 <= self.chi <= 1.0):
-            raise ValueError("chi must lie in [0, 1]")
+        _check_chi(self.chi)
+        if not 0.0 < self.s_bar < np.inf:
+            raise ValueError(f"s_bar must be positive and finite, got {self.s_bar}")
 
     @property
     def points(self) -> np.ndarray:
@@ -132,20 +133,15 @@ def oracle_payments(grid: GridModel, thresholds: np.ndarray, profiles: np.ndarra
     """
     profiles = np.atleast_2d(profiles)
     out = np.empty_like(profiles, dtype=float)
-    for r, row in enumerate(profiles):
-        for i in range(grid.n):
-            others = np.delete(row, i)
-            t = float(thresholds[r, i])
-            if t >= grid.s_bar:
-                comp = 0.0
-            else:
-                v_t, vchi_t = _price_parts(grid, t, others)
-                comp = min(0.0, v_t - vchi_t)
-            if row[i] > t:  # strict: implies a unique maximum since t >= max(others)
-                v_t, vchi_t = _price_parts(grid, t, others)
-                out[r, i] = min(v_t, vchi_t)
-            else:
-                out[r, i] = comp
+    for i in range(grid.n):  # one pass per agent column, all rows at once
+        t = thresholds[:, i]
+        v_t = value(grid.model, np.column_stack([t, np.delete(profiles, i, axis=1)]), 0)
+        t_unique, at = np.unique(t, return_inverse=True)
+        mu_t = np.array([_interim_mu_at(grid, float(x)) for x in t_unique])[at]
+        vchi_t = (1.0 - grid.chi) * v_t + grid.chi * mu_t
+        comp = np.where(t >= grid.s_bar, 0.0, np.minimum(0.0, v_t - vchi_t))
+        # strict: implies a unique maximum since t >= max(others)
+        out[:, i] = np.where(profiles[:, i] > t, np.minimum(v_t, vchi_t), comp)
     return out
 
 
@@ -187,36 +183,35 @@ def brute_force_rev_optimal_threshold(grid: GridModel, others: np.ndarray) -> fl
 
 @dataclass
 class BestResponse:
-    """Worst-case truthful regret of one agent over all grid others-profiles."""
+    """Worst-case truthful regret of one agent over all (own, others) grid profiles."""
 
     regret: float
     best_bid: float
     best_utility: float
     truthful_utility: float
-    witness_others: Optional[list]
+    witness_own: float
+    witness_others: list
 
 
 def brute_force_best_response(
-    grid: GridModel, mech: Mechanism, i: int, s_own: float, ctx: Optional[AuctionContext] = None
+    grid: GridModel, mech: Mechanism, i: int, ctx: Optional[AuctionContext] = None
 ) -> BestResponse:
-    """Exhaustive deviation search: for every grid others-profile, evaluate the
-    cursed utility of every grid bid through the mechanism itself and compare
-    with truthful reporting.  The cursed value uses the oracle's exact interim
-    expectation, keeping the check independent of the mechanism's cache.
-    """
+    """Exhaustive deviation search: at every own grid signal and others-profile,
+    the cursed utility of every grid bid, through the mechanism itself, against
+    truthful reporting.  The cursed value uses the oracle's exact interim
+    expectation, keeping the check independent of the mechanism's cache."""
     ctx = ctx or grid.context()
     others = grid.others_profiles()
     bids = grid.points
-    mu_own = _interim_mu_at(grid, float(s_own))
-    profiles = np.insert(others, i, s_own, axis=1)
-    v_true = np.array([float(value(grid.model, p, i)) for p in profiles])
-    vchi = (1.0 - grid.chi) * v_true + grid.chi * mu_own
+    own_k = np.repeat(np.arange(grid.m), len(others))  # own signal major
+    profiles = np.insert(np.tile(others, (grid.m, 1)), i, bids[own_k], axis=1)
+    mu_own = np.array([_interim_mu_at(grid, float(s)) for s in bids])[own_k]
+    vchi = (1.0 - grid.chi) * value(grid.model, profiles, i) + grid.chi * mu_own
     win, pay, _t, _c = agent_outcomes_for_bids(mech, i, profiles, bids, ctx)
     utils = win * vchi[:, None] - pay
-    truth_k = int(np.argmin(np.abs(bids - s_own)))
-    u_truth = utils[:, truth_k]
+    rows = np.arange(len(profiles))
+    u_truth = utils[rows, own_k]
     best_k = np.argmax(utils, axis=1)
-    rows = np.arange(len(others))
     regrets = utils[rows, best_k] - u_truth
     r = int(np.argmax(regrets))
     return BestResponse(
@@ -224,5 +219,6 @@ def brute_force_best_response(
         best_bid=float(bids[best_k[r]]),
         best_utility=float(utils[r, best_k[r]]),
         truthful_utility=float(u_truth[r]),
-        witness_others=others[r].tolist(),
+        witness_own=float(bids[own_k[r]]),
+        witness_others=others[r % len(others)].tolist(),
     )

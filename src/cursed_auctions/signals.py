@@ -69,8 +69,8 @@ class UniformIID:
     s_bar: float = 1.0
 
     def __post_init__(self):
-        if self.s_bar <= 0:
-            raise ValueError(f"s_bar must be positive, got {self.s_bar}")
+        if not 0.0 < self.s_bar < np.inf:
+            raise ValueError(f"s_bar must be positive and finite, got {self.s_bar}")
 
     @property
     def has_density(self) -> bool:
@@ -107,8 +107,8 @@ class DiscreteGridIID:
             raise ValueError("grid must contain at least one point")
         if any(b < a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be sorted ascending")
-        if pts[0] < 0:
-            raise ValueError("grid points must be non-negative")
+        if pts[0] < 0 or not np.isfinite(pts).all():
+            raise ValueError("grid points must be finite and non-negative")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -159,6 +159,8 @@ class GenericIID:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(x) for x in self.params))
+        if not np.isfinite(self.params).all():
+            raise ValueError(f"quantile parameters must be finite, got {self.params}")
         if self.kind == "affine":
             low, high = self.params
             if not (0 <= low < high):

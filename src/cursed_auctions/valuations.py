@@ -73,6 +73,8 @@ class ScalarMap:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(x) for x in self.params))
+        if not np.isfinite(self.params).all():
+            raise ValueError(f"scalar map parameters must be finite, got {self.params}")
         if self.kind == "identity":
             if self.params:
                 raise ValueError("identity takes no parameters")
@@ -141,8 +143,8 @@ class WeightedSum:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def to_config(self) -> dict:
         return {"family": "weighted_sum", "beta": self.beta}

@@ -221,6 +221,38 @@ def test_config_file_not_found(tmp_path):
     assert run_cli("--config", str(tmp_path / "missing.json"), "simulate") == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"samples": "abc"}',
+        '{"chi": null}',
+        '{"seed": [1]}',
+        '{"samples": 2.7}',
+        '{"seed": 1.5}',
+        '{"workers": 1.5}',
+        '{"samples": Infinity}',
+        '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": Infinity}}, "samples": 10}',
+        '{"model": {"family": "weighted_sum", "beta": NaN}, "mechanism": {"rule": {"kind": "gva"}}}',
+        '{"space": {"n": 3, "marginal": {"type": "grid", "points": [0.0, 0.5, NaN]}}}',
+        '{"space": {"n": 3, "marginal": {"type": "quantile", "kind": "power", "params": [NaN, 1.0]}}}',
+        '{"model": {"family": "concave_sum", "l": {"kind": "log1p_scaled", "params": [Infinity]},'
+        ' "g": {"kind": "identity"}, "h": {"kind": "identity"}}}',
+    ],
+)
+def test_malformed_config_exits_two(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path), "--samples", "5", "simulate") == 2
+    assert not (tmp_path / "outcomes.csv").exists()
+
+
+def test_integral_float_counts_accepted():
+    cfg = ExperimentConfig.from_dict({"samples": 10.0, "seed": 3.0, "workers": 1.0})
+    assert (cfg.samples, cfg.seed, cfg.workers) == (10, 3, 1)
+
+
 def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shenanigans": True}))

@@ -7,6 +7,7 @@ from cursed_auctions.evaluate import estimate, write_outcomes_csv
 from cursed_auctions.mechanisms import (
     GVARule,
     Mechanism,
+    agent_outcomes_for_bids,
     critical_bid,
     make_context,
     masked_gva,
@@ -24,7 +25,7 @@ from cursed_auctions.oracle import (
 )
 from cursed_auctions.signals import DiscreteGridIID, SignalSpace
 from cursed_auctions.testing import RealizedPriceMechanism
-from cursed_auctions.valuations import MaxSignal, WeightedSum
+from cursed_auctions.valuations import MaxSignal, WeightedSum, value
 
 _EPS = np.finfo(float).eps
 
@@ -166,26 +167,30 @@ class TestBestResponse:
     def test_masked_gva_zero_regret_everywhere(self):
         grid = GridModel(n=2, m=5, model=WeightedSum(1.0), chi=1.0)
         ctx = grid.context()
-        mech = masked_gva(ctx, 1.0)
-        for s in grid.points:
-            br = brute_force_best_response(grid, mech, 0, float(s), ctx)
-            assert br.regret <= 1e-12
+        assert brute_force_best_response(grid, masked_gva(ctx, 1.0), 0, ctx).regret <= 1e-12
 
     def test_rational_compensated_gva_zero_regret(self):
         grid = GridModel(n=3, m=5, model=WeightedSum(0.5), chi=0.0)
         ctx = grid.context()
         mech = Mechanism(GVARule(), 0.0, "compensated")
-        for s in grid.points:
-            assert brute_force_best_response(grid, mech, 0, float(s), ctx).regret <= 1e-12
+        assert brute_force_best_response(grid, mech, 0, ctx).regret <= 1e-12
 
     def test_broken_mechanism_shows_positive_regret(self):
         grid = GridModel(n=2, m=11, model=WeightedSum(1.0), chi=1.0)
         ctx = grid.context()
         broken = RealizedPriceMechanism(GVARule(), 1.0, "compensated")
-        worst = max(
-            brute_force_best_response(grid, broken, 0, float(s), ctx).regret for s in grid.points
-        )
-        assert worst > 1e-6
+        assert brute_force_best_response(grid, broken, 0, ctx).regret > 1e-6
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_every_agent_column(self, i):
+        """The searched agent's column is inserted at position i, so agents
+        other than 0 see the same grid profiles in their own order."""
+        grid = GridModel(n=3, m=5, model=WeightedSum(0.5), chi=0.5)
+        ctx = grid.context()
+        masked = brute_force_best_response(grid, masked_gva(ctx, 0.5), i, ctx)
+        assert 0.0 <= masked.regret <= 4 * _EPS * max(ctx.scale(), 1.0)
+        broken = RealizedPriceMechanism(GVARule(), 0.5, "compensated")
+        assert brute_force_best_response(grid, broken, i, ctx).regret > 1e-6
 
     @pytest.mark.parametrize("beta,chi", [(0.5, 0.0), (0.5, 0.5), (1.0, 0.0), (1.0, 0.5)])
     def test_others_stat_rounding_pinned(self, beta, chi):
@@ -195,16 +200,31 @@ class TestBestResponse:
         never more than 4 eps times the value scale."""
         grid = GridModel(n=3, m=11, model=WeightedSum(beta), chi=chi)
         ctx = grid.context()
-        mech = masked_gva(ctx, chi)
-        worst = max(brute_force_best_response(grid, mech, 0, float(s), ctx).regret for s in grid.points)
+        worst = brute_force_best_response(grid, masked_gva(ctx, chi), 0, ctx).regret
         assert 0.0 <= worst <= 4 * np.finfo(float).eps * max(ctx.scale(), 1.0)
 
     def test_result_structure(self):
         grid = GridModel(n=2, m=5, model=WeightedSum(1.0), chi=0.5)
         ctx = grid.context()
-        br = brute_force_best_response(grid, Mechanism(GVARule(), 0.5, "compensated"), 0, 0.5, ctx)
+        br = brute_force_best_response(grid, Mechanism(GVARule(), 0.5, "compensated"), 0, ctx)
         assert isinstance(br, BestResponse)
-        assert br.witness_others is not None
+        assert br.witness_own in grid.points
+        assert len(br.witness_others) == grid.n - 1
+
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_witness_reproduces_utilities(self, i):
+        grid = GridModel(n=3, m=5, model=WeightedSum(1.0), chi=1.0)
+        ctx = grid.context()
+        broken = RealizedPriceMechanism(GVARule(), 1.0, "compensated")
+        br = brute_force_best_response(grid, broken, i, ctx)
+        profile = np.insert(np.array(br.witness_others), i, br.witness_own)[None, :]
+        win, pay, _t, _c = agent_outcomes_for_bids(broken, i, profile, grid.points, ctx)
+        v = float(value(grid.model, profile[0], i))
+        vchi = (1.0 - grid.chi) * v + grid.chi * exact_interim_mu(grid, br.witness_own)
+        utils = win[0] * vchi - pay[0]
+        assert utils[list(grid.points).index(br.witness_own)] == br.truthful_utility
+        assert utils[list(grid.points).index(br.best_bid)] == br.best_utility
+        assert br.best_utility - br.truthful_utility == br.regret
 
 
 class TestPaymentsAgreement:
@@ -218,6 +238,20 @@ class TestPaymentsAgreement:
         batch = run_batch(mech, profiles, ctx)
         expected = oracle_payments(grid, batch.thresholds, profiles)
         np.testing.assert_allclose(batch.payments, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 1.0])
+    def test_four_bidders(self, chi):
+        grid = GridModel(n=4, m=5, model=WeightedSum(0.5), chi=chi)
+        ctx = grid.context()
+        profiles = grid.all_profiles()
+        for mech in (
+            Mechanism(GVARule(), chi, "compensated"),
+            masked_gva(ctx, chi),
+            Mechanism(revenue_optimal_rule(ctx, chi), chi, "compensated"),
+        ):
+            batch = run_batch(mech, profiles, ctx)
+            expected = oracle_payments(grid, batch.thresholds, profiles)
+            np.testing.assert_allclose(batch.payments, expected, rtol=0, atol=1e-12 * max(ctx.scale(), 1.0))
 
     def test_masked_payments_match_oracle(self):
         grid = GridModel(n=2, m=11, model=WeightedSum(0.5), chi=1.0)
@@ -244,6 +278,13 @@ def test_grid_bounds_enforced():
         GridModel(n=5, m=5, model=WeightedSum(1.0), chi=0.5)
     with pytest.raises(ValueError):
         GridModel(n=2, m=50, model=WeightedSum(1.0), chi=0.5)
+
+
+@pytest.mark.parametrize("s_bar", [0.0, -1.0, float("nan"), float("inf")])
+def test_grid_s_bar_positive_and_finite(s_bar):
+    # at s_bar = 0 every point would be 0 while grid.space().s_bar reads 1.0
+    with pytest.raises(ValueError, match="s_bar"):
+        GridModel(n=2, m=5, model=WeightedSum(1.0), chi=0.5, s_bar=s_bar)
 
 
 def test_outcome_dump(tmp_path):

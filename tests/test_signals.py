@@ -123,6 +123,23 @@ def test_space_validation():
         DiscreteGridIID(points=(0.5, 0.2))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: UniformIID(bad),
+        lambda bad: DiscreteGridIID(points=(0.0, 0.5, bad)),
+        lambda bad: DiscreteGridIID(points=(bad,)),
+        lambda bad: GenericIID("affine", (0.0, bad)),
+        lambda bad: GenericIID("power", (bad, 1.0)),
+        lambda bad: GenericIID("power", (1.0, bad)),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_marginal_parameters_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_marginal_config_round_trip():
     for marg in (UniformIID(2.0), DiscreteGridIID(points=(0.0, 1.0)), GenericIID("affine", (1.0, 4.0))):
         again = marginal_from_config(marg.to_config())

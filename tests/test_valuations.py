@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -147,13 +147,20 @@ class TestCursedValue:
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
         st.floats(0.0, 1.0),
     )
+    @example(chi1=1.0, chi2=0.5, others=[1.0, 2.220446049250313e-16], s_own=0.9363245127760742)
     def test_overestimation_sign_is_chi_free(self, chi1, chi2, others, s_own):
+        """v - cursed v has the sign of v - mu at every chi > 0, up to rounding:
+        v + chi*(mu - v) rounds a step of at most half an ulp back to v, so one
+        chi can read 0 where another does not, but the signs never oppose."""
         cache = make_interim_cache(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
         prof = np.array([s_own] + others)
         v = value(cache.model, prof, 0)
+        mu = cache.expected_value(s_own)
         d1 = v - cursed_value(cache, chi1, prof, 0)
         d2 = v - cursed_value(cache, chi2, prof, 0)
-        assert np.sign(d1) == np.sign(d2)
+        assert np.sign(d1) * np.sign(d2) >= 0
+        for chi, d in ((chi1, d1), (chi2, d2)):
+            assert d != 0 or chi * abs(mu - v) <= np.spacing(v)
 
 
 class TestCursedVirtualValue:
@@ -229,6 +236,14 @@ class TestModelValidation:
     def test_beta_positive(self):
         with pytest.raises(ValueError):
             WeightedSum(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_parameters_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedSum(bad)
+        for kind, params in (("affine", (bad, 0.0)), ("affine", (1.0, bad)), ("power", (bad,)), ("log1p_scaled", (bad,))):
+            with pytest.raises(ValueError, match="finite"):
+                ScalarMap(kind, params)
 
     def test_outer_map_must_be_concave(self):
         with pytest.raises(ValueError):
