@@ -12,13 +12,13 @@ monopoly-style t*(s_j) = max((1 - s_j)/2, s_j) when rational.
 
 import numpy as np
 
-from cursed_auctions import SignalSpace, UniformIID, WeightedSum, critical_bid, make_context, revenue_optimal_rule
+from cursed_auctions import RevenueOptimalRule, SignalSpace, UniformIID, WeightedSum, critical_bid, make_context
 
 ctx = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
 
 print(f"{'s_j':>6} {'t* cursed':>10} {'closed':>8} {'t* rational':>12} {'closed':>8}")
-cursed = revenue_optimal_rule(ctx, 1.0)
-rational = revenue_optimal_rule(ctx, 0.0)
+cursed = RevenueOptimalRule(1.0)
+rational = RevenueOptimalRule(0.0)
 for sj in np.linspace(0.05, 0.95, 10):
     t1 = critical_bid(cursed, np.array([sj]), ctx)
     t0 = critical_bid(rational, np.array([sj]), ctx)

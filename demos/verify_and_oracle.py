@@ -13,12 +13,12 @@ import numpy as np
 from cursed_auctions import (
     Mechanism,
     RandomStream,
+    RevenueOptimalRule,
     SignalSpace,
     UniformIID,
     WeightedSum,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
 )
 from cursed_auctions.mechanisms import GVARule, run_batch
 from cursed_auctions.oracle import (
@@ -36,7 +36,7 @@ plan = SamplingPlan(profile_count=3_000, deviation_grid_size=41, stream=RandomSt
 print("== Checker scoreboard ==")
 mechs = {
     "masked efficient": masked_gva(ctx, 1.0),
-    "revenue-optimal": Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated"),
+    "revenue-optimal": Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated"),
     "compensated efficient": Mechanism(GVARule(), 1.0, "compensated"),
     "zero-transfer efficient": Mechanism(GVARule(), 1.0, "zero-transfer"),
     "broken realized-price": RealizedPriceMechanism(GVARule(), 1.0, "compensated"),

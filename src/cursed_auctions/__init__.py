@@ -17,7 +17,6 @@ from .mechanisms import (
     critical_bid,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     run,
     run_batch,
 )
@@ -28,9 +27,6 @@ from .signals import (
     RandomStream,
     SignalSpace,
     UniformIID,
-    cdf,
-    quantile,
-    sample_profile,
     sample_profiles,
 )
 from .valuations import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,13 +23,13 @@ from .mechanisms import (
     GVARule,
     Mechanism,
     OthersView,
+    RevenueOptimalRule,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     rule_from_config,
     run_batch,
 )
-from .signals import RandomStream, SignalSpace, UniformIID, sample_profiles
+from .signals import RandomStream, SignalSpace, UniformIID, _config_number, sample_profiles
 from .valuations import MaxSignal, WeightedSum, model_from_config
 from .verify import CHECKERS, Draw, SamplingPlan
 
@@ -76,11 +75,11 @@ class ExperimentConfig:
                 setattr(cfg, key, raw.pop(key))
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
-        for key, kind in (("chi", float), ("samples", int), ("seed", int), ("workers", int)):
-            given = getattr(cfg, key)  # int() would silently truncate 2.7, so fractions are an error
-            if isinstance(given, bool) or not isinstance(given, numbers.Real) or (kind is int and given % 1):
-                raise ConfigError(f"{key} must be {'a number' if kind is float else 'an integer'}, got {given!r}")
-            setattr(cfg, key, kind(given))
+        for key, integral in (("chi", False), ("samples", True), ("seed", True), ("workers", True)):
+            try:
+                setattr(cfg, key, _config_number(getattr(cfg, key), key, integral))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not (0.0 <= cfg.chi <= 1.0):
             raise ConfigError(f"chi must lie in [0, 1], got {cfg.chi}")
         if cfg.samples < 0 or cfg.workers < 1:
@@ -409,7 +408,7 @@ def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:
         (0.0, lambda sj: max((1.0 - sj) / 2.0, sj)),
     ):
         view = OthersView.from_others(test_points[:, None], ctx.model)
-        t_opts = revenue_optimal_rule(ctx, chi).critical_bids(view, ctx)
+        t_opts = RevenueOptimalRule(chi).critical_bids(view, ctx)
         for sj, t_opt in zip(test_points, t_opts.tolist()):
             err = abs(t_opt - closed(float(sj)))
             max_err[chi] = max(max_err[chi], err)
@@ -464,7 +463,7 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                     profiles = grid.all_profiles()
                     mechs = {"gva_compensated": Mechanism(GVARule(), chi, "compensated")}
                     mechs["masked_gva"] = masked_gva(ctx, chi)
-                    mechs["revenue_optimal"] = Mechanism(revenue_optimal_rule(ctx, chi), chi, "compensated")
+                    mechs["revenue_optimal"] = Mechanism(RevenueOptimalRule(chi), chi, "compensated")
                     if inject_broken:
                         from .testing import RealizedPriceMechanism
 
@@ -481,7 +480,7 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                                 "max_gap": gap,
                             }
                         )
-                        if mech_name in ("masked_gva", "revenue_optimal", "broken_realized_price") and chi >= 0:
+                        if mech_name in ("masked_gva", "revenue_optimal", "broken_realized_price"):
                             worst = orc.brute_force_best_response(grid, mech, 0, ctx).regret
                             expected_ic = mech_name != "broken_realized_price"
                             ok = (worst <= 1e-9 * scale) == expected_ic
@@ -495,7 +494,7 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                     # brute-force optimal thresholds vs the continuous optimizer
                     others = grid.others_profiles()
                     view = OthersView.from_others(others, ctx.model)
-                    t_opts = revenue_optimal_rule(ctx, chi).critical_bids(view, ctx)
+                    t_opts = RevenueOptimalRule(chi).critical_bids(view, ctx)
                     spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
                     worst_gap = 0.0
                     for o, t_opt in zip(others, t_opts.tolist()):

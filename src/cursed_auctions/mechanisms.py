@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import SignalSpace
+from .signals import SignalSpace, _config_number
 from .valuations import (
     InterimCache,
     MaxSignal,
@@ -71,7 +71,6 @@ __all__ = [
     "run",
     "run_batch",
     "agent_outcomes_for_bids",
-    "revenue_optimal_rule",
     "masked_gva",
     "ModelUnsupportedError",
     "MechanismInvariantError",
@@ -157,9 +156,6 @@ class ThresholdRule:
     def critical_bids(self, view: OthersView, ctx: AuctionContext) -> np.ndarray:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class GVARule(ThresholdRule):
     """Generalized Vickrey auction rule: the critical bid is the others' maximum."""
@@ -168,9 +164,6 @@ class GVARule(ThresholdRule):
 
     def critical_bids(self, view, ctx):
         return view.max.copy()
-
-    def to_config(self):
-        return {"kind": "gva"}
 
 
 @dataclass
@@ -195,14 +188,6 @@ class RevenueOptimalRule(ThresholdRule):
     def critical_bids(self, view, ctx):
         return _optimize_thresholds(view, ctx, self.chi, self.opt_spec)
 
-    def to_config(self):
-        return {
-            "kind": "revenue_optimal",
-            "chi": self.chi,
-            "grid_size": self.opt_spec.grid_size,
-            "refine_iters": self.opt_spec.refine_iters,
-        }
-
 
 @dataclass
 class MaskedRule(ThresholdRule):
@@ -226,9 +211,6 @@ class MaskedRule(ThresholdRule):
         base_t = self.base.critical_bids(view, ctx)
         return _mask_thresholds(base_t, view, ctx)
 
-    def to_config(self):
-        return {"kind": "masked", "base": self.base.to_config()}
-
 
 def rule_from_config(cfg: dict) -> ThresholdRule:
     cfg = dict(cfg)
@@ -237,10 +219,10 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
         out = GVARule()
     elif kind == "revenue_optimal":
         out = RevenueOptimalRule(
-            chi=float(cfg.pop("chi")),
+            chi=_config_number(cfg.pop("chi"), "chi"),
             opt_spec=OptSpec(
-                grid_size=int(cfg.pop("grid_size", 2048)),
-                refine_iters=int(cfg.pop("refine_iters", 60)),
+                grid_size=_config_number(cfg.pop("grid_size", 2048), "grid_size", integral=True),
+                refine_iters=_config_number(cfg.pop("refine_iters", 60), "refine_iters", integral=True),
             ),
         )
     elif kind == "masked":
@@ -412,14 +394,6 @@ class Mechanism:
         self.rule = rule
         self.chi = chi
         self.payment_policy = payment_policy
-        self.expect_zero_compensation = False
-
-    def to_config(self) -> dict:
-        return {
-            "rule": self.rule.to_config(),
-            "chi": self.chi,
-            "payment_policy": self.payment_policy,
-        }
 
     # --- overridable pieces: each negative control in testing.py replaces one ---
     # Contract: a Quote holds flat (M,) arrays for M quoted (row, agent) pairs
@@ -460,13 +434,16 @@ def _quote(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext, agents, f
     """Quote the columns ``agents`` of ``profiles``, whose row r is profile row
     ``first_row + r``: all those (row, agent) pairs go through one
     ``critical_bids`` and one ``expected_value`` call, flattened in (row,
-    agent) order, with the others' maxima and statistics ``run_batch`` uses."""
+    agent) order, with the others' maxima and statistics ``run_batch`` uses.
+    A masked rule owes no compensation (the curse gap is >= 0 at every
+    threshold below s_bar it returns); a nonzero one raises
+    MechanismInvariantError with the row, agent and value."""
     maxo = _max_excluding_self(profiles)[:, agents].reshape(-1)
     view = OthersView(maxo, profile_stats(ctx.model, profiles)[:, agents].reshape(-1))
     t = mech.rule.critical_bids(view, ctx)
     q = Quote(view.stat, t, value_from_own_and_stat(ctx.model, t, view.stat), ctx.interim.expected_value(t))
     q.compensation = mech._compensations(q, ctx)
-    if mech.expect_zero_compensation and np.any(q.compensation != 0.0):
+    if isinstance(mech.rule, MaskedRule) and np.any(q.compensation != 0.0):
         k = int(np.flatnonzero(q.compensation)[0])
         what = "masked mechanism produced a nonzero compensation"
         raise MechanismInvariantError(what, first_row + k // len(agents), agents[k % len(agents)], float(q.compensation[k]))
@@ -604,24 +581,15 @@ def critical_bid(rule: ThresholdRule, others: np.ndarray, ctx: AuctionContext) -
     return float(rule.critical_bids(view, ctx)[0])
 
 
-def revenue_optimal_rule(ctx: AuctionContext, chi: float, opt_spec: OptSpec = OptSpec()) -> RevenueOptimalRule:
-    """The revenue-maximizing deterministic anonymous threshold rule."""
-    return RevenueOptimalRule(chi=chi, opt_spec=opt_spec)
-
-
 def masked_gva(ctx: AuctionContext, chi: float) -> Mechanism:
     """Masked generalized Vickrey auction: the welfare-optimal budget-balanced mechanism.
 
     At chi = 0 the mask is vacuous (no compensation is ever owed), so the
     plain efficient rule is used.  For chi > 0 compensations are provably
-    zero; every quote checks this and raises MechanismInvariantError, with
-    the row, agent and value, on the first nonzero one.
+    zero; every quote of a masked rule checks this (see ``_quote``).
     """
     if not single_crossing_holds(ctx.model, ctx.space):
         raise ModelUnsupportedError("model fails single crossing; efficient rule undefined")
     if chi == 0.0:
-        mech = Mechanism(GVARule(), 0.0, "compensated")
-    else:
-        mech = Mechanism(MaskedRule(GVARule()), chi, "compensated")
-        mech.expect_zero_compensation = True
-    return mech
+        return Mechanism(GVARule(), 0.0, "compensated")
+    return Mechanism(MaskedRule(GVARule()), chi, "compensated")

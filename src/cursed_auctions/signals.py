@@ -16,6 +16,7 @@ identical draws and chunked/parallel consumers cannot collide.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,10 +30,7 @@ __all__ = [
     "GenericIID",
     "Marginal",
     "SignalSpace",
-    "sample_profile",
     "sample_profiles",
-    "cdf",
-    "quantile",
     "marginal_from_config",
 ]
 
@@ -91,9 +89,6 @@ class UniformIID:
     def mean(self) -> float:
         return 0.5 * self.s_bar
 
-    def to_config(self) -> dict:
-        return {"type": "uniform", "s_bar": self.s_bar}
-
 
 @dataclass(frozen=True)
 class DiscreteGridIID:
@@ -140,9 +135,6 @@ class DiscreteGridIID:
 
     def mean(self) -> float:
         return float(np.mean(self.atoms()))
-
-    def to_config(self) -> dict:
-        return {"type": "grid", "points": list(self.points)}
 
 
 @dataclass(frozen=True)
@@ -213,9 +205,6 @@ class GenericIID:
         exponent, s_bar = self.params
         return s_bar / (exponent + 1.0)
 
-    def to_config(self) -> dict:
-        return {"type": "quantile", "kind": self.kind, "params": list(self.params)}
-
 
 Marginal = Union[UniformIID, DiscreteGridIID, GenericIID]
 
@@ -242,28 +231,38 @@ class SignalSpace:
     def mean_signal(self) -> float:
         return self.marginal.mean()
 
-    def to_config(self) -> dict:
-        return {"n": self.n, "marginal": self.marginal.to_config()}
-
     @staticmethod
     def from_config(cfg: dict) -> "SignalSpace":
         cfg = dict(cfg)
-        n = cfg.pop("n")
+        n = _config_number(cfg.pop("n"), "n", integral=True)
         marginal = marginal_from_config(cfg.pop("marginal"))
         if cfg:
             raise ValueError(f"unknown space keys: {sorted(cfg)}")
-        return SignalSpace(n=int(n), marginal=marginal)
+        return SignalSpace(n=n, marginal=marginal)
+
+
+def _config_number(value, key: str, integral: bool = False):
+    """A number read from a config, as a float or, when ``integral``, an int.
+
+    Booleans and non-numbers (numeric strings included) are rejected, and so
+    is a fractional or non-finite value where an integer is due: ``int()``
+    would truncate 2.7 to 2 without notice, while 2.0 is accepted as 2.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (integral and value % 1):
+        raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def marginal_from_config(cfg: dict) -> Marginal:
     cfg = dict(cfg)
     kind = cfg.pop("type")
     if kind == "uniform":
-        out = UniformIID(s_bar=float(cfg.pop("s_bar", 1.0)))
+        out = UniformIID(s_bar=_config_number(cfg.pop("s_bar", 1.0), "s_bar"))
     elif kind == "grid":
-        out = DiscreteGridIID(points=tuple(cfg.pop("points")))
+        out = DiscreteGridIID(points=tuple(_config_number(p, "grid point") for p in cfg.pop("points")))
     elif kind == "quantile":
-        out = GenericIID(kind=cfg.pop("kind"), params=tuple(cfg.pop("params")))
+        params = tuple(_config_number(p, "quantile parameter") for p in cfg.pop("params"))
+        out = GenericIID(kind=cfg.pop("kind"), params=params)
     else:
         raise ValueError(f"unknown marginal type {kind!r}")
     if cfg:
@@ -287,21 +286,6 @@ def sample_profiles(space: SignalSpace, stream: RandomStream, count: int) -> np.
         u = gen.random((stop - start, space.n))
         out[start:stop] = space.marginal.quantile(u)
     return out
-
-
-def sample_profile(space: SignalSpace, stream: RandomStream) -> np.ndarray:
-    """Draw one signal profile, shape (n,); deterministic in (seed, stream_index)."""
-    return sample_profiles(space, stream, 1)[0]
-
-
-def cdf(space: SignalSpace, t):
-    """P[signal <= t] under the marginal; clamped to [0, 1] outside the support."""
-    return space.marginal.cdf(t)
-
-
-def quantile(space: SignalSpace, p):
-    """Smallest t with cdf(t) >= p; p outside [0, 1] is a domain error."""
-    return space.marginal.quantile(p)
 
 
 def _check_prob(p):

@@ -33,15 +33,12 @@ from .signals import (
     RandomStream,
     SignalSpace,
     UnsupportedMarginalError,
+    _config_number,
     sample_profiles,
 )
 
 __all__ = [
     "ScalarMap",
-    "identity_map",
-    "affine_map",
-    "power_map",
-    "log1p_scaled_map",
     "WeightedSum",
     "MaxSignal",
     "ConcaveSum",
@@ -112,25 +109,6 @@ class ScalarMap:
             return True
         return self.params[0] <= 1.0
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-
-def identity_map() -> ScalarMap:
-    return ScalarMap("identity")
-
-
-def affine_map(a: float, b: float = 0.0) -> ScalarMap:
-    return ScalarMap("affine", (a, b))
-
-
-def power_map(p: float) -> ScalarMap:
-    return ScalarMap("power", (p,))
-
-
-def log1p_scaled_map(scale: float = 1.0) -> ScalarMap:
-    return ScalarMap("log1p_scaled", (scale,))
-
 
 @dataclass(frozen=True)
 class WeightedSum:
@@ -146,16 +124,10 @@ class WeightedSum:
         if not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
-    def to_config(self) -> dict:
-        return {"family": "weighted_sum", "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class MaxSignal:
     """v_i(s) = max_j s_j (pure common value)."""
-
-    def to_config(self) -> dict:
-        return {"family": "max_signal"}
 
 
 @dataclass(frozen=True)
@@ -170,14 +142,6 @@ class ConcaveSum:
         if not self.l.is_concave:
             raise ValueError("outer map l must be concave")
 
-    def to_config(self) -> dict:
-        return {
-            "family": "concave_sum",
-            "l": self.l.to_config(),
-            "g": self.g.to_config(),
-            "h": self.h.to_config(),
-        }
-
 
 ValuationModel = Union[WeightedSum, MaxSignal, ConcaveSum]
 
@@ -186,7 +150,7 @@ def model_from_config(cfg: dict) -> ValuationModel:
     cfg = dict(cfg)
     family = cfg.pop("family")
     if family == "weighted_sum":
-        out = WeightedSum(beta=float(cfg.pop("beta", 1.0)))
+        out = WeightedSum(beta=_config_number(cfg.pop("beta", 1.0), "beta"))
     elif family == "max_signal":
         out = MaxSignal()
     elif family == "concave_sum":
@@ -204,7 +168,8 @@ def model_from_config(cfg: dict) -> ValuationModel:
 
 def _map_from_config(cfg: dict) -> ScalarMap:
     cfg = dict(cfg)
-    out = ScalarMap(kind=cfg.pop("kind"), params=tuple(cfg.pop("params", ())))
+    params = tuple(_config_number(p, "scalar map parameter") for p in cfg.pop("params", ()))
+    out = ScalarMap(kind=cfg.pop("kind"), params=params)
     if cfg:
         raise ValueError(f"unknown scalar map keys: {sorted(cfg)}")
     return out
@@ -477,18 +442,17 @@ def single_crossing_holds(model: ValuationModel, space: SignalSpace) -> bool:
 
 def check_cursedness_monotonicity(
     cache: InterimCache,
-    chi: float,
     sample_count: int = 10_000,
     stream: RandomStream = RandomStream(11),
 ) -> CheckReport:
     """If overestimation occurs at some winning own-signal, it must persist when
     the others' signals shrink coordinate-wise (any winning own-signal).
 
-    WeightedSum and MaxSignal hold analytically; concave-sum instances are
-    decided empirically on sampled profiles and shrunken others.
+    Overestimation means v < interim, which holds or fails alike for every
+    chi > 0, so the check takes no chi.  WeightedSum and MaxSignal hold
+    analytically; concave-sum instances are decided empirically on sampled
+    profiles and shrunken others.
     """
-    if chi <= 0:
-        raise ValueError("cursedness monotonicity is only meaningful for chi > 0")
     model, space = cache.model, cache.space
     if isinstance(model, (WeightedSum, MaxSignal)):
         return CheckReport(

@@ -23,10 +23,10 @@ from cursed_auctions.evaluate import (
 from cursed_auctions.mechanisms import (
     GVARule,
     Mechanism,
+    RevenueOptimalRule,
     critical_bid,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     run_batch,
 )
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
@@ -165,7 +165,7 @@ def test_c05_revenue_optimal_thresholds():
     points = np.linspace(0.0, 1.0, 52)[1:-1]
     worst = {0.0: 0.0, 1.0: 0.0}
     for chi, closed in ((1.0, lambda s: max(0.25, s)), (0.0, lambda s: max((1 - s) / 2, s))):
-        rule = revenue_optimal_rule(ctx, chi)
+        rule = RevenueOptimalRule(chi)
         for sj in points:
             got = critical_bid(rule, np.array([sj]), ctx)
             worst[chi] = max(worst[chi], abs(got - closed(float(sj))))
@@ -212,7 +212,7 @@ def test_c07_property_suites():
     )
     incentive_checkers = (check_cepic, check_epir, check_cepir, check_allocation_monotone)
     masked = Draw(masked_gva(ctx, 1.0), ctx, plan)
-    rev_opt = Draw(Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated"), ctx, plan)
+    rev_opt = Draw(Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated"), ctx, plan)
     failures = []
     for checker in all_checkers:
         rep = checker(masked)
@@ -271,7 +271,7 @@ def test_c08_chi_monotonicity():
         return out
 
     opt = chi_sweep(
-        lambda c: Mechanism(revenue_optimal_rule(ctx, c), c, "compensated"),
+        lambda c: Mechanism(RevenueOptimalRule(c), c, "compensated"),
         ctx, grid, "revenue", 20_000, SEED,
     )
     welfare = chi_sweep(lambda c: masked_gva(ctx, c), ctx, grid, "welfare", 20_000, SEED)

@@ -239,6 +239,12 @@ def test_config_file_not_found(tmp_path):
         '{"space": {"n": 3, "marginal": {"type": "quantile", "kind": "power", "params": [NaN, 1.0]}}}',
         '{"model": {"family": "concave_sum", "l": {"kind": "log1p_scaled", "params": [Infinity]},'
         ' "g": {"kind": "identity"}, "h": {"kind": "identity"}}}',
+        '{"space": {"n": 2.7, "marginal": {"type": "uniform"}}}',
+        '{"space": {"n": "3", "marginal": {"type": "uniform"}}}',
+        '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": "2"}}}',
+        '{"model": {"family": "weighted_sum", "beta": "0.5"}}',
+        '{"mechanism": {"rule": {"kind": "revenue_optimal", "grid_size": 64.9}}}',
+        '{"mechanism": {"rule": {"kind": "revenue_optimal", "refine_iters": 3.5}}}',
     ],
 )
 def test_malformed_config_exits_two(tmp_path, text):
@@ -249,8 +255,17 @@ def test_malformed_config_exits_two(tmp_path, text):
 
 
 def test_integral_float_counts_accepted():
-    cfg = ExperimentConfig.from_dict({"samples": 10.0, "seed": 3.0, "workers": 1.0})
+    raw = {
+        "samples": 10.0,
+        "seed": 3.0,
+        "workers": 1.0,
+        "space": {"n": 2.0, "marginal": {"type": "uniform"}},
+        "mechanism": {"rule": {"kind": "revenue_optimal", "grid_size": 64.0}},
+    }
+    cfg = ExperimentConfig.from_dict(raw)
     assert (cfg.samples, cfg.seed, cfg.workers) == (10, 3, 1)
+    space, _model, _ctx, mech = cfg.build()
+    assert space.n == 2 and mech.rule.opt_spec.grid_size == 64
 
 
 def test_unknown_config_key_exits_two(tmp_path):
@@ -260,7 +275,7 @@ def test_unknown_config_key_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("chi", [1.5, "nan"])
-def test_revenue_optimal_rule_chi_outside_unit_interval_exits_two(tmp_path, chi):
+def test_revenue_optimal_chi_outside_unit_interval_exits_two(tmp_path, chi):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mechanism": {"rule": {"kind": "revenue_optimal", "chi": chi}}, "samples": 5}))
     assert run_cli("--config", str(cfg), "--out", str(tmp_path), "simulate") == 2
@@ -296,4 +311,3 @@ class TestMechanismConfig:
         ctx = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
         mech = build_mechanism({"rule": {"kind": "revenue_optimal"}}, 0.63, ctx)
         assert mech.rule.chi == 0.63
-        assert mech.to_config()["rule"]["chi"] == 0.63

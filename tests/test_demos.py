@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion and prints something."""
+"""Smoke tests: every script in demos/ and the README quick start run to completion."""
 
 import os
 import subprocess
@@ -15,12 +15,22 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
+def _run_python(args, cwd):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    proc = _run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_prints_its_comment(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == code.rsplit("# ", 1)[1].strip() == "0 [110.   0.] 140.0"

@@ -19,7 +19,6 @@ from cursed_auctions.mechanisms import (
     critical_bid,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     rule_from_config,
     run,
     run_batch,
@@ -190,7 +189,7 @@ class TestRevenueOptimalRule:
             rule_from_config({"kind": "revenue_optimal", "chi": chi})
 
     def test_interior_optimum_fully_cursed(self, unit_ctx):
-        rule = revenue_optimal_rule(unit_ctx, 1.0)
+        rule = RevenueOptimalRule(1.0)
         t = critical_bid(rule, np.array([0.1]), unit_ctx)
         np.testing.assert_allclose(t, 0.25, atol=1e-6)
         view = OthersView.from_others(np.array([[0.1]]), unit_ctx.model)
@@ -199,15 +198,15 @@ class TestRevenueOptimalRule:
         np.testing.assert_allclose(r_star, 0.1625, atol=1e-6)
 
     def test_boundary_binds(self, unit_ctx):
-        rule = revenue_optimal_rule(unit_ctx, 1.0)
+        rule = RevenueOptimalRule(1.0)
         np.testing.assert_allclose(critical_bid(rule, np.array([0.4]), unit_ctx), 0.4, atol=1e-9)
 
     def test_rational_case_matches_monopoly_threshold(self, unit_ctx):
-        rule = revenue_optimal_rule(unit_ctx, 0.0)
+        rule = RevenueOptimalRule(0.0)
         np.testing.assert_allclose(critical_bid(rule, np.array([0.2]), unit_ctx), 0.4, atol=1e-6)
 
     def test_dominates_grid_and_never_negative(self, three_ctx):
-        rule = revenue_optimal_rule(three_ctx, 0.63)
+        rule = RevenueOptimalRule(0.63)
         others = sample_profiles(three_ctx.space, RandomStream(17), 50)[:, :2]
         for o in others:
             t_star = critical_bid(rule, o, three_ctx)
@@ -219,9 +218,9 @@ class TestRevenueOptimalRule:
             r_grid[-1] = 0.0
             assert r_star >= r_grid.max() - 1e-9
 
-    def test_chi_validated(self, unit_ctx):
+    def test_chi_validated(self):
         with pytest.raises(ValueError):
-            revenue_optimal_rule(unit_ctx, 1.5)
+            RevenueOptimalRule(1.5)
 
 
 class TestMasking:
@@ -365,15 +364,32 @@ class TestMaskedGva:
 
 
 class TestRuleConfig:
-    def test_round_trips(self):
-        rules = [
-            GVARule(),
-            RevenueOptimalRule(0.63, OptSpec(512, 30)),
-            MaskedRule(GVARule()),
-        ]
-        for rule in rules:
-            again = rule_from_config(rule.to_config())
-            assert again.to_config() == rule.to_config()
+    def test_parses(self):
+        assert type(rule_from_config({"kind": "gva"})) is GVARule
+        got = rule_from_config({"kind": "revenue_optimal", "chi": 0.63, "grid_size": 512, "refine_iters": 30})
+        assert got == RevenueOptimalRule(0.63, OptSpec(512, 30))
+        got = rule_from_config({"kind": "revenue_optimal", "chi": 1, "grid_size": 512.0})
+        assert got == RevenueOptimalRule(1.0, OptSpec(512, 60))
+        masked = rule_from_config({"kind": "masked", "base": {"kind": "revenue_optimal", "chi": 0.5}})
+        assert masked == MaskedRule(RevenueOptimalRule(0.5))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": 64.9},
+            {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": 3.5},
+            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": "64"},
+            {"kind": "revenue_optimal", "chi": "0.5"},
+            {"kind": "masked", "base": {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": True}},
+        ],
+    )
+    def test_non_numeric_or_fractional_parameters_rejected(self, cfg):
+        with pytest.raises(ValueError, match="must be"):
+            rule_from_config(cfg)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown rule keys"):
+            rule_from_config({"kind": "masked", "base": {"kind": "gva", "chi": 0.5}})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -439,13 +455,19 @@ class _TiesWinMechanism(Mechanism):
         return np.asarray(bids) >= q.t[:, None]
 
 
+class _UnmaskedRule(MaskedRule):
+    """Broken mask: returns the base thresholds unchanged."""
+
+    def critical_bids(self, view, ctx):
+        return self.base.critical_bids(view, ctx)
+
+
 class TestInvariantErrors:
     @pytest.mark.parametrize("chunk_pairs", [None, 3])  # 3: one row per run_batch chunk
     def test_nonzero_masked_compensation_names_row_agent_value(self, three_ctx, monkeypatch, chunk_pairs):
         if chunk_pairs:
             monkeypatch.setattr(mechanisms, "_QUOTE_CHUNK_PAIRS", chunk_pairs)
-        mech = Mechanism(GVARule(), 1.0, "compensated")  # unmasked, yet claims zero compensation
-        mech.expect_zero_compensation = True
+        mech = Mechanism(_UnmaskedRule(GVARule()), 1.0, "compensated")
         # only agent 2 of row 1 faces others summing below (n-1)/2 = 1
         profiles = np.array([[0.9, 0.8, 0.7], [0.4, 0.5, 0.7]])
         with pytest.raises(MechanismInvariantError) as err:

@@ -6,12 +6,13 @@ import pytest
 from cursed_auctions.evaluate import estimate, write_outcomes_csv
 from cursed_auctions.mechanisms import (
     GVARule,
+    MaskedRule,
     Mechanism,
+    RevenueOptimalRule,
     agent_outcomes_for_bids,
     critical_bid,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     run_batch,
 )
 from cursed_auctions.oracle import (
@@ -155,7 +156,7 @@ class TestBruteForceThreshold:
             for chi in (0.0, 0.5, 1.0):
                 grid = GridModel(n=2, m=11, model=model, chi=chi)
                 ctx = grid.context()
-                rule = revenue_optimal_rule(ctx, chi)
+                rule = RevenueOptimalRule(chi)
                 spacing = 0.1
                 for o in ([0.0], [0.3], [0.8]):
                     t_bf = brute_force_rev_optimal_threshold(grid, np.array(o))
@@ -247,11 +248,21 @@ class TestPaymentsAgreement:
         for mech in (
             Mechanism(GVARule(), chi, "compensated"),
             masked_gva(ctx, chi),
-            Mechanism(revenue_optimal_rule(ctx, chi), chi, "compensated"),
+            Mechanism(RevenueOptimalRule(chi), chi, "compensated"),
         ):
             batch = run_batch(mech, profiles, ctx)
             expected = oracle_payments(grid, batch.thresholds, profiles)
             np.testing.assert_allclose(batch.payments, expected, rtol=0, atol=1e-12 * max(ctx.scale(), 1.0))
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (2, 11), (3, 5), (3, 11)])
+    @pytest.mark.parametrize("model", [WeightedSum(0.5), WeightedSum(1.0), MaxSignal()], ids=repr)
+    def test_masked_revenue_optimal_quotes_exact_zero_compensation(self, n, m, model):
+        for chi in (0.5, 1.0):
+            grid = GridModel(n=n, m=m, model=model, chi=chi)
+            ctx = grid.context()
+            mech = Mechanism(MaskedRule(RevenueOptimalRule(chi)), chi, "compensated")
+            batch = run_batch(mech, grid.all_profiles(), ctx)  # a nonzero one would raise
+            assert np.all(batch.compensations == 0.0)
 
     def test_masked_payments_match_oracle(self):
         grid = GridModel(n=2, m=11, model=WeightedSum(0.5), chi=1.0)

@@ -10,24 +10,21 @@ from cursed_auctions.signals import (
     RandomStream,
     SignalSpace,
     UniformIID,
-    cdf,
     marginal_from_config,
-    quantile,
-    sample_profile,
     sample_profiles,
 )
 
 
 def test_sample_profile_bounds_and_length():
     space = SignalSpace(3, UniformIID(1.0))
-    prof = sample_profile(space, RandomStream(7, 0))
+    prof = sample_profiles(space, RandomStream(7, 0), 1)[0]
     assert prof.shape == (3,)
     assert np.all((prof >= 0) & (prof <= 1))
 
 
 def test_sample_grid_support_membership():
     space = SignalSpace(2, DiscreteGridIID(points=(0.0, 1.0)))
-    prof = sample_profile(space, RandomStream(3, 5))
+    prof = sample_profiles(space, RandomStream(3, 5), 1)[0]
     assert set(prof) <= {0.0, 1.0}
 
 
@@ -48,26 +45,23 @@ def test_sample_prefix_stable_across_counts():
 
 
 def test_uniform_cdf_values():
-    assert cdf(SignalSpace(2, UniformIID(1.0)), 0.25) == 0.25
-    assert cdf(SignalSpace(2, UniformIID(100.0)), 50.0) == 0.5
-    assert cdf(SignalSpace(2, UniformIID(1.0)), -0.1) == 0.0
-    assert cdf(SignalSpace(2, UniformIID(1.0)), 1.7) == 1.0
+    assert UniformIID(1.0).cdf(0.25) == 0.25
+    assert UniformIID(100.0).cdf(50.0) == 0.5
+    assert UniformIID(1.0).cdf(-0.1) == 0.0
+    assert UniformIID(1.0).cdf(1.7) == 1.0
 
 
 def test_quantile_values():
-    space = SignalSpace(2, UniformIID(1.0))
-    assert quantile(space, 0.5) == 0.5
-    assert quantile(space, 0.0) == 0.0
-    shifted = SignalSpace(2, GenericIID("affine", (1.0, 4.0)))
-    assert quantile(shifted, 0.5) == 2.5
+    assert UniformIID(1.0).quantile(0.5) == 0.5
+    assert UniformIID(1.0).quantile(0.0) == 0.0
+    assert GenericIID("affine", (1.0, 4.0)).quantile(0.5) == 2.5
 
 
 def test_quantile_domain_error():
-    space = SignalSpace(2, UniformIID(1.0))
     with pytest.raises(ValueError):
-        quantile(space, 1.5)
+        UniformIID(1.0).quantile(1.5)
     with pytest.raises(ValueError):
-        quantile(space, -0.2)
+        UniformIID(1.0).quantile(-0.2)
 
 
 @pytest.mark.parametrize(
@@ -75,18 +69,17 @@ def test_quantile_domain_error():
     [UniformIID(1.0), DiscreteGridIID(points=(0.0, 0.25, 0.5, 0.75, 1.0)), GenericIID("affine", (1.0, 4.0))],
 )
 def test_quantile_cdf_consistency(marginal):
-    space = SignalSpace(2, marginal)
     for p in np.linspace(0.0, 1.0, 11):
-        q = quantile(space, p)
-        assert cdf(space, q) >= p - 1e-12
+        q = marginal.quantile(p)
+        assert marginal.cdf(q) >= p - 1e-12
         if p > 0 and q > 0:
-            assert cdf(space, q - 1e-9 * space.s_bar) < p + 1e-9
+            assert marginal.cdf(q - 1e-9 * marginal.s_bar) < p + 1e-9
 
 
 def test_uniform_empirical_cdf_ks_distance():
     space = SignalSpace(2, UniformIID(1.0))
     samples = sample_profiles(space, RandomStream(123), 50_000).ravel()
-    stat = stats.kstest(samples, lambda t: np.asarray(cdf(space, t))).statistic
+    stat = stats.kstest(samples, space.marginal.cdf).statistic
     assert stat < 0.01
 
 
@@ -140,13 +133,32 @@ def test_non_finite_marginal_parameters_rejected(make, bad):
         make(bad)
 
 
-def test_marginal_config_round_trip():
-    for marg in (UniformIID(2.0), DiscreteGridIID(points=(0.0, 1.0)), GenericIID("affine", (1.0, 4.0))):
-        again = marginal_from_config(marg.to_config())
-        assert again == marg
-    space = SignalSpace(3, UniformIID(1.0))
-    assert SignalSpace.from_config(space.to_config()) == space
+def test_marginal_config_parses():
+    assert marginal_from_config({"type": "uniform", "s_bar": 2.0}) == UniformIID(2.0)
+    assert marginal_from_config({"type": "uniform"}) == UniformIID(1.0)
+    assert marginal_from_config({"type": "grid", "points": [0.0, 1]}) == DiscreteGridIID(points=(0.0, 1.0))
+    got = marginal_from_config({"type": "quantile", "kind": "affine", "params": [1.0, 4.0]})
+    assert got == GenericIID("affine", (1.0, 4.0))
+    space = SignalSpace.from_config({"n": 3.0, "marginal": {"type": "uniform", "s_bar": 1}})
+    assert space == SignalSpace(3, UniformIID(1.0)) and isinstance(space.n, int)
     with pytest.raises(ValueError):
         marginal_from_config({"type": "uniform", "s_bar": 1.0, "bogus": 1})
     with pytest.raises(ValueError):
         SignalSpace.from_config({"n": 2, "marginal": {"type": "uniform"}, "extra": 0})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"n": 2.7, "marginal": {"type": "uniform"}},
+        {"n": "3", "marginal": {"type": "uniform"}},
+        {"n": True, "marginal": {"type": "uniform"}},
+        {"n": float("inf"), "marginal": {"type": "uniform"}},
+        {"n": 3, "marginal": {"type": "uniform", "s_bar": "2"}},
+        {"n": 3, "marginal": {"type": "grid", "points": [0.0, "1"]}},
+        {"n": 3, "marginal": {"type": "quantile", "kind": "power", "params": ["2", 1.0]}},
+    ],
+)
+def test_non_numeric_or_fractional_space_config_rejected(cfg):
+    with pytest.raises(ValueError, match="must be"):
+        SignalSpace.from_config(cfg)

@@ -15,7 +15,6 @@ from cursed_auctions.mechanisms import (
     critical_bid,
     make_context,
     masked_gva,
-    revenue_optimal_rule,
     run,
     run_batch,
 )
@@ -59,7 +58,7 @@ class TestCepic:
         assert rep.passed and rep.max_violation <= rep.tolerance
 
     def test_revenue_optimal_passes(self, ctx):
-        mech = Mechanism(revenue_optimal_rule(ctx, 1.0), 1.0, "compensated")
+        mech = Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated")
         rep = check_cepic(Draw(mech, ctx, PLAN))
         assert rep.passed
 
@@ -147,7 +146,7 @@ class TestAllocationMonotone:
     def test_threshold_mechanisms_pass(self, ctx):
         for mech in (
             masked_gva(ctx, 1.0),
-            Mechanism(revenue_optimal_rule(ctx, 0.63), 0.63, "compensated"),
+            Mechanism(RevenueOptimalRule(0.63), 0.63, "compensated"),
         ):
             assert check_allocation_monotone(Draw(mech, ctx, PLAN)).passed
 
