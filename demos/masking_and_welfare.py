@@ -13,7 +13,7 @@ winner.  Two extremes:
 """
 
 from cursed_auctions import MaxSignal, SignalSpace, UniformIID, WeightedSum, make_context, masked_gva
-from cursed_auctions.evaluate import estimate, estimate_many, event_probability, optimal_welfare
+from cursed_auctions.evaluate import estimate_many, event_probability, optimal_welfare
 
 print("== Pure common value: total collapse ==")
 for n in (2, 5):
@@ -25,10 +25,9 @@ print("\n== Additive values: half of the optimum survives ==")
 print(f"{'n':>5} {'sell prob':>10} {'masked W':>10} {'optimal W':>10} {'ratio':>7}")
 for n in (5, 20, 50, 200):
     ctx = make_context(SignalSpace(n, UniformIID(1.0)), WeightedSum(0.5))
-    mech = masked_gva(ctx, 1.0)
-    w = estimate(mech, ctx, "welfare", 50_000, seed=2024)
+    reps = estimate_many(masked_gva(ctx, 1.0), ctx, ["welfare", "allocation_prob"], 50_000, seed=2024)
+    w, sold = reps["welfare"], reps["allocation_prob"]
     opt = optimal_welfare(ctx, 50_000, seed=2024)
-    sold = estimate(mech, ctx, "allocation_prob", 50_000, seed=2024)
     print(f"{n:>5} {sold.mean:>10.3f} {w.mean:>10.2f} {opt.mean:>10.2f} {w.mean / opt.mean:>7.3f}")
 
 print("\nThe sale requires the others' mean transform to clear its expectation:")

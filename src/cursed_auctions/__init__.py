@@ -33,7 +33,6 @@ from .valuations import (
     ConcaveSum,
     InterimCache,
     MaxSignal,
-    QuadSpec,
     ScalarMap,
     WeightedSum,
     check_cursedness_monotonicity,

@@ -40,7 +40,6 @@ from .signals import SignalSpace, _config_number
 from .valuations import (
     InterimCache,
     MaxSignal,
-    QuadSpec,
     ValuationModel,
     WeightedSum,
     _check_chi,
@@ -125,8 +124,8 @@ class AuctionContext:
         return value_scale(self.model, self.space)
 
 
-def make_context(space: SignalSpace, model: ValuationModel, quad: QuadSpec = QuadSpec()) -> AuctionContext:
-    return AuctionContext(space=space, model=model, interim=make_interim_cache(space, model, quad))
+def make_context(space: SignalSpace, model: ValuationModel) -> AuctionContext:
+    return AuctionContext(space=space, model=model, interim=make_interim_cache(space, model))
 
 
 class OthersView:
@@ -157,6 +156,7 @@ class ThresholdRule:
         raise NotImplementedError
 
 
+@dataclass
 class GVARule(ThresholdRule):
     """Generalized Vickrey auction rule: the critical bid is the others' maximum."""
 

@@ -16,8 +16,8 @@ opponents' signals values the item at the convex combination
 
 where chi in [0, 1] measures how strongly the bidder ignores that link.  The
 interim expectation E[v_i(s_i, ...)] depends only on the bidder's own signal
-under i.i.d. signals; ``InterimCache`` precomputes it (closed form where one
-exists, deterministic quadrature or inner Monte Carlo otherwise).
+under i.i.d. signals; ``InterimCache`` precomputes it without random draws
+(closed form, tail table, or the law of the others' statistic).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "MaxSignal",
     "ConcaveSum",
     "ValuationModel",
-    "QuadSpec",
     "InterimCache",
     "make_interim_cache",
     "value",
@@ -58,7 +57,9 @@ __all__ = [
     "model_from_config",
 ]
 
-_MAX_EXACT_ENUM = 300_000
+_MAX_EXACT_ENUM = 300_000  # most pairwise sums one exact-law step may form
+_LAW_BINS = 4096  # lattice points of the binned law
+_MAX_TAIL_KNOTS = 4097  # trapezoid knots of the continuous MaxSignal tail table
 
 
 @dataclass(frozen=True)
@@ -247,15 +248,6 @@ def value_scale(model: ValuationModel, space: SignalSpace) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Resolution of the generic interim-expectation path."""
-
-    grid_points: int = 512
-    inner_samples: int = 100_000
-    seed: int = 0
-
-
 @dataclass
 class InterimCache:
     """Precomputed s -> E[v(s, fresh others)] for one (space, model) pair.
@@ -264,18 +256,16 @@ class InterimCache:
     s + E[(M - s)^+], M the others' maximum, off one non-increasing tail table:
     knotted at the atoms of a discrete grid, where linear interpolation is
     exact, and trapezoids on a dense grid for continuous marginals.  The
-    concave-sum family falls back to exact enumeration on small discrete grids
-    and otherwise to a fixed-seed inner Monte Carlo tabulated on a dense grid
-    with linear interpolation.
+    concave-sum family averages v(s, .) over the law of the others' statistic
+    (``_stat_law``): an exact law at the query points, a binned one on a table.
     """
 
     space: SignalSpace
     model: ValuationModel
-    quad: QuadSpec
     _mode: str
     _grid_s: Optional[np.ndarray] = None
     _grid_mu: Optional[np.ndarray] = None
-    _stat_samples: Optional[np.ndarray] = None
+    _law: Optional[tuple] = None
 
     def expected_value(self, s):
         """E over fresh others of v(s, others); vectorized in s."""
@@ -285,18 +275,16 @@ class InterimCache:
             return s + model.beta * (space.n - 1) * space.mean_signal()
         if self._mode == "max_tail":
             return s + np.interp(s, self._grid_s, self._grid_mu)
-        if self._mode == "enum":
-            return _mean_over_stats(model, s, self._stat_samples)
+        if self._mode == "exact_law":
+            return _law_mean(model, s, *self._law)
         return np.interp(s, self._grid_s, self._grid_mu)
 
 
-def make_interim_cache(
-    space: SignalSpace, model: ValuationModel, quad: QuadSpec = QuadSpec()
-) -> InterimCache:
+def make_interim_cache(space: SignalSpace, model: ValuationModel) -> InterimCache:
     marginal = space.marginal
     k = space.n - 1
     if isinstance(model, WeightedSum):
-        return InterimCache(space, model, quad, _mode="weighted_sum")
+        return InterimCache(space, model, _mode="weighted_sum")
 
     if isinstance(model, MaxSignal):
         # E[max(s, M)] = s + integral_s^{s_bar} (1 - F(t)^k) dt, tabulated from the top
@@ -306,26 +294,52 @@ def make_interim_cache(
             knots = np.unique(np.concatenate(([0.0], marginal.atoms())))
             seg = (1.0 - marginal.cdf(knots[:-1]) ** k) * np.diff(knots)
         else:
-            knots = np.linspace(0.0, space.s_bar, 8 * quad.grid_points + 1)
+            knots = np.linspace(0.0, space.s_bar, _MAX_TAIL_KNOTS)
             surv = 1.0 - marginal.cdf(knots) ** k
             seg = 0.5 * (surv[1:] + surv[:-1]) * np.diff(knots)
         tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        return InterimCache(space, model, quad, _mode="max_tail", _grid_s=knots, _grid_mu=tail)
+        return InterimCache(space, model, _mode="max_tail", _grid_s=knots, _grid_mu=tail)
 
-    # concave-sum
-    if isinstance(marginal, DiscreteGridIID) and len(marginal.points) ** k <= _MAX_EXACT_ENUM:
-        atoms = model.h(marginal.atoms())
-        sums = np.zeros(1)
+    law, exact = _stat_law(space, model)
+    if exact:
+        return InterimCache(space, model, _mode="exact_law", _law=law)
+    grid_s = np.linspace(0.0, space.s_bar, 512)  # a binned law is read off a table
+    return InterimCache(space, model, _mode="law_table", _grid_s=grid_s, _grid_mu=_law_mean(model, grid_s, *law))
+
+
+def _stat_law(space: SignalSpace, model: ConcaveSum):
+    """((atoms, weights), exact) of the others' statistic S' = sum_{j != i} h(s_j):
+    exact on a grid while the merged counts are exact (m^k <= 2^53) and no step
+    forms over ``_MAX_EXACT_ENUM`` sums, else binned and raised to the k-th
+    power by one real FFT."""
+    marginal, k = space.marginal, space.n - 1
+    if isinstance(marginal, DiscreteGridIID):
+        x, inv = np.unique(model.h(marginal.atoms()), return_inverse=True)
+        p = np.bincount(inv).astype(float)
+        atoms, counts = np.zeros(1), np.ones(1)
         for _ in range(k):
-            sums = (sums[:, None] + atoms[None, :]).ravel()
-        return InterimCache(space, model, quad, _mode="enum", _stat_samples=sums)
+            if len(marginal.points) ** k > 2**53 or atoms.size * x.size > _MAX_EXACT_ENUM:
+                break
+            atoms, inv = np.unique((atoms[:, None] + x).ravel(), return_inverse=True)
+            counts = np.bincount(inv, (counts[:, None] * p).ravel())
+        else:
+            return (atoms, counts / counts.sum()), True
+    else:  # h at 2^16 quantile midpoints
+        x, p = model.h(marginal.quantile((np.arange(1 << 16) + 0.5) / (1 << 16))), np.ones(1 << 16)
+    h0, h1 = float(model.h(0.0)), float(model.h(space.s_bar))
+    size = k * (_LAW_BINS - 1) + 1  # the k-fold sum's lattice points; zero padding avoids wrap-around
+    spectrum = np.fft.rfft(_linear_bins(x, p / p.sum(), h0, h1), 1 << (size - 1).bit_length()) ** k
+    pmf = np.clip(np.fft.irfft(spectrum)[:size], 0.0, None)
+    if size > _LAW_BINS:
+        pmf = _linear_bins(np.linspace(k * h0, k * h1, size), pmf, k * h0, k * h1)
+    return (np.linspace(k * h0, k * h1, _LAW_BINS), pmf), False
 
-    gen = RandomStream(quad.seed).generator()
-    u = gen.random((quad.inner_samples, k))
-    stats = model.h(marginal.quantile(u)).sum(axis=1)
-    grid_s = np.linspace(0.0, space.s_bar, quad.grid_points)
-    grid_mu = _mean_over_stats(model, grid_s, stats)
-    return InterimCache(space, model, quad, _mode="mc_grid", _grid_s=grid_s, _grid_mu=grid_mu)
+
+def _linear_bins(x, p, lo: float, hi: float) -> np.ndarray:
+    """Masses p at x split linearly onto _LAW_BINS points spanning [lo, hi]; keeps mass and mean."""
+    pos = np.clip((x - lo) * ((_LAW_BINS - 1) / (hi - lo)), 0.0, _LAW_BINS - 1)
+    j = np.minimum(pos.astype(int), _LAW_BINS - 2)
+    return np.bincount(j, p * (j + 1 - pos), _LAW_BINS) + np.bincount(j + 1, p * (pos - j), _LAW_BINS)
 
 
 def _chunked(fn, chunk: int, *arrays) -> np.ndarray:
@@ -337,10 +351,11 @@ def _chunked(fn, chunk: int, *arrays) -> np.ndarray:
     return out
 
 
-def _mean_over_stats(model: ConcaveSum, s: np.ndarray, stats: np.ndarray):
-    """Mean of v(s, stat) over the sampled or enumerated others' statistics."""
-    mean = lambda x: model.l(model.g(x)[:, None] + stats[None, :]).mean(axis=1)
-    return _chunked(mean, max(1, 2_000_000 // len(stats)), s.ravel()).reshape(s.shape)
+def _law_mean(model: ConcaveSum, s: np.ndarray, atoms: np.ndarray, weights: np.ndarray):
+    """weights @ l(g(s) + atoms), the mean of v(s, S') over the law of S'; summed
+    per row, not by BLAS, so a point's result does not depend on the batch."""
+    mean = lambda x: (model.l(model.g(x)[:, None] + atoms) * weights).sum(axis=1)
+    return _chunked(mean, max(1, 2_000_000 // len(atoms)), s.ravel()).reshape(s.shape)
 
 
 def cursed_value(cache: InterimCache, chi: float, profile: np.ndarray, i: int):
@@ -367,13 +382,17 @@ def cursed_virtual_value(cache: InterimCache, chi: float, s_own, stat):
 
     Vectorized over the own signal and the others' statistic (see
     ``others_stat``), which broadcast against each other.  Needs a marginal
-    with a density; the slope is analytic for WeightedSum and a central finite
-    difference (one-sided at the support edges) otherwise.
+    with a density and own signals in [0, s_bar] where it is positive (a
+    ValueError otherwise); the slope is analytic for WeightedSum and a central
+    finite difference (one-sided at the support edges) otherwise.
     """
     _check_chi(chi)
     space, model = cache.space, cache.model
     if not space.marginal.has_density:
         raise UnsupportedMarginalError("cursed virtual value needs a density")
+    f = space.marginal.pdf(s_own)
+    if not np.all((s_own >= 0.0) & (s_own <= space.s_bar) & (f > 0.0)):  # False at NaN
+        raise ValueError(f"own signals outside the marginal's support: {s_own}")
 
     def vchi(t):
         return cursed_value_from_parts(
@@ -387,7 +406,6 @@ def cursed_virtual_value(cache: InterimCache, chi: float, s_own, stat):
         lo = np.maximum(0.0, s_own - h)
         hi = np.minimum(space.s_bar, s_own + h)
         deriv = (vchi(hi) - vchi(lo)) / (hi - lo)
-    f = space.marginal.pdf(s_own)
     F = space.marginal.cdf(s_own)
     return vchi(s_own) - deriv * (1.0 - F) / f
 
@@ -470,11 +488,10 @@ def check_cursedness_monotonicity(
     own_grid = np.linspace(0.0, s_bar, 33)
     worst = 0.0
     witnesses = []
-    checked = 0
     for row in profiles:
         others = row[1:]
-        checked += 1
-        if not _overestimates_somewhere(cache, others, own_grid, s_bar):
+        wins = own_grid[(own_grid > others.max()) & (own_grid < s_bar)]  # overestimated at some winning signal?
+        if not np.any(value_from_own_and_stat(model, wins, others_stat(model, others)) < cache.expected_value(wins)):
             continue
         for _ in range(8):
             shrunk = others * gen.random(others.shape)
@@ -499,16 +516,6 @@ def check_cursedness_monotonicity(
         name="cursedness_monotonicity",
         max_violation=max(0.0, worst),
         tolerance=tol,
-        samples_checked=checked,
+        samples_checked=sample_count,
         witnesses=witnesses,
     )
-
-
-def _overestimates_somewhere(cache, others, own_grid, s_bar) -> bool:
-    lo = others.max()
-    wins = own_grid[(own_grid > lo) & (own_grid < s_bar)]
-    if wins.size == 0:
-        return False
-    stat = others_stat(cache.model, others)
-    d = value_from_own_and_stat(cache.model, wins, stat) - cache.expected_value(wins)
-    return bool(np.any(d < 0))

@@ -107,6 +107,27 @@ class TestVerify:
         code = run_cli("--config", str(cfg), "--out", str(tmp_path), "verify", "--properties", "epir", "--deviations", "11")
         assert code == 1
 
+    def test_concave_sum_masked_gva_budget_balanced(self, tmp_path):
+        # the l2 norm (l = power 0.5, g = h = power 2) under the default m_gva
+        square = {"kind": "power", "params": [2.0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "chi": 1.0,
+                    "samples": 2000,
+                    "space": {"n": 5, "marginal": {"type": "uniform", "s_bar": 1.0}},
+                    "model": {"family": "concave_sum", "l": {"kind": "power", "params": [0.5]}, "g": square, "h": square},
+                }
+            )
+        )
+        code = run_cli("--config", str(cfg), "--out", str(tmp_path), "verify", "--properties", "epbb,npt")
+        assert code == 0
+        reports = json.loads((tmp_path / "verify.json").read_text())["reports"]
+        assert sorted(reports) == ["epbb", "npt"]
+        for rep in reports.values():
+            assert rep["passed"] and rep["max_violation"] == 0.0 and rep["samples_checked"] == 2000
+
     def test_unknown_property_is_usage_error(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "--samples", "10", "verify", "--properties", "nonsense")
         assert code == 2

@@ -35,7 +35,6 @@ from cursed_auctions.testing import ConstantOffsetRule
 from cursed_auctions.valuations import (
     ConcaveSum,
     MaxSignal,
-    QuadSpec,
     ScalarMap,
     WeightedSum,
     _chunked,
@@ -365,7 +364,8 @@ class TestMaskedGva:
 
 class TestRuleConfig:
     def test_parses(self):
-        assert type(rule_from_config({"kind": "gva"})) is GVARule
+        assert rule_from_config({"kind": "gva"}) == GVARule()
+        assert rule_from_config({"kind": "masked", "base": {"kind": "gva"}}) == MaskedRule(GVARule())
         got = rule_from_config({"kind": "revenue_optimal", "chi": 0.63, "grid_size": 512, "refine_iters": 30})
         assert got == RevenueOptimalRule(0.63, OptSpec(512, 30))
         got = rule_from_config({"kind": "revenue_optimal", "chi": 1, "grid_size": 512.0})
@@ -435,7 +435,7 @@ class TestOneQuotePath:
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_truthful_column_matches_run_batch(self, model, n):
-        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model], QuadSpec(128, 5000))
+        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model])
         profiles = sample_profiles(ctx.space, RandomStream(67, n), 400)
         for name, make in self.MECHS.items():
             mech = make()

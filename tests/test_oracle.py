@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -26,9 +28,13 @@ from cursed_auctions.oracle import (
 )
 from cursed_auctions.signals import DiscreteGridIID, SignalSpace
 from cursed_auctions.testing import RealizedPriceMechanism
-from cursed_auctions.valuations import MaxSignal, WeightedSum, value
+from cursed_auctions.valuations import ConcaveSum, MaxSignal, ScalarMap, WeightedSum, _stat_law, value
 
 _EPS = np.finfo(float).eps
+IDENTITY = ScalarMap("identity")
+LOG1P_MAP = ScalarMap("log1p_scaled", (1.0,))
+L2 = ConcaveSum(ScalarMap("power", (0.5,)), ScalarMap("power", (2.0,)), ScalarMap("power", (2.0,)))
+LOG1P = ConcaveSum(LOG1P_MAP, IDENTITY, ScalarMap("power", (0.5,)))
 
 
 class TestExactInterim:
@@ -56,14 +62,32 @@ class TestExactInterim:
             np.testing.assert_allclose(
                 exact_interim_mu(grid, float(s)), ctx.interim.expected_value(s), atol=1e-13
             )
-        # MaxSignal reads the atom-knotted tail table: enumeration agrees to rounding
-        for n in (2, 3, 4):
-            for m in (1, 2, 5, 11, 21):
-                grid = GridModel(n=n, m=m, model=MaxSignal(), chi=1.0)
+        # MaxSignal reads the atom-knotted tail table and ConcaveSum the exact
+        # law of the others' statistic: enumeration agrees to rounding
+        for model in (MaxSignal(), L2, LOG1P):
+            for n, m in itertools.product((2, 3, 4), (1, 2, 5, 11, 21)):
+                grid = GridModel(n=n, m=m, model=model, chi=1.0)
                 ctx = grid.context()
                 got = ctx.interim.expected_value(grid.points)
                 want = [exact_interim_mu(grid, float(s)) for s in grid.points]
-                np.testing.assert_allclose(got, want, rtol=0, atol=4 * _EPS * max(ctx.scale(), 1.0))
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=4 * _EPS * max(ctx.scale(), 1.0), err_msg=f"{model} n={n} m={m}"
+                )
+
+    @pytest.mark.parametrize("model,atom_count", [(ConcaveSum(LOG1P_MAP, IDENTITY, IDENTITY), 300), (L2, 5341)])
+    def test_concave_sum_law_merges_past_enumeration(self, model, atom_count):
+        # 21**5 ~ 4.1M others' profiles, but their h-sums take few distinct values
+        space = SignalSpace(6, DiscreteGridIID(tuple(np.linspace(0.0, 1.0, 21))))
+        (atoms, _weights), exact = _stat_law(space, model)
+        assert exact and atoms.size == atom_count
+        h = model.h(np.array(space.marginal.points))
+        sums = functools.reduce(np.add.outer, [h] * 5).ravel()
+        ctx = make_context(space, model)
+        for s in (0.0, 0.35, 1.0):
+            want = model.l(model.g(s) + sums).mean()
+            np.testing.assert_allclose(
+                ctx.interim.expected_value(s), want, rtol=0, atol=4 * _EPS * max(ctx.scale(), 1.0)
+            )
 
     @staticmethod
     def _max_atom_sum(points, n, s):

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from cursed_auctions.signals import (
     DiscreteGridIID,
+    GenericIID,
     RandomStream,
     SignalSpace,
     UniformIID,
@@ -24,6 +25,7 @@ from cursed_auctions.valuations import (
     make_interim_cache,
     model_from_config,
     value,
+    value_scale,
 )
 
 IDENTITY = ScalarMap("identity")
@@ -104,6 +106,37 @@ class TestInterim:
         pts = [0.0, 0.5, 1.0]
         direct = np.mean([np.log1p(0.5 + a + b) for a in pts for b in pts])
         np.testing.assert_allclose(cache.expected_value(0.5), direct, rtol=1e-12)
+
+
+class TestConcaveSumInterimReference:
+    """The law-based ConcaveSum interim against scipy quadrature at n = 2 and 3,
+    relative to ``value_scale``."""
+
+    L2 = ConcaveSum(ScalarMap("power", (0.5,)), ScalarMap("power", (2.0,)), ScalarMap("power", (2.0,)))
+    LOG = ConcaveSum(LOG1P, IDENTITY, ScalarMap("power", (0.5,)))
+    MARGINALS = {"u1": UniformIID(1.0), "u2": UniformIID(2.0), "power": GenericIID("power", (2.0, 1.0))}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("marginal", sorted(MARGINALS))
+    @pytest.mark.parametrize("model", ["l2", "log1p"])
+    def test_matches_quadrature(self, model, marginal, n):
+        model_obj = self.L2 if model == "l2" else self.LOG
+        tol = 1e-6 if model == "log1p" else 3e-4 if marginal == "power" else 1e-4
+        space = SignalSpace(n, self.MARGINALS[marginal])
+        # u = t**2 smooths the sqrt endpoint of h(quantile(u)) for the quadrature
+        h_at = lambda t: float(model_obj.h(space.marginal.quantile(t * t)))
+        s = np.linspace(0.0, space.s_bar, 13 if n == 2 else 7)
+        want = []
+        for x in s:
+            gx = float(model_obj.g(x))
+            if n == 2:
+                ref = integrate.quad(lambda t: 2 * t * float(model_obj.l(gx + h_at(t))), 0.0, 1.0, epsabs=1e-11, limit=200)
+            else:
+                f = lambda t, r: 4 * t * r * float(model_obj.l(gx + h_at(t) + h_at(r)))
+                ref = integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10)
+            want.append(ref[0])
+        got = make_interim_cache(space, model_obj).expected_value(s)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * value_scale(model_obj, space))
 
 
 class TestCursedValue:
@@ -188,6 +221,18 @@ class TestCursedVirtualValue:
         vchi = lambda t: cursed_value(cache, chi, np.array([t, other]), 0)
         fd = (vchi(s + h) - vchi(s - h)) / (2 * h)
         np.testing.assert_allclose(fd, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "marginal,s_own",
+        [(UniformIID(1.0), 1.5), (UniformIID(1.0), float("nan")), (UniformIID(1.0), -0.2),
+         (GenericIID("affine", (1.0, 4.0)), 0.5)],
+    )
+    def test_own_signal_outside_support_rejected(self, marginal, s_own):
+        cache = make_interim_cache(SignalSpace(2, marginal), WeightedSum(1.0))
+        with pytest.raises(ValueError, match="outside the marginal's support"):
+            cursed_virtual_value(cache, 0.5, s_own, 0.5)
+        with pytest.raises(ValueError, match="outside the marginal's support"):
+            cursed_virtual_value(cache, 0.5, np.array([0.5 * marginal.s_bar, s_own]), 0.5)
 
     def test_density_free_marginal_rejected(self):
         cache = make_interim_cache(SignalSpace(2, DiscreteGridIID(points=(0.0, 1.0))), WeightedSum(1.0))

@@ -24,7 +24,7 @@ from cursed_auctions.testing import (
     LoserSurchargeMechanism,
     RealizedPriceMechanism,
 )
-from cursed_auctions.valuations import ConcaveSum, MaxSignal, QuadSpec, ScalarMap, WeightedSum, cursed_value
+from cursed_auctions.valuations import ConcaveSum, MaxSignal, ScalarMap, WeightedSum, cursed_value
 from cursed_auctions.verify import (
     CHECKERS,
     Draw,
@@ -271,7 +271,7 @@ class TestDraw:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_separate_quotes_and_run_batch(self, monkeypatch, model, n):
-        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model], QuadSpec(128, 5000))
+        ctx = make_context(SignalSpace(n, UniformIID(1.0)), self.MODELS[model])
         plan = SamplingPlan(profile_count=300, stream=RandomStream(67, n))
         for name, make in self.MECHS.items():
             mech = make()
