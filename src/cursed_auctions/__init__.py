@@ -10,7 +10,6 @@ from .mechanisms import (
     MaskedRule,
     Mechanism,
     ModelUnsupportedError,
-    OptSpec,
     Outcome,
     RevenueOptimalRule,
     ThresholdRule,

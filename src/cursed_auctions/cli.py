@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,11 +76,13 @@ class ExperimentConfig:
                 setattr(cfg, key, raw.pop(key))
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
-        for key, integral in (("chi", False), ("samples", True), ("seed", True), ("workers", True)):
-            try:
+        try:
+            for key, integral in (("chi", False), ("samples", True), ("seed", True), ("workers", True)):
                 setattr(cfg, key, _config_number(getattr(cfg, key), key, integral))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            for key in ("space", "model", "mechanism"):
+                setattr(cfg, key, _parsed_numbers(getattr(cfg, key)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not (0.0 <= cfg.chi <= 1.0):
             raise ConfigError(f"chi must lie in [0, 1], got {cfg.chi}")
         if cfg.samples < 0 or cfg.workers < 1:
@@ -99,6 +102,19 @@ class ExperimentConfig:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         return space, model, ctx, mech
+
+
+def _parsed_numbers(block, key: str = ""):
+    """A copy of a nested config block with each number as it is parsed: the
+    bidder count ``n`` an int, every other number a float; the rest is kept
+    for the block's own parser to accept or reject."""
+    if isinstance(block, dict):
+        return {k: _parsed_numbers(v, k) for k, v in block.items()}
+    if isinstance(block, list):
+        return [_parsed_numbers(v, key) for v in block]
+    if isinstance(block, numbers.Real) and not isinstance(block, bool):
+        return _config_number(block, key, integral=key == "n")
+    return block
 
 
 def build_mechanism(mech_cfg: dict, chi: float, ctx) -> Mechanism:

@@ -31,7 +31,7 @@ profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,7 +55,6 @@ from .valuations import (
 )
 
 __all__ = [
-    "OptSpec",
     "AuctionContext",
     "make_context",
     "OthersView",
@@ -79,6 +78,9 @@ __all__ = [
 _SCAN_POINTS = 512
 _SCAN_FRAC = np.linspace(0.0, 1.0, _SCAN_POINTS)
 _BISECT_ITERS = 40
+# the revenue-optimal search: a grid scan, then golden-section steps on the best bracket
+_OPT_POINTS = 2048
+_GOLDEN_ITERS = 60
 _ROW_CHUNK_FLOATS = 4_000_000
 _QUOTE_CHUNK_PAIRS = 100_000
 
@@ -94,18 +96,6 @@ class MechanismInvariantError(RuntimeError):
     def __init__(self, what: str, row: int, agent: int, value: float):
         super().__init__(f"{what}: row {row}, agent {agent}, value {value!r}")
         self.row, self.agent, self.value = row, agent, value
-
-
-@dataclass(frozen=True)
-class OptSpec:
-    """Grid size and local refinement budget for threshold optimization."""
-
-    grid_size: int = 2048
-    refine_iters: int = 60
-
-    def __post_init__(self):
-        if self.grid_size < 3 or self.refine_iters < 0:
-            raise ValueError("need grid_size >= 3 and refine_iters >= 0")
 
 
 @dataclass
@@ -172,13 +162,12 @@ class RevenueOptimalRule(ThresholdRule):
 
     With others fixed, a threshold t < s_bar earns
     min{v, v_chi}(t) - v_chi(t) * F(t) in expectation over the bidder's own
-    signal and t = s_bar earns 0; the rule grid-scans [max(others), s_bar],
-    refines the best bracket by golden section, and tie-breaks to the smallest
-    maximizing threshold.
+    signal and t = s_bar earns 0; the rule scans [max(others), s_bar] on
+    ``_OPT_POINTS`` points, refines the best bracket by ``_GOLDEN_ITERS``
+    golden-section steps, and tie-breaks to the smallest maximizing threshold.
     """
 
     chi: float
-    opt_spec: OptSpec = field(default_factory=OptSpec)
 
     kind = "revenue_optimal"
 
@@ -186,7 +175,7 @@ class RevenueOptimalRule(ThresholdRule):
         _check_chi(self.chi)
 
     def critical_bids(self, view, ctx):
-        return _optimize_thresholds(view, ctx, self.chi, self.opt_spec)
+        return _optimize_thresholds(view, ctx, self.chi)
 
 
 @dataclass
@@ -218,13 +207,7 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
     if kind == "gva":
         out = GVARule()
     elif kind == "revenue_optimal":
-        out = RevenueOptimalRule(
-            chi=_config_number(cfg.pop("chi"), "chi"),
-            opt_spec=OptSpec(
-                grid_size=_config_number(cfg.pop("grid_size", 2048), "grid_size", integral=True),
-                refine_iters=_config_number(cfg.pop("refine_iters", 60), "refine_iters", integral=True),
-            ),
-        )
+        out = RevenueOptimalRule(chi=_config_number(cfg.pop("chi"), "chi"))
     elif kind == "masked":
         out = MaskedRule(base=rule_from_config(cfg.pop("base")))
     else:
@@ -251,10 +234,10 @@ def _threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
     return np.minimum(v, vchi) - vchi * ctx.space.marginal.cdf(t)
 
 
-def _optimize_thresholds(view, ctx, chi, opt_spec):
+def _optimize_thresholds(view, ctx, chi):
     s_bar = ctx.s_bar
     tie_tol = 1e-12 * max(ctx.scale(), 1.0)
-    frac = np.linspace(0.0, 1.0, opt_spec.grid_size)
+    frac = np.linspace(0.0, 1.0, _OPT_POINTS)
 
     def chunk(lo, stat):
         sub = OthersView(lo, stat)
@@ -268,9 +251,9 @@ def _optimize_thresholds(view, ctx, chi, opt_spec):
         t_grid_best = t_grid[k, rows]
         # golden-section refinement on the bracket around the best grid point
         b_lo = t_grid[np.maximum(k - 1, 0), rows]
-        b_hi = t_grid[np.minimum(k + 1, opt_spec.grid_size - 1), rows]
+        b_hi = t_grid[np.minimum(k + 1, _OPT_POINTS - 1), rows]
         t_ref, r_ref = _golden_max(
-            lambda t: _threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, opt_spec.refine_iters
+            lambda t: _threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, _GOLDEN_ITERS
         )
         best = np.maximum.reduce([r_grid_best, r_ref, np.zeros_like(r_ref)])
         # smallest maximizing threshold; s_bar only when nothing interior matches
@@ -280,7 +263,7 @@ def _optimize_thresholds(view, ctx, chi, opt_spec):
             t_best = np.where(take, t_cand, t_best)
         return np.where(span <= 0.0, s_bar, t_best)
 
-    return _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // opt_spec.grid_size), view.max, view.stat)
+    return _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // _OPT_POINTS), view.max, view.stat)
 
 
 def _golden_max(f, lo, hi, iters):
@@ -466,9 +449,14 @@ def _checked_profiles(profiles, ctx: AuctionContext) -> np.ndarray:
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     if profiles.ndim != 2 or profiles.shape[1] != ctx.space.n:
         raise ValueError(f"profiles must have shape (N, {ctx.space.n}), got {profiles.shape}")
-    if not np.all((profiles >= 0.0) & (profiles <= ctx.s_bar)):  # NaN fails both
+    return _checked_signals(profiles, ctx)
+
+
+def _checked_signals(signals: np.ndarray, ctx: AuctionContext) -> np.ndarray:
+    """``signals``, after checking that they are finite and in [0, s_bar]."""
+    if not np.all((signals >= 0.0) & (signals <= ctx.s_bar)):  # NaN fails both
         raise ValueError(f"signals must be finite and lie in [0, {ctx.s_bar}]")
-    return profiles
+    return signals
 
 
 @dataclass
@@ -576,8 +564,12 @@ def agent_outcomes_for_bids(
 
 
 def critical_bid(rule: ThresholdRule, others: np.ndarray, ctx: AuctionContext) -> float:
-    """Critical bid against one others-profile; always in [max(others), s_bar]."""
-    view = OthersView.from_others(np.asarray(others, dtype=float)[None, :], ctx.model)
+    """Critical bid against one others-profile of shape (n - 1,), finite
+    signals in [0, s_bar] (a ValueError otherwise); always in [max(others), s_bar]."""
+    others = np.asarray(others, dtype=float)
+    if others.shape != (ctx.space.n - 1,):
+        raise ValueError(f"others must have shape ({ctx.space.n - 1},), got {others.shape}")
+    view = OthersView.from_others(_checked_signals(others[None, :], ctx), ctx.model)
     return float(rule.critical_bids(view, ctx)[0])
 
 

@@ -1,10 +1,18 @@
-"""Machine-readable results for property checks and comparisons."""
+"""Machine-readable results for property checks and comparisons.
+
+Every sampled check computes one margin per checked case, positive where the
+case violates the property, and builds its report with ``_worst_case``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["CheckReport"]
+
+_MAX_WITNESSES = 5
 
 
 @dataclass
@@ -12,8 +20,8 @@ class CheckReport:
     """Outcome of a sampled or exact property check.
 
     ``passed`` is always ``max_violation <= tolerance``; witnesses carry up to
-    a handful of concrete violating inputs (profile, deviation bid if any,
-    margin) for debugging failed checks.
+    ``_MAX_WITNESSES`` concrete violating inputs (profile, deviation bid if
+    any, margin) for debugging failed checks.
     """
 
     name: str
@@ -40,6 +48,20 @@ class CheckReport:
             "witnesses": [_jsonify(w) for w in self.witnesses],
             "note": self.note,
         }
+
+
+def _worst_case(name: str, margins, tolerance: float, samples_checked: int, witness) -> CheckReport:
+    """The report of a sampled check from its margins, positive where a case
+    violates the property: the largest margin (0 if none is positive) and, as
+    witnesses, ``{**witness(k), "margin": margins[k]}`` for the flat indices k
+    of the ``_MAX_WITNESSES`` largest positive margins, largest first."""
+    margins = np.ravel(margins)
+    witnesses = []
+    for k in np.argsort(margins)[::-1][:_MAX_WITNESSES]:
+        if margins[k] <= 0:
+            break
+        witnesses.append({**witness(int(k)), "margin": float(margins[k])})
+    return CheckReport(name, margins.max(initial=0.0), tolerance, samples_checked, witnesses)
 
 
 def _jsonify(obj):

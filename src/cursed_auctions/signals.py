@@ -196,7 +196,8 @@ class GenericIID:
             return np.where(inside, 1.0 / (high - low), 0.0)
         exponent, s_bar = self.params
         u = np.clip(t / s_bar, _EDGE_SLACK, 1.0)
-        return np.power(u, 1.0 / exponent - 1.0) / (exponent * s_bar)
+        inside = (t >= 0.0) & (t <= s_bar)
+        return np.where(inside, np.power(u, 1.0 / exponent - 1.0) / (exponent * s_bar), 0.0)
 
     def mean(self) -> float:
         if self.kind == "affine":

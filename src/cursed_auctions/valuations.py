@@ -18,6 +18,10 @@ where chi in [0, 1] measures how strongly the bidder ignores that link.  The
 interim expectation E[v_i(s_i, ...)] depends only on the bidder's own signal
 under i.i.d. signals; ``InterimCache`` precomputes it without random draws
 (closed form, tail table, or the law of the others' statistic).
+
+The two structural assumptions, single crossing and monotone cursedness, are
+checked on sampled profiles in one array pass each, reduced like the
+mechanism checks by ``reports._worst_case``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .reports import CheckReport
+from .reports import CheckReport, _worst_case
 from .signals import (
     DiscreteGridIID,
     RandomStream,
@@ -391,7 +395,7 @@ def cursed_virtual_value(cache: InterimCache, chi: float, s_own, stat):
     if not space.marginal.has_density:
         raise UnsupportedMarginalError("cursed virtual value needs a density")
     f = space.marginal.pdf(s_own)
-    if not np.all((s_own >= 0.0) & (s_own <= space.s_bar) & (f > 0.0)):  # False at NaN
+    if not np.all(f > 0.0):  # every pdf is 0 outside [0, s_bar] and at NaN
         raise ValueError(f"own signals outside the marginal's support: {s_own}")
 
     def vchi(t):
@@ -425,24 +429,12 @@ def check_single_crossing(
     tol = 1e-12 * max(value_scale(model, space), 1.0)
     profiles = sample_profiles(space, stream, sample_count)
     vals = np.stack([value(model, profiles, i) for i in range(space.n)], axis=1)
-    worst = 0.0
-    witnesses = []
-    for i in range(space.n):
-        for j in range(space.n):
-            if i == j:
-                continue
-            mask = profiles[:, i] >= profiles[:, j]
-            gap = np.where(mask, vals[:, j] - vals[:, i], -np.inf)
-            k = int(np.argmax(gap))
-            if gap[k] > worst:
-                worst = float(gap[k])
-                witnesses = [{"profile": profiles[k].tolist(), "pair": [i, j], "margin": worst}]
-    return CheckReport(
-        name="single_crossing",
-        max_violation=max(0.0, worst),
-        tolerance=tol,
-        samples_checked=sample_count,
-        witnesses=witnesses,
+    # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
+    pairs = (profiles[:, :, None] >= profiles[:, None, :]) & ~np.eye(space.n, dtype=bool)
+    gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(sample_count, -1)
+    return _worst_case(
+        "single_crossing", gap.max(axis=1), tol, sample_count,
+        lambda k: {"profile": profiles[k].tolist(), "pair": list(divmod(int(np.argmax(gap[k])), space.n))},
     )
 
 
@@ -468,8 +460,10 @@ def check_cursedness_monotonicity(
 
     Overestimation means v < interim, which holds or fails alike for every
     chi > 0, so the check takes no chi.  WeightedSum and MaxSignal hold
-    analytically; concave-sum instances are decided empirically on sampled
-    profiles and shrunken others.
+    analytically; concave-sum instances are decided empirically: the others of
+    each sampled profile that is overestimated somewhere are shrunk by 8
+    uniform factor draws, and each shrink's margin is the largest v - interim
+    over the own signals that beat the shrunk maximum.
     """
     model, space = cache.model, cache.space
     if isinstance(model, (WeightedSum, MaxSignal)):
@@ -483,39 +477,25 @@ def check_cursedness_monotonicity(
 
     tol = 1e-12 * max(value_scale(model, space), 1.0)
     gen = stream.generator()
-    profiles = sample_profiles(space, stream.child(1), sample_count)
-    s_bar = space.s_bar
-    own_grid = np.linspace(0.0, s_bar, 33)
-    worst = 0.0
-    witnesses = []
-    for row in profiles:
-        others = row[1:]
-        wins = own_grid[(own_grid > others.max()) & (own_grid < s_bar)]  # overestimated at some winning signal?
-        if not np.any(value_from_own_and_stat(model, wins, others_stat(model, others)) < cache.expected_value(wins)):
-            continue
-        for _ in range(8):
-            shrunk = others * gen.random(others.shape)
-            lo = shrunk.max()
-            wins = own_grid[own_grid > lo]
-            if wins.size == 0:
-                continue
-            stat = others_stat(model, shrunk)
-            d = value_from_own_and_stat(model, wins, stat) - cache.expected_value(wins)
-            k = int(np.argmax(d))
-            if d[k] > worst:
-                worst = float(d[k])
-                witnesses = [
-                    {
-                        "others": others.tolist(),
-                        "shrunk": shrunk.tolist(),
-                        "own": float(wins[k]),
-                        "margin": worst,
-                    }
-                ]
-    return CheckReport(
-        name="cursedness_monotonicity",
-        max_violation=max(0.0, worst),
-        tolerance=tol,
-        samples_checked=sample_count,
-        witnesses=witnesses,
+    others = sample_profiles(space, stream.child(1), sample_count)[:, 1:]
+    own_grid = np.linspace(0.0, space.s_bar, 33)
+    mu = cache.expected_value(own_grid)
+    # rows overestimated at some winning own signal below s_bar
+    wins = (own_grid > others.max(axis=1, keepdims=True)) & (own_grid < space.s_bar)
+    over = wins & (value_from_own_and_stat(model, own_grid, others_stat(model, others)[:, None]) < mu)
+    others = others[over.any(axis=1)]
+    # each such row's others shrunk coordinate-wise 8 times; d = v - interim
+    # at every own signal that beats the shrunk maximum, -inf elsewhere
+    shrunk = others[:, None, :] * gen.random((len(others), 8, space.n - 1))
+    d = np.where(
+        own_grid > shrunk.max(axis=2, keepdims=True),
+        value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
+        -np.inf,
     )
+
+    def witness(k):
+        r, j = divmod(k, 8)
+        own = own_grid[np.argmax(d[r, j])]
+        return {"others": others[r].tolist(), "shrunk": shrunk[r, j].tolist(), "own": float(own)}
+
+    return _worst_case("cursedness_monotonicity", d.max(axis=2), tol, sample_count, witness)

@@ -2,9 +2,11 @@
 
 Each checker reads one :class:`Draw` -- the signal profiles a
 :class:`SamplingPlan` draws, one quote of every (row, agent) pair and the
-truthful outcomes ``run_batch`` would execute from it -- and returns a
-:class:`CheckReport` with the worst violation found and concrete witnesses, so
-the properties of one verify run are checked on the same sample.  Deviation-based
+truthful outcomes ``run_batch`` would execute from it -- so the properties of
+one verify run are checked on the same sample.  Each computes one margin per
+checked case (profile; (eps, profile); (chi pair, profile, agent)), positive
+where the case violates the property, and reduces them with
+``reports._worst_case`` to a :class:`CheckReport`.  Deviation-based
 checks evaluate a finite bid grid that always contains the truthful report,
 the support endpoints, and the agent's critical bid plus/minus a small nudge;
 for threshold mechanisms a bidder's utility is piecewise constant in the bid
@@ -25,7 +27,7 @@ import numpy as np
 
 from .mechanisms import AuctionContext, Mechanism, ThresholdRule, run_batch
 from .mechanisms import Quote, _empty_batch, _execute, _outcomes, _quote
-from .reports import CheckReport
+from .reports import CheckReport, _worst_case
 from .signals import RandomStream, sample_profiles
 from .valuations import cursed_value, value, value_scale
 
@@ -43,7 +45,6 @@ __all__ = [
     "CHECKERS",
 ]
 
-_MAX_WITNESSES = 5
 _NUDGE = 1e-6
 _MONOTONE_SCAN_POINTS = 201
 _CHUNK_FLOATS = 1_000_000  # (rows x bids) cells per deviation or monotonicity chunk
@@ -99,22 +100,12 @@ class Draw:
         return [cursed_value(ctx.interim, chi, P, i) for i in range(ctx.space.n)]
 
 
-def _report(draw: Draw, name: str, max_violation: float, witnesses: list, per_profile: int = 1) -> CheckReport:
-    return CheckReport(name, max_violation, draw.tolerance, len(draw.profiles) * per_profile, witnesses)
-
-
-def _profile_report(draw: Draw, name: str, viol: np.ndarray, extra_fn=None) -> CheckReport:
-    """Report per-profile violations: the worst is the maximum, and the worst
-    positive profiles are the witnesses."""
-    witnesses = []
-    for k in np.argsort(viol)[::-1][:_MAX_WITNESSES]:
-        if viol[k] <= 0:
-            break
-        w = {"profile": draw.profiles[k].tolist(), "margin": float(viol[k])}
-        if extra_fn is not None:
-            w.update(extra_fn(int(k)))
-        witnesses.append(w)
-    return _report(draw, name, float(viol.max(initial=0.0)), witnesses)
+def _profile_report(draw: Draw, name: str, margins: np.ndarray, witness=lambda k: {}) -> CheckReport:
+    """Report one margin per drawn profile; each witness names its profile."""
+    return _worst_case(
+        name, margins, draw.tolerance, len(draw.profiles),
+        lambda k: {"profile": draw.profiles[k].tolist(), **witness(k)},
+    )
 
 
 def _row_chunks(N: int, width: int) -> list:
@@ -194,30 +185,22 @@ def check_no_positive_transfers(draw: Draw) -> CheckReport:
 def check_allocation_monotone(draw: Draw) -> CheckReport:
     """Fixing the others, the win indicator is non-decreasing in the own report."""
     s_grid = np.linspace(0.0, draw.ctx.s_bar, _MONOTONE_SCAN_POINTS)
-    N = len(draw.profiles)
-    worst = 0.0
-    witnesses = []
-    for i in range(draw.ctx.space.n):
-        bad = np.zeros(N, dtype=bool)
-        first_drop = np.zeros(N, dtype=np.intp)
+    N, n = draw.profiles.shape
+    bad = np.zeros((N, n), dtype=bool)
+    first_drop = np.zeros((N, n), dtype=np.intp)
+    for i in range(n):
         for chunk in _row_chunks(N, _MONOTONE_SCAN_POINTS):
             win = draw.mech._win(s_grid, draw.agent_quote(i, chunk), draw.ctx)
             drops = np.diff(win.astype(np.int8), axis=1) < 0
-            bad[chunk] = drops.any(axis=1)
-            first_drop[chunk] = np.argmax(drops, axis=1)
-        if bad.any():
-            worst = 1.0
-            rows = np.where(bad)[0][:_MAX_WITNESSES]
-            witnesses += [
-                {
-                    "profile": draw.profiles[r].tolist(),
-                    "agent": i,
-                    "drop_at": float(s_grid[first_drop[r] + 1]),
-                    "margin": 1.0,
-                }
-                for r in rows
-            ]
-    return _report(draw, "allocation_monotone", worst, witnesses[:_MAX_WITNESSES])
+            bad[chunk, i] = drops.any(axis=1)
+            first_drop[chunk, i] = np.argmax(drops, axis=1)
+    agent = np.argmax(bad, axis=1)  # the first agent whose win indicator drops
+    return _profile_report(
+        draw,
+        "allocation_monotone",
+        bad.any(axis=1).astype(float),
+        lambda k: {"agent": int(agent[k]), "drop_at": float(s_grid[first_drop[k, agent[k]] + 1])},
+    )
 
 
 def check_chi_robustness(draw: Draw, eps_list: Sequence[float]) -> CheckReport:
@@ -229,26 +212,19 @@ def check_chi_robustness(draw: Draw, eps_list: Sequence[float]) -> CheckReport:
     for eps in eps_list:
         if not (0.0 <= draw.mech.chi + eps <= 1.0):
             raise ValueError(f"chi + eps = {draw.mech.chi + eps} outside [0, 1]")
-    scale = value_scale(draw.ctx.model, draw.ctx.space)
-    worst = 0.0
-    witnesses = []
-    for eps in eps_list:
-        regret, _ = _deviation_regrets(draw, draw.values(draw.mech.chi + eps))
-        bound = eps * scale
-        excess = regret.max(axis=1) - bound
-        k = int(np.argmax(excess))
-        if excess[k] > worst:
-            worst = float(excess[k])
-            witnesses = [
-                {
-                    "profile": draw.profiles[k].tolist(),
-                    "eps": eps,
-                    "regret": float(regret[k].max()),
-                    "bound": bound,
-                    "margin": worst,
-                }
-            ]
-    return _report(draw, "chi_robustness", max(0.0, worst), witnesses, len(eps_list))
+    N = len(draw.profiles)
+    bounds = np.array(eps_list, dtype=float) * value_scale(draw.ctx.model, draw.ctx.space)
+    regrets = np.reshape(
+        [_deviation_regrets(draw, draw.values(draw.mech.chi + eps))[0].max(axis=1) for eps in eps_list],
+        (len(eps_list), N),
+    )
+
+    def witness(k):
+        e, r = divmod(k, N)
+        regret, bound = float(regrets[e, r]), float(bounds[e])
+        return {"profile": draw.profiles[r].tolist(), "eps": eps_list[e], "regret": regret, "bound": bound}
+
+    return _worst_case("chi_robustness", regrets - bounds[:, None], draw.tolerance, N * len(eps_list), witness)
 
 
 def check_payment_chi_monotone(
@@ -264,31 +240,15 @@ def check_payment_chi_monotone(
         raise ValueError("chi grid must be sorted ascending")
     tol = plan.resolve_tolerance(ctx)
     profiles = sample_profiles(ctx.space, plan.stream, plan.profile_count)
-    payments = [
-        run_batch(Mechanism(rule, c, "compensated"), profiles, ctx).payments for c in chis
-    ]
-    worst = 0.0
-    witnesses = []
-    for (c_lo, p_lo), (c_hi, p_hi) in zip(zip(chis, payments), zip(chis[1:], payments[1:])):
-        gap = p_hi - p_lo  # must be <= 0 everywhere
-        k = np.unravel_index(np.argmax(gap), gap.shape)
-        if gap[k] > worst:
-            worst = float(gap[k])
-            witnesses = [
-                {
-                    "profile": profiles[k[0]].tolist(),
-                    "agent": int(k[1]),
-                    "chi_pair": [c_lo, c_hi],
-                    "margin": worst,
-                }
-            ]
-    return CheckReport(
-        name="payment_chi_monotone",
-        max_violation=max(0.0, worst),
-        tolerance=tol,
-        samples_checked=len(profiles) * len(chis),
-        witnesses=witnesses,
-    )
+    payments = [run_batch(Mechanism(rule, c, "compensated"), profiles, ctx).payments for c in chis]
+    # (chi pair, profile, agent): the payment's rise from one chi to the next
+    gaps = np.diff(np.reshape(payments, (len(chis),) + profiles.shape), axis=0)
+
+    def witness(k):
+        pair, r, agent = np.unravel_index(k, gaps.shape)
+        return {"profile": profiles[r].tolist(), "agent": int(agent), "chi_pair": [chis[pair], chis[pair + 1]]}
+
+    return _worst_case("payment_chi_monotone", gaps, tol, len(profiles) * len(chis), witness)
 
 
 CHECKERS = {

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
+from cursed_auctions.mechanisms import RevenueOptimalRule
 
 
 def run_cli(*argv):
@@ -31,6 +32,22 @@ class TestConfig:
     def test_chi_validated(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"chi": 1.5})
+
+    def test_numbers_recorded_as_parsed(self):
+        """A config records the numbers its parsers read, whatever JSON type they came in."""
+        loose = {
+            "space": {"n": 2.0, "marginal": {"type": "grid", "points": [0, 0.5, 1]}},
+            "model": {"family": "weighted_sum", "beta": 1},
+            "mechanism": {"rule": {"kind": "revenue_optimal", "chi": 1}},
+        }
+        canonical = {
+            "space": {"n": 2, "marginal": {"type": "grid", "points": [0.0, 0.5, 1.0]}},
+            "model": {"family": "weighted_sum", "beta": 1.0},
+            "mechanism": {"rule": {"kind": "revenue_optimal", "chi": 1.0}},
+        }
+        recorded = [json.dumps(ExperimentConfig.from_dict(raw).to_dict()) for raw in (loose, canonical)]
+        assert recorded[0] == recorded[1]
+        assert '"n": 2,' in recorded[0]
 
 
 class TestSimulate:
@@ -264,8 +281,8 @@ def test_config_file_not_found(tmp_path):
         '{"space": {"n": "3", "marginal": {"type": "uniform"}}}',
         '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": "2"}}}',
         '{"model": {"family": "weighted_sum", "beta": "0.5"}}',
-        '{"mechanism": {"rule": {"kind": "revenue_optimal", "grid_size": 64.9}}}',
-        '{"mechanism": {"rule": {"kind": "revenue_optimal", "refine_iters": 3.5}}}',
+        '{"mechanism": {"rule": {"kind": "revenue_optimal", "grid_size": 2048}}}',
+        '{"mechanism": {"rule": {"kind": "revenue_optimal", "refine_iters": 60}}}',
     ],
 )
 def test_malformed_config_exits_two(tmp_path, text):
@@ -281,12 +298,15 @@ def test_integral_float_counts_accepted():
         "seed": 3.0,
         "workers": 1.0,
         "space": {"n": 2.0, "marginal": {"type": "uniform"}},
-        "mechanism": {"rule": {"kind": "revenue_optimal", "grid_size": 64.0}},
+        "mechanism": {"rule": {"kind": "revenue_optimal"}},
     }
     cfg = ExperimentConfig.from_dict(raw)
     assert (cfg.samples, cfg.seed, cfg.workers) == (10, 3, 1)
     space, _model, _ctx, mech = cfg.build()
-    assert space.n == 2 and mech.rule.opt_spec.grid_size == 64
+    assert space.n == 2 and mech.rule == RevenueOptimalRule(cfg.chi)
+    raw["mechanism"] = {"rule": {"kind": "revenue_optimal", "grid_size": 64.0}}
+    with pytest.raises(ConfigError, match="unknown rule keys"):
+        ExperimentConfig.from_dict(raw).build()
 
 
 def test_unknown_config_key_exits_two(tmp_path):

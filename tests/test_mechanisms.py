@@ -10,7 +10,6 @@ from cursed_auctions.mechanisms import (
     Mechanism,
     MechanismInvariantError,
     ModelUnsupportedError,
-    OptSpec,
     OthersView,
     RevenueOptimalRule,
     _quote,
@@ -79,7 +78,7 @@ class TestCriticalBid:
         rule = {
             "gva": GVARule(),
             "masked": MaskedRule(GVARule()),
-            "revopt": RevenueOptimalRule(0.5, OptSpec(128, 20)),
+            "revopt": RevenueOptimalRule(0.5),
             "offset": ConstantOffsetRule(0.2),
         }[kind]
         t = critical_bid(rule, np.array(others), ctx)
@@ -90,6 +89,15 @@ class TestCriticalBid:
         a = critical_bid(rule, np.array([0.2, 0.6]), three_ctx)
         b = critical_bid(rule, np.array([0.6, 0.2]), three_ctx)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "rule, others",
+        [(GVARule(), [0.2, 0.3, 0.4, 0.9]), (GVARule(), [np.nan, 0.3]), (RevenueOptimalRule(0.5), [1.5, 0.3])],
+        ids=["too_many_others", "nan_signal", "signal_above_s_bar"],
+    )
+    def test_malformed_others_rejected(self, three_ctx, rule, others):
+        with pytest.raises(ValueError, match="must"):
+            critical_bid(rule, np.array(others), three_ctx)
 
 
 def _compensation(mech, others, ctx):
@@ -366,25 +374,35 @@ class TestRuleConfig:
     def test_parses(self):
         assert rule_from_config({"kind": "gva"}) == GVARule()
         assert rule_from_config({"kind": "masked", "base": {"kind": "gva"}}) == MaskedRule(GVARule())
-        got = rule_from_config({"kind": "revenue_optimal", "chi": 0.63, "grid_size": 512, "refine_iters": 30})
-        assert got == RevenueOptimalRule(0.63, OptSpec(512, 30))
-        got = rule_from_config({"kind": "revenue_optimal", "chi": 1, "grid_size": 512.0})
-        assert got == RevenueOptimalRule(1.0, OptSpec(512, 60))
+        assert rule_from_config({"kind": "revenue_optimal", "chi": 0.63}) == RevenueOptimalRule(0.63)
+        assert rule_from_config({"kind": "revenue_optimal", "chi": 1}) == RevenueOptimalRule(1.0)
         masked = rule_from_config({"kind": "masked", "base": {"kind": "revenue_optimal", "chi": 0.5}})
         assert masked == MaskedRule(RevenueOptimalRule(0.5))
 
     @pytest.mark.parametrize(
         "cfg",
         [
-            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": 64.9},
-            {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": 3.5},
-            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": "64"},
             {"kind": "revenue_optimal", "chi": "0.5"},
-            {"kind": "masked", "base": {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": True}},
+            {"kind": "masked", "base": {"kind": "revenue_optimal", "chi": True}},
         ],
     )
     def test_non_numeric_or_fractional_parameters_rejected(self, cfg):
         with pytest.raises(ValueError, match="must be"):
+            rule_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": 512, "refine_iters": 30},
+            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": 64.9},
+            {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": 3.5},
+            {"kind": "revenue_optimal", "chi": 0.5, "grid_size": "64"},
+            {"kind": "masked", "base": {"kind": "revenue_optimal", "chi": 0.5, "refine_iters": True}},
+        ],
+    )
+    def test_search_budget_keys_rejected(self, cfg):
+        """The revenue-optimal search is fixed, so its old budget keys are unknown."""
+        with pytest.raises(ValueError, match="unknown rule keys"):
             rule_from_config(cfg)
 
     def test_unknown_key_rejected(self):
@@ -429,7 +447,7 @@ class TestOneQuotePath:
         "gva": lambda: Mechanism(GVARule(), 0.7, "compensated"),
         "gva_zero_transfer": lambda: Mechanism(GVARule(), 0.7, "zero-transfer"),
         "masked": lambda: Mechanism(MaskedRule(GVARule()), 0.5, "compensated"),
-        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63, OptSpec(256, 30)), 0.63, "compensated"),
+        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63), 0.63, "compensated"),
     }
 
     @pytest.mark.parametrize("n", [2, 3, 5])

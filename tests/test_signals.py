@@ -99,6 +99,14 @@ def test_power_quantile_marginal():
     np.testing.assert_allclose(marg.mean(), 1.0 / 3.0)
 
 
+def test_power_pdf_zero_outside_support():
+    marg = GenericIID("power", (2.0, 1.0))
+    np.testing.assert_array_equal(marg.pdf([-0.2, 1.5, np.nan]), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(marg.cdf([-0.2, 1.5]), [0.0, 1.0])
+    inside = np.array([0.0, 0.25, 1.0])  # t = 0 reads the density at the clipped 1e-12
+    np.testing.assert_array_equal(marg.pdf(inside), np.power(np.clip(inside, 1e-12, 1.0), -0.5) / 2.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_quantile_monotone(p1, p2):

@@ -8,7 +8,6 @@ from cursed_auctions.mechanisms import (
     GVARule,
     MaskedRule,
     Mechanism,
-    OptSpec,
     RevenueOptimalRule,
     ThresholdRule,
     _quote,
@@ -265,7 +264,7 @@ class TestDraw:
         "gva": lambda: Mechanism(GVARule(), 0.7, "compensated"),
         "gva_zero_transfer": lambda: Mechanism(GVARule(), 0.7, "zero-transfer"),
         "masked": lambda: Mechanism(MaskedRule(GVARule()), 0.5, "compensated"),
-        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63, OptSpec(256, 30)), 0.63, "compensated"),
+        "revenue_optimal": lambda: Mechanism(RevenueOptimalRule(0.63), 0.63, "compensated"),
     }
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -300,7 +299,7 @@ class _CountingRule(ThresholdRule):
 
 
 def test_every_checker_reads_one_quote(ctx):
-    rule = _CountingRule(RevenueOptimalRule(0.5, OptSpec(256, 30)))
+    rule = _CountingRule(RevenueOptimalRule(0.5))
     plan = SamplingPlan(profile_count=200, deviation_grid_size=11, stream=RandomStream(5))
     draw = Draw(Mechanism(rule, 0.5, "compensated"), ctx, plan)
     for checker in CHECKERS.values():
@@ -312,7 +311,7 @@ def test_every_checker_reads_one_quote(ctx):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Mechanism(RevenueOptimalRule(0.5, OptSpec(256, 30)), 0.5, "compensated"),
+        lambda: Mechanism(RevenueOptimalRule(0.5), 0.5, "compensated"),
         lambda: RealizedPriceMechanism(GVARule(), 0.5, "compensated"),
         lambda: IntervalAllocationMechanism(GVARule(), 0.5, "compensated"),
     ],
