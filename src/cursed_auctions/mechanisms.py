@@ -165,6 +165,7 @@ class RevenueOptimalRule(ThresholdRule):
     signal and t = s_bar earns 0; the rule scans [max(others), s_bar] on
     ``_OPT_POINTS`` points, refines the best bracket by ``_GOLDEN_ITERS``
     golden-section steps, and tie-breaks to the smallest maximizing threshold.
+    Each distinct (others' max, statistic) input of a batch is solved once.
     """
 
     chi: float
@@ -189,7 +190,7 @@ class MaskedRule(ThresholdRule):
     next to s_bar) and WeightedSum rows at the base, where d is constant in t.
     ConcaveSum scans d on a grid and refines the first sign change by
     bisection (the upper bracket end, so d >= 0 holds at the returned
-    threshold).
+    threshold), once per distinct (base, statistic) input of a batch.
     """
 
     base: ThresholdRule
@@ -263,7 +264,18 @@ def _optimize_thresholds(view, ctx, chi):
             t_best = np.where(take, t_cand, t_best)
         return np.where(span <= 0.0, s_bar, t_best)
 
-    return _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // _OPT_POINTS), view.max, view.stat)
+    solve = lambda lo, stat: _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // _OPT_POINTS), lo, stat)
+    return _per_distinct(solve, view.max, view.stat)
+
+
+def _per_distinct(fn, a, b):
+    """``fn(a, b)`` for 1-D key columns whose rows repeat: ``fn`` runs once on
+    the distinct (a, b) rows and its results are gathered back.  Exact because
+    a row's threshold depends on that row alone; rows are told apart by their
+    bits, so -0.0 and 0.0 stay distinct inputs."""
+    keys, inv = np.unique(np.stack([a, b], 1).view(np.int64), axis=0, return_inverse=True)
+    a, b = np.ascontiguousarray(keys.view(float).T)  # strided columns would slow every ufunc in fn
+    return fn(a, b)[inv.reshape(-1)]  # the inverse's shape varies across numpy 2.x
 
 
 def _golden_max(f, lo, hi, iters):
@@ -351,8 +363,10 @@ def _mask_thresholds(base_t, view, ctx):
         probe = base + _SCAN_FRAC[-2] * np.maximum(s_bar - base, 0.0)  # formed as the scan forms it
         todo[rows[_curse_gap(probe, view.stat[rows], ctx) < 0.0]] = False
     rows = np.flatnonzero(todo)
-    scan = lambda base, stat: _mask_scan(base, stat, ctx)
-    out[rows] = _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base_t[rows], view.stat[rows])
+    if rows.size:  # MaxSignal batches rarely leave a row to scan; skip the sort then
+        scan = lambda base, stat: _mask_scan(base, stat, ctx)
+        solve = lambda base, stat: _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base, stat)
+        out[rows] = _per_distinct(solve, base_t[rows], view.stat[rows])
     return out
 
 

@@ -20,7 +20,7 @@ under i.i.d. signals; ``InterimCache`` precomputes it without random draws
 (closed form, tail table, or the law of the others' statistic).
 
 The two structural assumptions, single crossing and monotone cursedness, are
-checked on sampled profiles in one array pass each, reduced like the
+checked on sampled profiles in row chunks of bounded size, reduced like the
 mechanism checks by ``reports._worst_case``.
 """
 
@@ -64,6 +64,7 @@ __all__ = [
 _MAX_EXACT_ENUM = 300_000  # most pairwise sums one exact-law step may form
 _LAW_BINS = 4096  # lattice points of the binned law
 _MAX_TAIL_KNOTS = 4097  # trapezoid knots of the continuous MaxSignal tail table
+_CHECK_CHUNK_CELLS = 1_000_000  # most (row, pair) or (row, shrink, own signal) cells a check chunk holds
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ def _linear_bins(x, p, lo: float, hi: float) -> np.ndarray:
 
 
 def _chunked(fn, chunk: int, *arrays) -> np.ndarray:
-    """``fn`` over consecutive chunks of the equal-length 1-D ``arrays``,
+    """``fn`` over consecutive row chunks of the equal-length ``arrays``,
     joined; each chunk's temporaries are freed before the next is built."""
     out = np.empty(len(arrays[0]))
     for start in range(0, len(out), chunk):
@@ -427,14 +428,21 @@ def check_single_crossing(
 ) -> CheckReport:
     """Sampled check that the higher-signal bidder has the weakly higher value."""
     tol = 1e-12 * max(value_scale(model, space), 1.0)
+    n = space.n
     profiles = sample_profiles(space, stream, sample_count)
-    vals = np.stack([value(model, profiles, i) for i in range(space.n)], axis=1)
-    # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
-    pairs = (profiles[:, :, None] >= profiles[:, None, :]) & ~np.eye(space.n, dtype=bool)
-    gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(sample_count, -1)
+    margins, pair = np.empty(sample_count), np.empty(sample_count, dtype=np.intp)
+    step = max(1, _CHECK_CHUNK_CELLS // (n * n))
+    for start in range(0, sample_count, step):
+        rows = profiles[start:start + step]
+        vals = np.stack([value(model, rows, i) for i in range(n)], axis=1)
+        # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
+        pairs = (rows[:, :, None] >= rows[:, None, :]) & ~np.eye(n, dtype=bool)
+        gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(len(rows), -1)
+        margins[start:start + step] = gap.max(axis=1)
+        pair[start:start + step] = gap.argmax(axis=1)
     return _worst_case(
-        "single_crossing", gap.max(axis=1), tol, sample_count,
-        lambda k: {"profile": profiles[k].tolist(), "pair": list(divmod(int(np.argmax(gap[k])), space.n))},
+        "single_crossing", margins, tol, sample_count,
+        lambda k: {"profile": profiles[k].tolist(), "pair": list(divmod(int(pair[k]), n))},
     )
 
 
@@ -480,22 +488,37 @@ def check_cursedness_monotonicity(
     others = sample_profiles(space, stream.child(1), sample_count)[:, 1:]
     own_grid = np.linspace(0.0, space.s_bar, 33)
     mu = cache.expected_value(own_grid)
-    # rows overestimated at some winning own signal below s_bar
-    wins = (own_grid > others.max(axis=1, keepdims=True)) & (own_grid < space.s_bar)
-    over = wins & (value_from_own_and_stat(model, own_grid, others_stat(model, others)[:, None]) < mu)
-    others = others[over.any(axis=1)]
+    step = max(1, _CHECK_CHUNK_CELLS // (8 * own_grid.size))
+
+    def overestimated(rows):  # at some winning own signal below s_bar
+        wins = (own_grid > rows.max(axis=1, keepdims=True)) & (own_grid < space.s_bar)
+        return (wins & (value_from_own_and_stat(model, own_grid, others_stat(model, rows)[:, None]) < mu)).any(axis=1)
+
+    others = others[_chunked(overestimated, step, others).astype(bool)]
     # each such row's others shrunk coordinate-wise 8 times; d = v - interim
-    # at every own signal that beats the shrunk maximum, -inf elsewhere
-    shrunk = others[:, None, :] * gen.random((len(others), 8, space.n - 1))
-    d = np.where(
-        own_grid > shrunk.max(axis=2, keepdims=True),
-        value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
-        -np.inf,
-    )
+    # at every own signal that beats the shrunk maximum, -inf elsewhere.  The
+    # chunks draw the factors in row order, as one draw would; each chunk's
+    # generator state is kept so a witness can draw its factors again.
+    margins = np.empty((len(others), 8))
+    best_own = np.empty((len(others), 8), dtype=np.intp)
+    states = []
+    for start in range(0, len(others), step):
+        rows = others[start:start + step]
+        states.append(gen.bit_generator.state)
+        shrunk = rows[:, None, :] * gen.random((len(rows), 8, space.n - 1))
+        d = np.where(
+            own_grid > shrunk.max(axis=2, keepdims=True),
+            value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
+            -np.inf,
+        )
+        margins[start:start + step] = d.max(axis=2)
+        best_own[start:start + step] = d.argmax(axis=2)
 
     def witness(k):
         r, j = divmod(k, 8)
-        own = own_grid[np.argmax(d[r, j])]
-        return {"others": others[r].tolist(), "shrunk": shrunk[r, j].tolist(), "own": float(own)}
+        replay = stream.generator()
+        replay.bit_generator.state = states[r // step]
+        factors = replay.random((r % step + 1, 8, space.n - 1))[-1, j]
+        return {"others": others[r].tolist(), "shrunk": (others[r] * factors).tolist(), "own": float(own_grid[best_own[r, j]])}
 
-    return _worst_case("cursedness_monotonicity", d.max(axis=2), tol, sample_count, witness)
+    return _worst_case("cursedness_monotonicity", margins, tol, sample_count, witness)

@@ -339,6 +339,88 @@ class TestMaxSignalMaskClosedForm:
         assert np.any(ref < s_bar) and scanned.size > 0
 
 
+_L2 = ConcaveSum(ScalarMap("power", (0.5,)), ScalarMap("power", (2.0,)), ScalarMap("power", (2.0,)))
+_LOG1P = ConcaveSum(ScalarMap("log1p_scaled", (1.0,)), ScalarMap("identity"), ScalarMap("power", (0.5,)))
+_DISTINCT_MODELS = {"weighted_sum": WeightedSum(0.5), "max_signal": MaxSignal(), "l2": _L2, "log1p": _LOG1P}
+_DISTINCT_MARGINALS = {
+    "uniform": UniformIID(1.0),
+    "power": GenericIID("power", (2.0, 1.0)),
+    "grid": DiscreteGridIID(tuple(np.linspace(0.0, 1.0, 7))),
+}
+# every model meets every marginal, and each of them meets n = 2, 3 and 5
+_DISTINCT_CASES = [
+    (model, marginal, (2, 3, 5)[(i + j) % 3])
+    for i, model in enumerate(_DISTINCT_MODELS)
+    for j, marginal in enumerate(_DISTINCT_MARGINALS)
+]
+
+
+class TestSolveDistinct:
+    """Thresholds solved once per distinct (others' max, statistic) input equal
+    a per-row solve (the optimizer and the mask scan called on each row alone)
+    bit for bit, whatever the row chunks."""
+
+    RULES = [
+        RevenueOptimalRule(0.0),
+        RevenueOptimalRule(0.5),
+        RevenueOptimalRule(1.0),
+        MaskedRule(GVARule()),
+        MaskedRule(RevenueOptimalRule(0.5)),
+    ]
+
+    @staticmethod
+    def _view(ctx, seed):
+        """Six sampled others, four of them repeated, and all -0.0 and all 0.0
+        others, in shuffled order."""
+        others = sample_profiles(ctx.space, RandomStream(seed), 6)[:, 1:]
+        zeros = np.zeros((1, ctx.space.n - 1))
+        others = np.concatenate([others, others[:4], -zeros, zeros])
+        return OthersView.from_others(others[RandomStream(seed).generator().permutation(len(others))], ctx.model)
+
+    @staticmethod
+    def _solve(rule, view, ctx, monkeypatch, per_row=False, row_chunk_floats=None):
+        """(thresholds, the (base, stat) bit pairs sent to _mask_scan)."""
+        scanned = []
+        scan = mechanisms._mask_scan
+
+        def spy(base, stat, ctx):
+            scanned.extend(zip(base.view(np.int64).tolist(), stat.view(np.int64).tolist()))
+            return scan(base, stat, ctx)
+
+        with monkeypatch.context() as m:
+            m.setattr(mechanisms, "_mask_scan", spy)
+            if row_chunk_floats is not None:
+                m.setattr(mechanisms, "_ROW_CHUNK_FLOATS", row_chunk_floats)
+            if not per_row:
+                return rule.critical_bids(view, ctx), scanned
+            m.setattr(mechanisms, "_per_distinct", lambda fn, a, b: fn(a, b))
+            rows = [OthersView(view.max[i:i + 1], view.stat[i:i + 1]) for i in range(len(view))]
+            return np.concatenate([rule.critical_bids(row, ctx) for row in rows]), scanned
+
+    @pytest.mark.parametrize("model,marginal,n", _DISTINCT_CASES)
+    def test_matches_per_row_solve(self, model, marginal, n, monkeypatch):
+        ctx = make_context(SignalSpace(n, _DISTINCT_MARGINALS[marginal]), _DISTINCT_MODELS[model])
+        view = self._view(ctx, 71 + n)
+        zero, neg = view.max == 0.0, np.signbit(view.max)
+        assert (zero & neg).any() and (zero & ~neg).any()
+        for rule in self.RULES:
+            ref, ref_scanned = self._solve(rule, view, ctx, monkeypatch, per_row=True)
+            # one row per optimizer chunk and two per scan chunk, then the default chunks
+            for row_chunk_floats in (1024, None):
+                got, scanned = self._solve(rule, view, ctx, monkeypatch, row_chunk_floats=row_chunk_floats)
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=repr(rule))
+                # the scan sees each distinct (base, stat) input once
+                assert sorted(scanned) == sorted(set(ref_scanned)), rule
+            if isinstance(ctx.model, ConcaveSum) and isinstance(rule, MaskedRule):
+                assert len(set(ref_scanned)) < len(ref_scanned), rule  # repeated scan rows were merged
+
+    @pytest.mark.parametrize("rule", RULES, ids=repr)
+    def test_zero_rows(self, rule):
+        ctx = make_context(SignalSpace(3, UniformIID(1.0)), _L2)
+        t = rule.critical_bids(OthersView(np.empty(0), np.empty(0)), ctx)
+        assert t.shape == (0,) and t.dtype == np.float64
+
+
 class TestMaskedGva:
     def test_wallet_allocation_region(self, wallet_ctx):
         mech = masked_gva(wallet_ctx, 1.0)

@@ -5,6 +5,7 @@ lists the largest positive margins, largest first."""
 import numpy as np
 import pytest
 
+from cursed_auctions import valuations
 from cursed_auctions.mechanisms import GVARule, make_context
 from cursed_auctions.reports import _MAX_WITNESSES, _worst_case
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID
@@ -93,9 +94,12 @@ CONTROLS = {
 }
 
 
+@pytest.mark.parametrize("chunk_cells", [None, 500], ids=["default_chunks", "small_chunks"])
 @pytest.mark.parametrize("name", sorted(CONTROLS))
-def test_reducer_keeps_the_loop_reports(name):
+def test_reducer_keeps_the_loop_reports(name, chunk_cells, monkeypatch):
     make, max_violation, samples_checked, first = CONTROLS[name]
+    if chunk_cells is not None:
+        monkeypatch.setattr(valuations, "_CHECK_CHUNK_CELLS", chunk_cells)
     rep = make()
     assert rep.max_violation == max_violation and not rep.passed
     assert rep.samples_checked == samples_checked

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cursed_auctions import valuations
 from cursed_auctions.signals import (
     DiscreteGridIID,
     GenericIID,
@@ -253,6 +254,15 @@ class TestStructuralChecks:
         rep = check_single_crossing(WeightedSum(1.5), SignalSpace(3, UniformIID(1.0)), 10_000, RandomStream(7))
         assert not rep.passed
         assert rep.witnesses, "a failing check must carry a witness"
+
+    def test_single_crossing_row_chunks_match_one_chunk(self, monkeypatch):
+        space = SignalSpace(30, UniformIID(1.0))
+        reports = []
+        for cells in (10**9, 7 * 30 * 30):  # one chunk, then chunks of 7 rows
+            monkeypatch.setattr(valuations, "_CHECK_CHUNK_CELLS", cells)
+            reports.append(check_single_crossing(WeightedSum(1.5), space, 2000, RandomStream(7)).to_json())
+        assert reports[0] == reports[1]
+        assert len(reports[0]["witnesses"]) == 5
 
     def test_cursedness_monotonicity_analytic_families(self):
         for model in (WeightedSum(0.5), MaxSignal()):
