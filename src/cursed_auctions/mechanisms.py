@@ -15,6 +15,14 @@ seller's outflow goes to the losers alone.  The "zero-transfer" policy drops the
 compensation and charges the winner the full cursed value at the threshold;
 it is individually rational only in the bidders' own (cursed) estimation.
 
+The revenue-optimal rule maximizes the seller's threshold revenue
+r = m - c * F, with m = min{v, v_chi}, c = v_chi and F the marginal CDF, on a
+fixed grid and then refines the best bracket.  All three parts are
+non-decreasing in the threshold, so the values at a cell's ends bound r inside
+it; the grid search evaluates cell ends coarse to fine, drops every cell whose
+bound is below the best value found, and returns the same argmax as a scan of
+every grid point.
+
 Masking raises a threshold to the first point where the winner no longer
 overestimates the item (true value at the threshold >= interim expectation),
 and never allocates if no such point exists below s_bar.  MaxSignal rows are
@@ -78,8 +86,11 @@ __all__ = [
 _SCAN_POINTS = 512
 _SCAN_FRAC = np.linspace(0.0, 1.0, _SCAN_POINTS)
 _BISECT_ITERS = 40
-# the revenue-optimal search: a grid scan, then golden-section steps on the best bracket
+# the revenue-optimal search: the argmax of a grid, found cell by cell from cells
+# of _OPT_STRIDE points, then golden-section steps on the bracket around it
 _OPT_POINTS = 2048
+_OPT_FRAC = np.linspace(0.0, 1.0, _OPT_POINTS)
+_OPT_STRIDE = 128
 _GOLDEN_ITERS = 60
 _ROW_CHUNK_FLOATS = 4_000_000
 _QUOTE_CHUNK_PAIRS = 100_000
@@ -162,10 +173,14 @@ class RevenueOptimalRule(ThresholdRule):
 
     With others fixed, a threshold t < s_bar earns
     min{v, v_chi}(t) - v_chi(t) * F(t) in expectation over the bidder's own
-    signal and t = s_bar earns 0; the rule scans [max(others), s_bar] on
-    ``_OPT_POINTS`` points, refines the best bracket by ``_GOLDEN_ITERS``
-    golden-section steps, and tie-breaks to the smallest maximizing threshold.
-    Each distinct (others' max, statistic) input of a batch is solved once.
+    signal and t = s_bar earns 0; the rule finds the best of ``_OPT_POINTS``
+    grid points on [max(others), s_bar], refines the bracket around it by
+    ``_GOLDEN_ITERS`` golden-section steps, and tie-breaks to the smallest
+    maximizing threshold.  The grid search certifies cells by a monotone bound
+    and drops those that cannot hold the maximum, so it returns the argmax of
+    a scan of every grid point from far fewer evaluations.  Each distinct
+    (others' max, statistic) input of a batch is solved once; an others' max
+    outside [0, s_bar] or a non-finite input is a ValueError.
     """
 
     chi: float
@@ -223,36 +238,94 @@ def rule_from_config(cfg: dict) -> ThresholdRule:
 # ---------------------------------------------------------------------------
 
 
+def _revenue_parts(t, stat, ctx: AuctionContext, chi: float):
+    """(m, c, F) with threshold revenue r = m - c * F at own signal t against
+    others' statistic ``stat`` (broadcasts): m = min{v, v_chi}, c = v_chi and
+    F the marginal CDF.  All three are non-decreasing in t: v and the interim
+    expectation are, for every valuation family, and F is a CDF."""
+    v = value_from_own_and_stat(ctx.model, t, stat)
+    vchi = cursed_value_from_parts(v, ctx.interim.expected_value(t), chi)
+    return np.minimum(v, vchi), vchi, ctx.space.marginal.cdf(t)
+
+
 def _threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
     """Expected per-bidder revenue of threshold t against fixed others.
 
     min{v, v_chi}(t, others) - v_chi(t, others) * F(t); broadcasts t against
     the view. The t = s_bar convention (exact zero) is applied by callers.
     """
-    v = value_from_own_and_stat(ctx.model, t, view.stat)
-    mu = ctx.interim.expected_value(t)
-    vchi = cursed_value_from_parts(v, mu, chi)
-    return np.minimum(v, vchi) - vchi * ctx.space.marginal.cdf(t)
+    m, c, F = _revenue_parts(t, view.stat, ctx, chi)
+    return m - c * F
+
+
+def _cell_bound(at_a, at_b):
+    """Upper bound on the revenue m - c * F over a grid cell [t_a, t_b] from
+    the parts (m, c, F) at its ends: m(t) <= m(t_b), c(t) >= c(t_a) and F(t)
+    lies in [F(t_a), F(t_b)], so c(t) * F(t) >= min(c(t_a) * F(t_a), c(t_a) * F(t_b))."""
+    (_, c_a, F_a), (m_b, _, F_b) = at_a, at_b
+    return m_b - np.minimum(c_a * F_a, c_a * F_b)
+
+
+def _grid_argmax(lo, span, stat, ctx, chi, tie_tol):
+    """(k, r_k) per row: the first index of the largest revenue on the grid
+    t_j = lo + _OPT_FRAC[j] * span, where the last point (s_bar) earns exactly
+    zero, and that revenue, without evaluating every point.
+
+    Cells of ``_OPT_STRIDE`` points are evaluated at their ends, then halved at
+    integer midpoints, one level at a time on flat (row, cell) arrays.  A cell
+    is dropped once ``_cell_bound`` falls below the row's best value minus
+    ``tie_tol``, which covers the rounding of the computed monotone maps, so
+    every point of a dropped cell is strictly below the row maximum and k is
+    the dense scan's argmax.
+    """
+    last = _OPT_POINTS - 1
+
+    def evaluate(row, j):
+        parts = np.stack(_revenue_parts(lo[row] + _OPT_FRAC[j] * span[row], stat[row], ctx, chi))
+        m, c, F = parts
+        return np.where(j == last, 0.0, m - c * F), parts
+
+    ends = np.r_[0:last:_OPT_STRIDE, last]
+    row, j = np.repeat(np.arange(len(lo)), len(ends)), np.tile(ends, len(lo))
+    r, parts = evaluate(row, j)
+    best = r.reshape(len(lo), -1).max(axis=1)
+    seen = [(row, j, r)]
+    # a row's cells join consecutive ends: flat points p and p + 1 for every p not at the last index
+    p = np.flatnonzero(j != last)
+    row, a, b, at_a, at_b = row[p], j[p], j[p + 1], parts[:, p], parts[:, p + 1]
+    while True:
+        live = (b - a > 1) & ~(_cell_bound(at_a, at_b) < best[row] - tie_tol)
+        if not live.any():
+            break
+        row, a, b, at_a, at_b = row[live], a[live], b[live], at_a[:, live], at_b[:, live]
+        mid = (a + b) // 2
+        r, at_mid = evaluate(row, mid)
+        np.maximum.at(best, row, r)
+        seen.append((row, mid, r))
+        row, a, b = np.tile(row, 2), np.concatenate((a, mid)), np.concatenate((mid, b))
+        at_a, at_b = np.concatenate((at_a, at_mid), axis=1), np.concatenate((at_mid, at_b), axis=1)
+    row, j, r = (np.concatenate(x) for x in zip(*seen))
+    hit = r == best[row]
+    k = np.full(len(lo), last)
+    np.minimum.at(k, row[hit], j[hit])
+    return k, best
 
 
 def _optimize_thresholds(view, ctx, chi):
     s_bar = ctx.s_bar
+    _checked_signals(view.max, ctx)
+    if not np.all(np.isfinite(view.stat)):
+        raise ValueError("the others' statistics must be finite")
     tie_tol = 1e-12 * max(ctx.scale(), 1.0)
-    frac = np.linspace(0.0, 1.0, _OPT_POINTS)
 
     def chunk(lo, stat):
         sub = OthersView(lo, stat)
         span = s_bar - lo
-        t_grid = lo[None, :] + frac[:, None] * span[None, :]
-        r = _threshold_revenue(t_grid, sub, ctx, chi)
-        r[-1, :] = 0.0  # t = s_bar never allocates and earns exactly zero
-        k = np.argmax(r, axis=0)
-        rows = np.arange(len(lo))
-        r_grid_best = r[k, rows]
-        t_grid_best = t_grid[k, rows]
+        t_at = lambda j: lo + _OPT_FRAC[j] * span  # grid point j, formed as the search forms it
+        k, r_grid_best = _grid_argmax(lo, span, stat, ctx, chi, tie_tol)
+        t_grid_best = t_at(k)
         # golden-section refinement on the bracket around the best grid point
-        b_lo = t_grid[np.maximum(k - 1, 0), rows]
-        b_hi = t_grid[np.minimum(k + 1, _OPT_POINTS - 1), rows]
+        b_lo, b_hi = t_at(np.maximum(k - 1, 0)), t_at(np.minimum(k + 1, _OPT_POINTS - 1))
         t_ref, r_ref = _golden_max(
             lambda t: _threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, _GOLDEN_ITERS
         )
@@ -273,9 +346,14 @@ def _per_distinct(fn, a, b):
     the distinct (a, b) rows and its results are gathered back.  Exact because
     a row's threshold depends on that row alone; rows are told apart by their
     bits, so -0.0 and 0.0 stay distinct inputs."""
-    keys, inv = np.unique(np.stack([a, b], 1).view(np.int64), axis=0, return_inverse=True)
-    a, b = np.ascontiguousarray(keys.view(float).T)  # strided columns would slow every ufunc in fn
-    return fn(a, b)[inv.reshape(-1)]  # the inverse's shape varies across numpy 2.x
+    bits = np.stack([a, b]).view(np.int64)
+    order = np.lexsort(bits[::-1])  # by a's bits, then b's
+    bits = bits[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return fn(a[order[first]], b[order[first]])[inv]
 
 
 def _golden_max(f, lo, hi, iters):

@@ -22,6 +22,7 @@ from cursed_auctions.mechanisms import (
     run,
     run_batch,
 )
+from cursed_auctions.oracle import GridModel
 from cursed_auctions.signals import (
     DiscreteGridIID,
     GenericIID,
@@ -419,6 +420,159 @@ class TestSolveDistinct:
         ctx = make_context(SignalSpace(3, UniformIID(1.0)), _L2)
         t = rule.critical_bids(OthersView(np.empty(0), np.empty(0)), ctx)
         assert t.shape == (0,) and t.dtype == np.float64
+
+
+def _dense_thresholds(view, ctx, chi):
+    """Reference: the exhaustive revenue-optimal search, which evaluates the
+    revenue at every one of the ``_OPT_POINTS`` grid points before the same
+    golden steps and tie-break.  A row's result does not depend on its chunk."""
+    s_bar = ctx.s_bar
+    tie_tol = 1e-12 * max(ctx.scale(), 1.0)
+    points = mechanisms._OPT_POINTS
+    frac = np.linspace(0.0, 1.0, points)
+
+    def chunk(lo, stat):
+        sub = OthersView(lo, stat)
+        span = s_bar - lo
+        t_grid = lo[None, :] + frac[:, None] * span[None, :]
+        r = _threshold_revenue(t_grid, sub, ctx, chi)
+        r[-1, :] = 0.0
+        k = np.argmax(r, axis=0)
+        rows = np.arange(len(lo))
+        r_grid_best = r[k, rows]
+        t_grid_best = t_grid[k, rows]
+        b_lo = t_grid[np.maximum(k - 1, 0), rows]
+        b_hi = t_grid[np.minimum(k + 1, points - 1), rows]
+        t_ref, r_ref = mechanisms._golden_max(
+            lambda t: _threshold_revenue(t, sub, ctx, chi), b_lo, b_hi, mechanisms._GOLDEN_ITERS
+        )
+        best = np.maximum.reduce([r_grid_best, r_ref, np.zeros_like(r_ref)])
+        t_best = np.full(len(lo), s_bar)
+        for t_cand, r_cand in ((t_ref, r_ref), (t_grid_best, r_grid_best)):
+            take = (r_cand >= best - tie_tol) & (t_cand <= t_best)
+            t_best = np.where(take, t_cand, t_best)
+        return np.where(span <= 0.0, s_bar, t_best)
+
+    return _chunked(chunk, 256, view.max, view.stat)
+
+
+def _assert_matches_dense(view, ctx, chi):
+    got = RevenueOptimalRule(chi).critical_bids(view, ctx)
+    ref = _dense_thresholds(view, ctx, chi)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=f"chi={chi}")
+
+
+def _certified_marginals(s_bar):
+    return {
+        "uniform": UniformIID(s_bar),
+        "power2": GenericIID("power", (2.0, s_bar)),
+        "power0.5": GenericIID("power", (0.5, s_bar)),
+        "grid": DiscreteGridIID(tuple(np.linspace(0.0, s_bar, 7))),
+    }
+
+
+class TestCertifiedSearch:
+    """The coarse-to-fine revenue-optimal search returns the dense grid scan's
+    thresholds bit for bit, its cell bound is sound, and it stays sparse."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [5, 11])
+    def test_oracle_grids(self, n, m):
+        for model in (WeightedSum(0.5), WeightedSum(1.0), MaxSignal()):
+            for chi in (0.0, 0.5, 1.0):
+                grid = GridModel(n=n, m=m, model=model, chi=chi)
+                ctx = grid.context()
+                _assert_matches_dense(OthersView.from_others(grid.others_profiles(), model), ctx, chi)
+
+    def test_c05_points(self):
+        ctx = make_context(SignalSpace(2, UniformIID(1.0)), WeightedSum(1.0))
+        others = np.linspace(0.0, 1.0, 52)[1:-1, None]
+        for chi in (0.0, 1.0):
+            _assert_matches_dense(OthersView.from_others(others, ctx.model), ctx, chi)
+
+    @pytest.mark.parametrize("marginal", ["uniform", "power2", "power0.5", "grid"])
+    def test_edge_rows(self, marginal):
+        s_bar = 2.5
+        tops = [s_bar, np.nextafter(s_bar, 0.0), -0.0, 0.0, 1e-300, 5e-324]
+        # others at the top value and one at zero below it: spans 0 and 1 ulp, signed zeros, tiny maxima
+        others = np.array([[x, x] for x in tops] + [[x, 0.0] for x in tops])
+        for model in _DISTINCT_MODELS.values():
+            ctx = make_context(SignalSpace(3, _certified_marginals(s_bar)[marginal]), model)
+            view = OthersView.from_others(others, model)
+            for chi in (0.0, 0.5, 1.0):
+                _assert_matches_dense(view, ctx, chi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(_DISTINCT_MODELS)),
+        marginal=st.sampled_from(["uniform", "power2", "power0.5", "grid"]),
+        s_bar=st.sampled_from([0.3, 2.5, 40.0]),
+        n=st.integers(2, 5),
+        chi=st.floats(0.0, 1.0),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=40),
+    )
+    def test_random_configs(self, model, marginal, s_bar, n, chi, fracs):
+        ctx = make_context(SignalSpace(n, _certified_marginals(s_bar)[marginal]), _DISTINCT_MODELS[model])
+        signals = np.resize(np.array(fracs) * s_bar, (max(1, len(fracs) // (n - 1)), n - 1))
+        _assert_matches_dense(OthersView.from_others(signals, ctx.model), ctx, chi)
+
+    def test_one_row_chunks(self, monkeypatch):
+        ctx = make_context(SignalSpace(3, UniformIID(1.0)), _LOG1P)
+        view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(83), 40)[:, 1:], ctx.model)
+        monkeypatch.setattr(mechanisms, "_ROW_CHUNK_FLOATS", 1024)
+        for chi in (0.0, 0.5, 1.0):
+            _assert_matches_dense(view, ctx, chi)
+
+    @pytest.mark.parametrize("model", sorted(_DISTINCT_MODELS))
+    @pytest.mark.parametrize("marginal", ["uniform", "power2", "power0.5", "grid"])
+    @pytest.mark.parametrize("chi", [0.0, 1.0])
+    def test_cell_bound_is_sound(self, model, marginal, chi):
+        """Every computed revenue inside a first-level cell lies at or below
+        the cell's bound plus the search's tolerance."""
+        ctx = make_context(SignalSpace(3, _certified_marginals(1.0)[marginal]), _DISTINCT_MODELS[model])
+        tie_tol = 1e-12 * max(ctx.scale(), 1.0)
+        view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(89), 40)[:, 1:], ctx.model)
+        t = view.max + mechanisms._OPT_FRAC[:, None] * (ctx.s_bar - view.max)
+        parts = np.stack(mechanisms._revenue_parts(t, view.stat, ctx, chi))
+        m, c, F = parts
+        r = m - c * F
+        last = mechanisms._OPT_POINTS - 1
+        ends = np.r_[0:last:mechanisms._OPT_STRIDE, last]
+        for a, b in zip(ends[:-1], ends[1:]):
+            bound = mechanisms._cell_bound(parts[:, a], parts[:, b])
+            assert np.all(r[a + 1:b] <= bound + tie_tol), (a, b)
+
+    def test_evaluations_per_distinct_row(self, monkeypatch):
+        """At the verify_revopt shape the search evaluates far fewer points
+        than the grid holds; the golden steps add 2 + _GOLDEN_ITERS per row."""
+        ctx = make_context(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
+        others = sample_profiles(ctx.space, RandomStream(97), 1000)[:, 1:]
+        view = OthersView.from_others(others, ctx.model)
+        points = []
+        parts = mechanisms._revenue_parts
+
+        def spy(t, stat, ctx, chi):
+            points.append(np.broadcast(t, stat).size)
+            return parts(t, stat, ctx, chi)
+
+        monkeypatch.setattr(mechanisms, "_revenue_parts", spy)
+        RevenueOptimalRule(1.0).critical_bids(view, ctx)
+        rows = len(np.unique(np.stack([view.max, view.stat], 1), axis=0))
+        search = sum(points) - (2 + mechanisms._GOLDEN_ITERS) * rows
+        assert search <= 128 * rows, search / rows
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 3.0])
+    def test_bad_rows_rejected(self, bad):
+        ctx = make_context(SignalSpace(3, UniformIID(2.0)), WeightedSum(0.5))
+        ok = np.array([0.5, -0.0])
+        for rule in (RevenueOptimalRule(1.0), MaskedRule(RevenueOptimalRule(0.5))):
+            with pytest.raises(ValueError, match="finite"):
+                rule.critical_bids(OthersView(np.append(ok, bad), np.append(ok, 1.0)), ctx)
+            if not np.isfinite(bad):
+                with pytest.raises(ValueError, match="finite"):
+                    rule.critical_bids(OthersView(np.append(ok, 1.0), np.append(ok, bad)), ctx)
+        t = RevenueOptimalRule(1.0).critical_bids(OthersView(ok, ok), ctx)
+        assert np.all((t >= 0.0) & (t <= 2.0))
 
 
 class TestMaskedGva:
