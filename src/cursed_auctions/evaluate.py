@@ -400,29 +400,43 @@ def wallet_report(
 
 # ---------------------------------------------------------------------------
 # CSV emission (schema v1: header always present, fixed column order).
+# outcomes.csv must keep the bytes csv.writer gives for per-cell f"{x:.12g}"
+# strings: no field needs quoting, and lines end in CRLF.  Each row chunk is
+# formatted by one "%" on a repeated line template; a chunk holds at most
+# _CSV_CHUNK_CELLS cells, so the Python floats it makes stay bounded in n.
 # ---------------------------------------------------------------------------
+
+_CSV_CHUNK_CELLS = 250_000
 
 
 def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
+    """One line per profile: its signals, the winner ("" when none), the
+    threshold of the agent with the highest signal, the payments, revenue and
+    welfare.  Raises ValueError unless ``batch`` has one row per profile and
+    the profiles' width."""
     profiles = np.atleast_2d(profiles)
-    n = profiles.shape[1] if profiles.size else 0
+    N, n = profiles.shape
+    if any(len(col) != N for col in (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)):
+        raise ValueError(f"batch rows do not match the {N} profiles")
+    if batch.payments.shape[1:] != (n,) or batch.thresholds.shape[1:] != (n,):
+        raise ValueError(f"batch payments and thresholds must have the profile width {n}")
+    header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
+    header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
+    width = len(header)
+    line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
+    threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+    step = max(1, _CSV_CHUNK_CELLS // width)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [f"s_{i + 1}" for i in range(n)]
-            + ["winner", "threshold"]
-            + [f"payment_{i + 1}" for i in range(n)]
-            + ["revenue", "welfare"]
-        )
-        for r in range(len(profiles)):
-            winner = int(batch.winner[r])
-            top = int(np.argmax(profiles[r]))
-            w.writerow(
-                [f"{x:.12g}" for x in profiles[r]]
-                + [winner if winner >= 0 else "", f"{batch.thresholds[r, top]:.12g}"]
-                + [f"{x:.12g}" for x in batch.payments[r]]
-                + [f"{batch.revenue[r]:.12g}", f"{batch.welfare[r]:.12g}"]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, N, step):
+            b = min(a + step, N)
+            winner = batch.winner[a:b]
+            cells = np.column_stack(
+                (profiles[a:b], winner, threshold[a:b], batch.payments[a:b], batch.revenue[a:b], batch.welfare[a:b])
+            ).ravel().tolist()
+            # the winner column holds float placeholders until here; "%s" then writes int or ""
+            cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
+            fh.write((line * (b - a)) % tuple(cells))
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

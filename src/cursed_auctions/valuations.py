@@ -305,6 +305,10 @@ def make_interim_cache(space: SignalSpace, model: ValuationModel) -> InterimCach
         tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
         return InterimCache(space, model, _mode="max_tail", _grid_s=knots, _grid_mu=tail)
 
+    # g and h increase and own signals are searched from 0, so l's smallest argument is g(0) + k h(0)
+    lowest = float(model.g(0.0) + k * model.h(0.0))
+    if (model.l.kind == "power" and lowest < 0.0) or (model.l.kind == "log1p_scaled" and lowest <= -1.0):
+        raise ValueError(f"l = {model.l.kind} is undefined at g(0) + (n - 1) h(0) = {lowest:g}")
     law, exact = _stat_law(space, model)
     if exact:
         return InterimCache(space, model, _mode="exact_law", _law=law)

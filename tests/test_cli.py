@@ -66,8 +66,8 @@ class TestSimulate:
     def test_empty_run(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "--samples", "0", "simulate")
         assert code == 0
-        lines = (tmp_path / "outcomes.csv").read_text().strip().splitlines()
-        assert len(lines) == 1  # header only
+        header = "s_1,s_2,s_3,winner,threshold,payment_1,payment_2,payment_3,revenue,welfare\r\n"
+        assert (tmp_path / "outcomes.csv").read_bytes() == header.encode()  # the full header, no rows
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["metrics"]["revenue"]["sample_count"] == 0
 
@@ -277,6 +277,8 @@ def test_config_file_not_found(tmp_path):
         '{"space": {"n": 3, "marginal": {"type": "quantile", "kind": "power", "params": [NaN, 1.0]}}}',
         '{"model": {"family": "concave_sum", "l": {"kind": "log1p_scaled", "params": [Infinity]},'
         ' "g": {"kind": "identity"}, "h": {"kind": "identity"}}}',
+        '{"model": {"family": "concave_sum", "l": {"kind": "power", "params": [0.5]},'
+        ' "g": {"kind": "affine", "params": [1.0, -1.0]}, "h": {"kind": "identity"}}}',
         '{"space": {"n": 2.7, "marginal": {"type": "uniform"}}}',
         '{"space": {"n": "3", "marginal": {"type": "uniform"}}}',
         '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": "2"}}}',

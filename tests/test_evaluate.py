@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cursed_auctions import evaluate
 from cursed_auctions.evaluate import (
     _h_map_and_moments,
     _metric_values,
@@ -22,6 +25,7 @@ from cursed_auctions.evaluate import (
 )
 from cursed_auctions.mechanisms import (
     AuctionContext,
+    BatchOutcome,
     GVARule,
     Mechanism,
     make_context,
@@ -29,6 +33,7 @@ from cursed_auctions.mechanisms import (
     run,
     run_batch,
 )
+from cursed_auctions.oracle import GridModel
 from cursed_auctions.signals import (
     DiscreteGridIID,
     GenericIID,
@@ -357,6 +362,105 @@ class TestCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s_1,s_2,s_3,winner,threshold,payment_1,payment_2,payment_3,revenue,welfare"
         assert len(lines) == 6
+
+    def test_mismatched_batch_rejected(self, ctx, tmp_path):
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        profiles = sample_profiles(ctx.space, RandomStream(1), 5)
+        batch = run_batch(mech, profiles, ctx)
+        path = tmp_path / "outcomes.csv"
+        with pytest.raises(ValueError, match="rows"):
+            write_outcomes_csv(path, profiles[:3], batch)
+        for field in ("payments", "thresholds"):
+            wide = dataclasses.replace(batch, **{field: np.zeros((5, 4))})
+            with pytest.raises(ValueError, match="width"):
+                write_outcomes_csv(path, profiles, wide)
+
+
+def _csv_writer_outcomes(path, profiles, batch):
+    """The per-cell ``csv.writer`` loop that ``write_outcomes_csv`` replaced,
+    kept as the reference for its bytes (with n read from the profile width)."""
+    profiles = np.atleast_2d(profiles)
+    n = profiles.shape[1]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            [f"s_{i + 1}" for i in range(n)]
+            + ["winner", "threshold"]
+            + [f"payment_{i + 1}" for i in range(n)]
+            + ["revenue", "welfare"]
+        )
+        for r in range(len(profiles)):
+            winner = int(batch.winner[r])
+            top = int(np.argmax(profiles[r]))
+            w.writerow(
+                [f"{x:.12g}" for x in profiles[r]]
+                + [winner if winner >= 0 else "", f"{batch.thresholds[r, top]:.12g}"]
+                + [f"{x:.12g}" for x in batch.payments[r]]
+                + [f"{batch.revenue[r]:.12g}", f"{batch.welfare[r]:.12g}"]
+            )
+
+
+_CSV_SPECIALS = (-0.0, 5e-324, 1e16, 1e-5, 123456789012.5, float("inf"), float("nan"))
+
+
+def _edge_batch(n: int, rows: int, seed: int):
+    """Random outcomes with no-winner rows and the specials injected into the
+    profiles, the payments and the threshold column (the argmax agent's)."""
+    rng = np.random.default_rng(seed)
+    profiles = rng.random((rows, n))
+    payments = rng.normal(scale=10.0, size=(rows, n))
+    thresholds = rng.random((rows, n)) * 3.0
+    winner = rng.integers(-1, n, rows)
+    winner[::4] = -1
+    for r in range(0, rows, 2):
+        v = _CSV_SPECIALS[(r // 2) % len(_CSV_SPECIALS)]
+        profiles[r, r % n] = v
+        payments[r, (3 * r) % n] = v
+        thresholds[r, np.argmax(profiles[r])] = v
+    zeros = np.zeros((rows, n))
+    batch = BatchOutcome(
+        winner=winner,
+        win=zeros > 0,
+        payments=payments,
+        thresholds=thresholds,
+        compensations=zeros,
+        welfare=rng.random(rows),
+        revenue=payments.sum(axis=1),
+    )
+    return profiles, batch
+
+
+def _assert_same_bytes(tmp_path, profiles, batch):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_outcomes_csv(new, profiles, batch)
+    _csv_writer_outcomes(old, profiles, batch)
+    assert new.read_bytes() == old.read_bytes()
+
+
+class TestOutcomesCsvDifferential:
+    """``write_outcomes_csv`` writes the bytes of the ``csv.writer`` loop it replaced."""
+
+    CELLS = 5_000  # a small cell budget, so chunk edges are cheap to reach
+
+    @pytest.mark.parametrize("n", [1, 3, 25, 200])
+    @pytest.mark.parametrize(
+        "rows_of", [lambda c: 0, lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 3 * c + 2],
+        ids=["zero", "one", "chunk-1", "chunk", "chunk+1", "3chunks+2"],
+    )
+    def test_edge_values_across_chunk_edges(self, tmp_path, monkeypatch, n, rows_of):
+        monkeypatch.setattr(evaluate, "_CSV_CHUNK_CELLS", self.CELLS)
+        rows = rows_of(self.CELLS // (2 * n + 4))
+        _assert_same_bytes(tmp_path, *_edge_batch(n, rows, seed=n * 1000 + rows))
+
+    def test_default_chunk_edge(self, tmp_path):
+        n = 25
+        _assert_same_bytes(tmp_path, *_edge_batch(n, evaluate._CSV_CHUNK_CELLS // (2 * n + 4) + 1, seed=7))
+
+    def test_grid_oracle_dump(self, tmp_path):
+        grid = GridModel(n=2, m=3, model=WeightedSum(1.0), chi=1.0)
+        profiles = grid.all_profiles()
+        batch = run_batch(Mechanism(GVARule(), 1.0, "compensated"), profiles, grid.context())
+        _assert_same_bytes(tmp_path, profiles, batch)
 
 
 def test_masked_welfare_never_exceeds_optimal_pointwise(ctx):

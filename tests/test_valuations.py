@@ -318,6 +318,35 @@ class TestModelValidation:
             model_from_config({"family": "weighted_sum", "beta": 0.5, "oops": 1})
 
     @pytest.mark.parametrize(
+        "l, g, h, n, ok",
+        [
+            ("power", ("affine", (1.0, -1.0)), ("identity", ()), 3, False),  # value would be NaN
+            ("power", ("identity", ()), ("identity", ()), 3, True),  # the argument reaches exactly 0
+            ("power", ("identity", ()), ("affine", (1.0, -1e-9)), 2, False),
+            ("log1p_scaled", ("affine", (1.0, -1.0)), ("identity", ()), 3, False),  # log1p(-1) = -inf
+            ("log1p_scaled", ("identity", ()), ("affine", (1.0, -0.4)), 3, True),  # -0.8 > -1
+            ("log1p_scaled", ("identity", ()), ("affine", (1.0, -0.4)), 4, False),  # -1.2 at n = 4
+            ("affine", ("affine", (1.0, -5.0)), ("affine", (1.0, -5.0)), 3, True),  # l defined everywhere
+        ],
+    )
+    def test_config_outer_domain_checked_against_n(self, l, g, h, n, ok):
+        params = {"power": [0.5], "log1p_scaled": [1.0], "affine": [1.0, 0.0]}[l]
+        cfg = {
+            "family": "concave_sum",
+            "l": {"kind": l, "params": params},
+            "g": {"kind": g[0], "params": list(g[1])},
+            "h": {"kind": h[0], "params": list(h[1])},
+        }
+        model = model_from_config(cfg)
+        space = SignalSpace(n, UniformIID(1.0))
+        if ok:
+            cache = make_interim_cache(space, model)
+            assert np.isfinite(cache.expected_value(np.array([0.0, 0.5, 1.0]))).all()
+        else:
+            with pytest.raises(ValueError, match="undefined"):
+                make_interim_cache(space, model)
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             {"family": "weighted_sum", "beta": "0.5"},
