@@ -512,10 +512,8 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                     view = OthersView.from_others(others, ctx.model)
                     t_opts = RevenueOptimalRule(chi).critical_bids(view, ctx)
                     spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
-                    worst_gap = 0.0
-                    for o, t_opt in zip(others, t_opts.tolist()):
-                        t_oracle = orc.brute_force_rev_optimal_threshold(grid, o)
-                        worst_gap = max(worst_gap, abs(t_oracle - t_opt))
+                    t_oracle = orc.brute_force_rev_optimal_threshold(grid, others)
+                    worst_gap = float(np.max(np.abs(t_oracle - t_opts), initial=0.0))
                     checks.append(
                         {
                             "name": f"thresholds n={n} m={m} {label} chi={chi}",

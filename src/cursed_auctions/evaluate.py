@@ -89,14 +89,18 @@ class EstimateReport:
         )
 
     def to_json(self) -> dict:
+        """The report as JSON fields; a mean of no samples is null, not a measured 0."""
+        mean, se, lo, hi = (self.mean, self.standard_error, *self.confidence_interval_95)
+        if self.sample_count == 0:
+            mean = se = lo = hi = None
         return {
             "metric": self.metric,
-            "mean": self.mean,
-            "standard_error": self.standard_error,
+            "mean": mean,
+            "standard_error": se,
             "sample_count": self.sample_count,
             "seed": self.seed,
-            "ci95_low": self.confidence_interval_95[0],
-            "ci95_high": self.confidence_interval_95[1],
+            "ci95_low": lo,
+            "ci95_high": hi,
         }
 
 

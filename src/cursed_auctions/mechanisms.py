@@ -258,11 +258,11 @@ def _threshold_revenue(t, view: OthersView, ctx: AuctionContext, chi: float):
     return m - c * F
 
 
-def _cell_bound(at_a, at_b):
+def _cell_bound(c_a, F_a, m_b, F_b):
     """Upper bound on the revenue m - c * F over a grid cell [t_a, t_b] from
-    the parts (m, c, F) at its ends: m(t) <= m(t_b), c(t) >= c(t_a) and F(t)
-    lies in [F(t_a), F(t_b)], so c(t) * F(t) >= min(c(t_a) * F(t_a), c(t_a) * F(t_b))."""
-    (_, c_a, F_a), (m_b, _, F_b) = at_a, at_b
+    c and F at its left end and m and F at its right end: m(t) <= m(t_b),
+    c(t) >= c(t_a) and F(t) lies in [F(t_a), F(t_b)], so
+    c(t) * F(t) >= min(c(t_a) * F(t_a), c(t_a) * F(t_b))."""
     return m_b - np.minimum(c_a * F_a, c_a * F_b)
 
 
@@ -272,38 +272,42 @@ def _grid_argmax(lo, span, stat, ctx, chi, tie_tol):
     zero, and that revenue, without evaluating every point.
 
     Cells of ``_OPT_STRIDE`` points are evaluated at their ends, then halved at
-    integer midpoints, one level at a time on flat (row, cell) arrays.  A cell
-    is dropped once ``_cell_bound`` falls below the row's best value minus
-    ``tie_tol``, which covers the rounding of the computed monotone maps, so
-    every point of a dropped cell is strictly below the row maximum and k is
-    the dense scan's argmax.
+    integer midpoints, one level at a time on flat (row, cell) arrays that
+    carry only what ``_cell_bound`` reads.  A cell is dropped once its bound
+    falls below the row's best value minus ``tie_tol``, which covers the
+    rounding of the computed monotone maps, so every point of a dropped cell
+    is strictly below the row maximum and k is the dense scan's argmax.
     """
     last = _OPT_POINTS - 1
 
     def evaluate(row, j):
-        parts = np.stack(_revenue_parts(lo[row] + _OPT_FRAC[j] * span[row], stat[row], ctx, chi))
-        m, c, F = parts
-        return np.where(j == last, 0.0, m - c * F), parts
+        m, c, F = _revenue_parts(lo[row] + _OPT_FRAC[j] * span[row], stat[row], ctx, chi)
+        return m - c * F, m, c, F
 
     ends = np.r_[0:last:_OPT_STRIDE, last]
     row, j = np.repeat(np.arange(len(lo)), len(ends)), np.tile(ends, len(lo))
-    r, parts = evaluate(row, j)
+    r, m, c, F = evaluate(row, j)
+    r[len(ends) - 1 :: len(ends)] = 0.0  # every row's last end is s_bar
     best = r.reshape(len(lo), -1).max(axis=1)
     seen = [(row, j, r)]
     # a row's cells join consecutive ends: flat points p and p + 1 for every p not at the last index
     p = np.flatnonzero(j != last)
-    row, a, b, at_a, at_b = row[p], j[p], j[p + 1], parts[:, p], parts[:, p + 1]
+    row, a, b = row[p], j[p], j[p + 1]
+    c_a, F_a, m_b, F_b = c[p], F[p], m[p + 1], F[p + 1]
     while True:
-        live = (b - a > 1) & ~(_cell_bound(at_a, at_b) < best[row] - tie_tol)
-        if not live.any():
+        live = np.flatnonzero((b - a > 1) & ~(_cell_bound(c_a, F_a, m_b, F_b) < best[row] - tie_tol))
+        if not live.size:
             break
-        row, a, b, at_a, at_b = row[live], a[live], b[live], at_a[:, live], at_b[:, live]
+        row, a, b = row[live], a[live], b[live]
+        c_a, F_a, m_b, F_b = c_a[live], F_a[live], m_b[live], F_b[live]
         mid = (a + b) // 2
-        r, at_mid = evaluate(row, mid)
+        r, m, c, F = evaluate(row, mid)
         np.maximum.at(best, row, r)
         seen.append((row, mid, r))
-        row, a, b = np.tile(row, 2), np.concatenate((a, mid)), np.concatenate((mid, b))
-        at_a, at_b = np.concatenate((at_a, at_mid), axis=1), np.concatenate((at_mid, at_b), axis=1)
+        # the halves [a, mid] and [mid, b]
+        row, a, b = np.concatenate((row, row)), np.concatenate((a, mid)), np.concatenate((mid, b))
+        c_a, F_a = np.concatenate((c_a, c)), np.concatenate((F_a, F))
+        m_b, F_b = np.concatenate((m, m_b)), np.concatenate((F, F_b))
     row, j, r = (np.concatenate(x) for x in zip(*seen))
     hit = r == best[row]
     k = np.full(len(lo), last)

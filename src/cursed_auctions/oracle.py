@@ -117,13 +117,6 @@ def exact_expectation(grid: GridModel, mech: Mechanism, metric: str, ctx: Option
     return math.fsum(float(x) for x in vals) / len(vals)
 
 
-def _price_parts(grid: GridModel, t: float, others: np.ndarray):
-    v_t = float(value(grid.model, np.concatenate(([t], others)), 0))
-    mu_t = _interim_mu_at(grid, t)
-    vchi_t = (1.0 - grid.chi) * v_t + grid.chi * mu_t
-    return v_t, vchi_t
-
-
 def oracle_payments(grid: GridModel, thresholds: np.ndarray, profiles: np.ndarray) -> np.ndarray:
     """Payments recomputed from first principles, independent of the mechanism
     module: winners pay the smaller of true and cursed value at their critical
@@ -146,39 +139,50 @@ def oracle_payments(grid: GridModel, thresholds: np.ndarray, profiles: np.ndarra
 
 
 def _threshold_revenue_exact(grid: GridModel, t: float, others: np.ndarray) -> float:
+    """The threshold revenue at one (t, others) point; the scalar form of the
+    objective ``brute_force_rev_optimal_threshold`` scores."""
     if t >= grid.s_bar:
         return 0.0
-    v_t, vchi_t = _price_parts(grid, t, others)
+    v_t = float(value(grid.model, np.concatenate(([t], others)), 0))
+    vchi_t = (1.0 - grid.chi) * v_t + grid.chi * _interim_mu_at(grid, t)
     cdf = float(np.sum(grid.points <= t + 1e-12)) / grid.m
     return min(v_t, vchi_t) - vchi_t * cdf
 
 
-def brute_force_rev_optimal_threshold(grid: GridModel, others: np.ndarray) -> float:
+def brute_force_rev_optimal_threshold(grid: GridModel, others: np.ndarray) -> np.ndarray:
     """Exhaustive scan of the threshold-revenue objective over every distinct
-    allocation behavior on the grid; smallest argmax, with t = s_bar worth 0.
+    allocation behavior on the grid, for each others-profile row of ``others``
+    (one (n - 1,) row also works); smallest argmax per row, with t = s_bar
+    worth 0.
 
     Because winning requires a report strictly above the threshold, a grid
     atom g can either lose (t = g) or win (any t just below g): the objective
     jumps down at atoms, so its supremum can sit immediately below one.  The
     candidate set therefore contains every atom at or above max(others) plus
     a point a hair below each admissible atom; atoms alone are not exhaustive.
+    All rows share one ascending candidate array, scored in one pass: the
+    exact interim mean and the CDF once per candidate, the value once per
+    (row, candidate) pair; a row's inadmissible candidates never win.
     """
-    others = np.asarray(others, dtype=float)
-    lo = float(others.max())
-    eps = 1e-9 * grid.s_bar
-    cands = {grid.s_bar}
-    for t in grid.points:
-        t = float(t)
-        if t >= lo - 1e-12:
-            cands.add(t)
-        if t - eps >= lo:
-            cands.add(t - eps)
-    best_t, best_r = grid.s_bar, 0.0
-    for t in sorted(cands):  # ascending, so ties keep the smallest threshold
-        r = _threshold_revenue_exact(grid, t, others)
-        if r > best_r:
-            best_t, best_r = t, r
-    return best_t
+    others = np.atleast_2d(np.asarray(others, dtype=float))
+    lo = others.max(axis=1)[:, None]
+    atoms = grid.points
+    shifted = atoms - 1e-9 * grid.s_bar
+    cands = np.unique(np.concatenate((atoms, shifted, [grid.s_bar])))
+    ok = (np.isin(cands, atoms) & (cands >= lo - 1e-12)) | (np.isin(cands, shifted) & (cands >= lo))
+    keep = ok.any(axis=0) | (cands == grid.s_bar)  # s_bar: every row's fallback, worth 0
+    cands, ok = cands[keep], ok[:, keep]
+    profs = np.empty((len(others), len(cands), grid.n))  # (row, candidate, agent), own signal first
+    profs[..., 0], profs[..., 1:] = cands, others[:, None, :]
+    v = value(grid.model, profs, 0)
+    mu = np.array([_interim_mu_at(grid, float(t)) for t in cands])
+    vchi = (1.0 - grid.chi) * v + grid.chi * mu
+    cdf = np.count_nonzero(atoms <= cands[:, None] + 1e-12, axis=1) / grid.m
+    r = np.minimum(v, vchi) - vchi * cdf
+    # a candidate moves a row's answer off s_bar only when it earns more than 0
+    gain = np.where(ok & (cands < grid.s_bar) & (r > 0.0), r, 0.0)
+    best = np.argmax(gain, axis=1)  # ascending candidates, so ties keep the smallest threshold
+    return np.where(gain[np.arange(len(others)), best] > 0.0, cands[best], grid.s_bar)
 
 
 @dataclass

@@ -92,7 +92,10 @@ class UniformIID:
 
 @dataclass(frozen=True)
 class DiscreteGridIID:
-    """Uniform mass on a finite sorted grid of points in [0, s_bar]."""
+    """Uniform mass on a finite sorted grid of points in [0, s_bar].
+
+    Equality and hashing see ``points`` alone; the read-only atom array and
+    the mean are derived from it once, at construction."""
 
     points: tuple
 
@@ -104,7 +107,11 @@ class DiscreteGridIID:
             raise ValueError("grid points must be sorted ascending")
         if pts[0] < 0 or not np.isfinite(pts).all():
             raise ValueError("grid points must be finite and non-negative")
+        atoms = np.asarray(pts, dtype=float)
+        atoms.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_mean", float(np.mean(atoms)))
 
     @property
     def s_bar(self) -> float:
@@ -115,11 +122,11 @@ class DiscreteGridIID:
         return False
 
     def atoms(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        return self._atoms
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        counts = np.searchsorted(self.atoms(), t + _EDGE_SLACK, side="left")
+        counts = np.searchsorted(self._atoms, t + _EDGE_SLACK, side="left")
         return counts / len(self.points)
 
     def quantile(self, p):
@@ -128,13 +135,13 @@ class DiscreteGridIID:
         # smallest grid point whose CDF reaches p
         idx = np.minimum(np.ceil(p * m - _EDGE_SLACK).astype(int), m) - 1
         idx = np.maximum(idx, 0)
-        return self.atoms()[idx]
+        return self._atoms[idx]
 
     def pdf(self, t):
         raise UnsupportedMarginalError("discrete grid marginals have no density")
 
     def mean(self) -> float:
-        return float(np.mean(self.atoms()))
+        return self._mean
 
 
 @dataclass(frozen=True)

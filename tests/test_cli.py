@@ -69,7 +69,11 @@ class TestSimulate:
         header = "s_1,s_2,s_3,winner,threshold,payment_1,payment_2,payment_3,revenue,welfare\r\n"
         assert (tmp_path / "outcomes.csv").read_bytes() == header.encode()  # the full header, no rows
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["metrics"]["revenue"]["sample_count"] == 0
+        for metric in ("revenue", "welfare", "transfers_out", "allocation_prob"):
+            report = summary["metrics"][metric]
+            assert report["sample_count"] == 0
+            # no samples, no measured mean: null, not 0.0
+            assert [report[k] for k in ("mean", "standard_error", "ci95_low", "ci95_high")] == [None] * 4
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

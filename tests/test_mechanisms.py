@@ -539,7 +539,7 @@ class TestCertifiedSearch:
         last = mechanisms._OPT_POINTS - 1
         ends = np.r_[0:last:mechanisms._OPT_STRIDE, last]
         for a, b in zip(ends[:-1], ends[1:]):
-            bound = mechanisms._cell_bound(parts[:, a], parts[:, b])
+            bound = mechanisms._cell_bound(c[a], F[a], m[b], F[b])
             assert np.all(r[a + 1:b] <= bound + tie_tol), (a, b)
 
     def test_evaluations_per_distinct_row(self, monkeypatch):

@@ -20,6 +20,7 @@ from cursed_auctions.mechanisms import (
 from cursed_auctions.oracle import (
     BestResponse,
     GridModel,
+    _threshold_revenue_exact,
     brute_force_best_response,
     brute_force_rev_optimal_threshold,
     exact_expectation,
@@ -186,6 +187,68 @@ class TestBruteForceThreshold:
                     t_bf = brute_force_rev_optimal_threshold(grid, np.array(o))
                     t_opt = critical_bid(rule, np.array(o), ctx)
                     assert abs(t_bf - t_opt) <= spacing + 1e-9
+
+
+def _per_row_threshold(grid, others):
+    """Reference: the per-row candidate loop the one-pass oracle replaced.
+    Ascending candidates with a strict ``>`` keep the smallest maximizer, and
+    t = s_bar (worth 0) stands unless some candidate earns more."""
+    others = np.asarray(others, dtype=float)
+    lo = float(others.max())
+    eps = 1e-9 * grid.s_bar
+    cands = {grid.s_bar}
+    for t in grid.points:
+        t = float(t)
+        if t >= lo - 1e-12:
+            cands.add(t)
+        if t - eps >= lo:
+            cands.add(t - eps)
+    best_t, best_r = grid.s_bar, 0.0
+    for t in sorted(cands):
+        r = _threshold_revenue_exact(grid, t, others)
+        if r > best_r:
+            best_t, best_r = t, r
+    return best_t
+
+
+class TestOnePassThreshold:
+    """One pass over all others-profiles of a grid returns the per-row loop's
+    thresholds bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in (2, 3) for m in (1, 2, 5, 11, 21)] + [(4, 2), (4, 5)]
+    )
+    def test_matches_per_row_loop(self, n, m):
+        for model in (WeightedSum(0.5), WeightedSum(1.0), MaxSignal()):
+            for chi in (0.0, 0.5, 1.0):
+                grid = GridModel(n=n, m=m, model=model, chi=chi)
+                others = grid.others_profiles()
+                got = brute_force_rev_optimal_threshold(grid, others)
+                ref = np.array([_per_row_threshold(grid, o) for o in others])
+                assert got.shape == (len(others),)
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=f"{model} chi={chi}")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_ties_keep_the_smallest_threshold(self, n):
+        # with beta = 2^60 the own signal vanishes in the rounding of v and the
+        # interim mean, so an atom and the point just below the next atom earn
+        # bit-identical revenue: the smaller one must win
+        for chi in (0.0, 0.5, 1.0):
+            grid = GridModel(n=n, m=5, model=WeightedSum(2.0**60), chi=chi)
+            others = grid.others_profiles()
+            got = brute_force_rev_optimal_threshold(grid, others)
+            ref = np.array([_per_row_threshold(grid, o) for o in others])
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=f"chi={chi}")
+        row = np.full(n - 1, 0.25)
+        tie = _threshold_revenue_exact(grid, 0.25, row)
+        assert tie > 0.0 and tie == _threshold_revenue_exact(grid, 0.5 - 1e-9, row)
+        assert brute_force_rev_optimal_threshold(grid, row).tolist() == [0.25]
+
+    def test_one_row_and_no_rows(self):
+        grid = GridModel(n=3, m=5, model=WeightedSum(1.0), chi=1.0)
+        row = np.array([0.25, 0.0])
+        assert brute_force_rev_optimal_threshold(grid, row).tolist() == [_per_row_threshold(grid, row)]
+        assert brute_force_rev_optimal_threshold(grid, np.empty((0, 2))).shape == (0,)
 
 
 class TestBestResponse:

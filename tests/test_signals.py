@@ -91,6 +91,48 @@ def test_grid_empirical_frequencies():
         assert abs(np.mean(samples == p) - 1 / 3) < 0.01
 
 
+class TestDiscreteGridAtoms:
+    """The grid's atoms and mean are built once, read-only, and give the
+    formulas written against the points tuple bit for bit."""
+
+    GRIDS = {
+        "single": (0.4,),
+        "duplicates": (0.0, 0.25, 0.25, 0.25, 1.0),
+        "eleven": tuple(np.linspace(0.0, 2.5, 11)),
+    }
+
+    def test_atoms_read_only(self):
+        atoms = DiscreteGridIID(self.GRIDS["eleven"]).atoms()
+        with pytest.raises(ValueError):
+            atoms[0] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_matches_tuple_formulas(self, name):
+        points = self.GRIDS[name]
+        marg, ref_atoms, m = DiscreteGridIID(points), np.asarray(points, dtype=float), len(points)
+        t = np.concatenate([ref_atoms + d for d in (0.0, -1e-13, 1e-13, -1e-9)] + [np.linspace(-0.1, 2.6, 55)])
+        ref_cdf = np.searchsorted(ref_atoms, t + 1e-12, side="left") / m
+        np.testing.assert_array_equal(marg.cdf(t).view(np.int64), ref_cdf.view(np.int64))
+        assert marg.cdf(float(t[0])) == ref_cdf[0]
+        p = np.concatenate([np.linspace(0.0, 1.0, 41), np.arange(m + 1) / m])
+        ref_idx = np.maximum(np.minimum(np.ceil(p * m - 1e-12).astype(int), m) - 1, 0)
+        np.testing.assert_array_equal(marg.quantile(p).view(np.int64), ref_atoms[ref_idx].view(np.int64))
+        assert marg.quantile(0.5) == ref_atoms[ref_idx[20]]
+        assert np.float64(marg.mean()).view(np.int64) == np.float64(np.mean(ref_atoms)).view(np.int64)
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = DiscreteGridIID((0.0, 0.5, 1.0)), DiscreteGridIID([0, 0.5, 1])
+        a.cdf(0.5), a.mean()  # reading a grid leaves its identity alone
+        assert a == b and hash(a) == hash(b)
+        assert a != DiscreteGridIID((0.0, 0.5))
+        assert SignalSpace(2, a) == SignalSpace(2, b) and hash(SignalSpace(2, a)) == hash(SignalSpace(2, b))
+        from cursed_auctions.oracle import GridModel
+        from cursed_auctions.valuations import WeightedSum
+
+        g, h = (GridModel(n=2, m=11, model=WeightedSum(1.0), chi=0.5) for _ in range(2))
+        assert g == h and hash(g) == hash(h) and hash(g.space()) == hash(h.space())
+
+
 def test_power_quantile_marginal():
     marg = GenericIID("power", (2.0, 1.0))
     # quantile u**2 => cdf sqrt(t)
