@@ -31,6 +31,7 @@ from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, sample_p
 from .valuations import (
     ConcaveSum,
     WeightedSum,
+    _row_spans,
     cursed_virtual_value,
     profile_stats,
     single_crossing_holds,
@@ -406,11 +407,10 @@ def wallet_report(
 # CSV emission (schema v1: header always present, fixed column order).
 # outcomes.csv must keep the bytes csv.writer gives for per-cell f"{x:.12g}"
 # strings: no field needs quoting, and lines end in CRLF.  Each row chunk is
-# formatted by one "%" on a repeated line template; a chunk holds at most
-# _CSV_CHUNK_CELLS cells, so the Python floats it makes stay bounded in n.
+# formatted by one "%" on a repeated line template; a chunk budgets 16 float
+# cells per CSV cell (its float, the Python float and its list and tuple slots,
+# and the formatted text), so the memory it takes stays bounded in n.
 # ---------------------------------------------------------------------------
-
-_CSV_CHUNK_CELLS = 250_000
 
 
 def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
@@ -429,18 +429,16 @@ def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
     width = len(header)
     line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
     threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
-    step = max(1, _CSV_CHUNK_CELLS // width)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for a in range(0, N, step):
-            b = min(a + step, N)
-            winner = batch.winner[a:b]
+        for r in _row_spans(N, 16 * width):
+            winner = batch.winner[r]
             cells = np.column_stack(
-                (profiles[a:b], winner, threshold[a:b], batch.payments[a:b], batch.revenue[a:b], batch.welfare[a:b])
+                (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
             ).ravel().tolist()
             # the winner column holds float placeholders until here; "%s" then writes int or ""
             cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
-            fh.write((line * (b - a)) % tuple(cells))
+            fh.write((line * len(winner)) % tuple(cells))
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

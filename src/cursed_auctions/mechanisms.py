@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import SignalSpace, _config_number
+from .signals import SignalSpace, _checked_profiles, _checked_signals, _config_number
 from .valuations import (
     InterimCache,
     MaxSignal,
@@ -53,6 +53,7 @@ from .valuations import (
     _check_chi,
     _chunked,
     _max_excluding_self,
+    _row_spans,
     cursed_value_from_parts,
     make_interim_cache,
     others_stat,
@@ -92,8 +93,6 @@ _OPT_POINTS = 2048
 _OPT_FRAC = np.linspace(0.0, 1.0, _OPT_POINTS)
 _OPT_STRIDE = 128
 _GOLDEN_ITERS = 60
-_ROW_CHUNK_FLOATS = 4_000_000
-_QUOTE_CHUNK_PAIRS = 100_000
 
 
 class ModelUnsupportedError(ValueError):
@@ -317,7 +316,7 @@ def _grid_argmax(lo, span, stat, ctx, chi, tie_tol):
 
 def _optimize_thresholds(view, ctx, chi):
     s_bar = ctx.s_bar
-    _checked_signals(view.max, ctx)
+    _checked_signals(view.max, ctx.space)
     if not np.all(np.isfinite(view.stat)):
         raise ValueError("the others' statistics must be finite")
     tie_tol = 1e-12 * max(ctx.scale(), 1.0)
@@ -341,15 +340,14 @@ def _optimize_thresholds(view, ctx, chi):
             t_best = np.where(take, t_cand, t_best)
         return np.where(span <= 0.0, s_bar, t_best)
 
-    solve = lambda lo, stat: _chunked(chunk, max(1, _ROW_CHUNK_FLOATS // _OPT_POINTS), lo, stat)
-    return _per_distinct(solve, view.max, view.stat)
+    return _per_distinct(chunk, _OPT_POINTS, view.max, view.stat)  # a cell per point the search may evaluate
 
 
-def _per_distinct(fn, a, b):
-    """``fn(a, b)`` for 1-D key columns whose rows repeat: ``fn`` runs once on
-    the distinct (a, b) rows and its results are gathered back.  Exact because
-    a row's threshold depends on that row alone; rows are told apart by their
-    bits, so -0.0 and 0.0 stay distinct inputs."""
+def _per_distinct(fn, width, a, b):
+    """``fn(a, b)`` for 1-D key columns whose rows repeat: ``fn`` runs once on the
+    distinct (a, b) rows, in chunks of ``width`` cells per row, and the results
+    are gathered back.  Exact because a row's threshold depends on that row alone;
+    rows are told apart by their bits, so -0.0 and 0.0 stay distinct inputs."""
     bits = np.stack([a, b]).view(np.int64)
     order = np.lexsort(bits[::-1])  # by a's bits, then b's
     bits = bits[:, order]
@@ -357,7 +355,7 @@ def _per_distinct(fn, a, b):
     first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     inv = np.empty(len(order), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
-    return fn(a[order[first]], b[order[first]])[inv]
+    return _chunked(fn, width, a[order[first]], b[order[first]])[inv]
 
 
 def _golden_max(f, lo, hi, iters):
@@ -447,8 +445,7 @@ def _mask_thresholds(base_t, view, ctx):
     rows = np.flatnonzero(todo)
     if rows.size:  # MaxSignal batches rarely leave a row to scan; skip the sort then
         scan = lambda base, stat: _mask_scan(base, stat, ctx)
-        solve = lambda base, stat: _chunked(scan, max(1, _ROW_CHUNK_FLOATS // _SCAN_POINTS), base, stat)
-        out[rows] = _per_distinct(solve, base_t[rows], view.stat[rows])
+        out[rows] = _per_distinct(scan, _SCAN_POINTS, base_t[rows], view.stat[rows])  # a cell per scan point
     return out
 
 
@@ -540,21 +537,6 @@ def _outcomes(mech: Mechanism, q: Quote, bids, ctx: AuctionContext):
     return win, np.where(win, mech._winner_payments(bids, q, ctx), q.compensation[:, None])
 
 
-def _checked_profiles(profiles, ctx: AuctionContext) -> np.ndarray:
-    """Profiles as an (N, n) float array of finite signals in [0, s_bar]."""
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    if profiles.ndim != 2 or profiles.shape[1] != ctx.space.n:
-        raise ValueError(f"profiles must have shape (N, {ctx.space.n}), got {profiles.shape}")
-    return _checked_signals(profiles, ctx)
-
-
-def _checked_signals(signals: np.ndarray, ctx: AuctionContext) -> np.ndarray:
-    """``signals``, after checking that they are finite and in [0, s_bar]."""
-    if not np.all((signals >= 0.0) & (signals <= ctx.s_bar)):  # NaN fails both
-        raise ValueError(f"signals must be finite and lie in [0, {ctx.s_bar}]")
-    return signals
-
-
 @dataclass
 class Outcome:
     """Result of one auction: at most one winner, payments for everyone."""
@@ -587,13 +569,12 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
     Raises ValueError unless every signal is finite and in [0, s_bar] and the
     width is n; zero rows are fine.
     """
-    profiles = _checked_profiles(profiles, ctx)
+    profiles = _checked_profiles(profiles, ctx.space)
     N, n = profiles.shape
     out = _empty_batch(N, n)
-    chunk = max(1, _QUOTE_CHUNK_PAIRS // n)
-    for start in range(0, N, chunk):
-        rows = profiles[start:start + chunk]
-        _execute(out, start, mech, rows, _quote(mech, rows, ctx, range(n), start), ctx)
+    for span in _row_spans(N, 40 * n):  # 40 cells per (row, agent) quote and its outcome
+        rows = profiles[span]
+        _execute(out, span.start, mech, rows, _quote(mech, rows, ctx, range(n), span.start), ctx)
     return out
 
 
@@ -651,11 +632,12 @@ def agent_outcomes_for_bids(
     reports truthfully, so agent i's quote (critical bid, compensation and
     threshold price) is fixed per row while the win indicator and any
     report-dependent (broken) pricing vary across the grid.  The bid column
-    ``profiles[:, [i]]`` reproduces column i of ``run_batch`` exactly.
-    Returns (win (N, G), payments (N, G), thresholds (N,), compensations (N,)).
+    ``profiles[:, [i]]`` reproduces column i of ``run_batch`` exactly; a profile
+    or bid outside [0, s_bar] is a ValueError.  Returns (win (N, G), payments
+    (N, G), thresholds (N,), compensations (N,)).
     """
-    q = _quote(mech, _checked_profiles(profiles, ctx), ctx, [i])
-    win, payments = _outcomes(mech, q, np.asarray(bids, dtype=float), ctx)
+    q = _quote(mech, _checked_profiles(profiles, ctx.space), ctx, [i])
+    win, payments = _outcomes(mech, q, _checked_signals(bids, ctx.space), ctx)
     return win, payments, q.t, q.compensation
 
 
@@ -665,7 +647,7 @@ def critical_bid(rule: ThresholdRule, others: np.ndarray, ctx: AuctionContext) -
     others = np.asarray(others, dtype=float)
     if others.shape != (ctx.space.n - 1,):
         raise ValueError(f"others must have shape ({ctx.space.n - 1},), got {others.shape}")
-    view = OthersView.from_others(_checked_signals(others[None, :], ctx), ctx.model)
+    view = OthersView.from_others(_checked_signals(others[None, :], ctx.space), ctx.model)
     return float(rule.critical_bids(view, ctx)[0])
 
 

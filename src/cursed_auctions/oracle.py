@@ -28,7 +28,7 @@ from .mechanisms import (
     make_context,
 )
 from .signals import DiscreteGridIID, SignalSpace
-from .valuations import ValuationModel, _check_chi, value
+from .valuations import ValuationModel, _check_chi, _sorted_unique, value
 
 __all__ = [
     "GridModel",
@@ -168,8 +168,11 @@ def brute_force_rev_optimal_threshold(grid: GridModel, others: np.ndarray) -> np
     lo = others.max(axis=1)[:, None]
     atoms = grid.points
     shifted = atoms - 1e-9 * grid.s_bar
-    cands = np.unique(np.concatenate((atoms, shifted, [grid.s_bar])))
-    ok = (np.isin(cands, atoms) & (cands >= lo - 1e-12)) | (np.isin(cands, shifted) & (cands >= lo))
+    cands = _sorted_unique(np.concatenate((atoms, shifted, [grid.s_bar])))
+    # each array holds a value once; assuming so also spares numpy's unique, which imports numpy.ma
+    is_atom = np.isin(cands, atoms, assume_unique=True)
+    is_shifted = np.isin(cands, shifted, assume_unique=True)
+    ok = (is_atom & (cands >= lo - 1e-12)) | (is_shifted & (cands >= lo))
     keep = ok.any(axis=0) | (cands == grid.s_bar)  # s_bar: every row's fallback, worth 0
     cands, ok = cands[keep], ok[:, keep]
     profs = np.empty((len(others), len(cands), grid.n))  # (row, candidate, agent), own signal first

@@ -249,6 +249,22 @@ class SignalSpace:
         return SignalSpace(n=n, marginal=marginal)
 
 
+def _checked_signals(signals, space: SignalSpace) -> np.ndarray:
+    """``signals`` as a float array, after checking that they are finite and in [0, s_bar]."""
+    signals = np.asarray(signals, dtype=float)
+    if not np.all((signals >= 0.0) & (signals <= space.s_bar)):  # NaN fails both
+        raise ValueError(f"signals must be finite and lie in [0, {space.s_bar}]")
+    return signals
+
+
+def _checked_profiles(profiles, space: SignalSpace) -> np.ndarray:
+    """Profiles as an (N, n) float array of finite signals in [0, s_bar]."""
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    if profiles.ndim != 2 or profiles.shape[1] != space.n:
+        raise ValueError(f"profiles must have shape (N, {space.n}), got {profiles.shape}")
+    return _checked_signals(profiles, space)
+
+
 def _config_number(value, key: str, integral: bool = False):
     """A number read from a config, as a float or, when ``integral``, an int.
 

@@ -37,6 +37,7 @@ from .signals import (
     RandomStream,
     SignalSpace,
     UnsupportedMarginalError,
+    _checked_profiles,
     _config_number,
     sample_profiles,
 )
@@ -64,7 +65,7 @@ __all__ = [
 _MAX_EXACT_ENUM = 300_000  # most pairwise sums one exact-law step may form
 _LAW_BINS = 4096  # lattice points of the binned law
 _MAX_TAIL_KNOTS = 4097  # trapezoid knots of the continuous MaxSignal tail table
-_CHECK_CHUNK_CELLS = 1_000_000  # most (row, pair) or (row, shrink, own signal) cells a check chunk holds
+_CHUNK_CELLS = 4_000_000  # most float cells one row chunk of a memory-bounding loop holds
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def make_interim_cache(space: SignalSpace, model: ValuationModel) -> InterimCach
         if isinstance(marginal, DiscreteGridIID):
             # 1 - F(t)^k is constant between atoms, so left sums on the atoms
             # (and 0) are exact and the integral is linear between them
-            knots = np.unique(np.concatenate(([0.0], marginal.atoms())))
+            knots = _sorted_unique(np.concatenate(([0.0], marginal.atoms())))
             seg = (1.0 - marginal.cdf(knots[:-1]) ** k) * np.diff(knots)
         else:
             knots = np.linspace(0.0, space.s_bar, _MAX_TAIL_KNOTS)
@@ -351,12 +352,25 @@ def _linear_bins(x, p, lo: float, hi: float) -> np.ndarray:
     return np.bincount(j, p * (j + 1 - pos), _LAW_BINS) + np.bincount(j + 1, p * (pos - j), _LAW_BINS)
 
 
-def _chunked(fn, chunk: int, *arrays) -> np.ndarray:
-    """``fn`` over consecutive row chunks of the equal-length ``arrays``,
-    joined; each chunk's temporaries are freed before the next is built."""
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` of a non-empty 1-D array, without the ``numpy.ma`` import numpy's path makes."""
+    x = np.sort(x)
+    return x[np.r_[True, x[1:] != x[:-1]]]
+
+
+def _row_spans(N: int, width: int) -> list:
+    """Consecutive slices of ``range(N)`` of at most ``_CHUNK_CELLS // width`` rows
+    (one at least): the chunks of a loop that holds ``width`` float cells per row."""
+    step = max(1, _CHUNK_CELLS // width)
+    return [slice(start, min(start + step, N)) for start in range(0, N, step)]
+
+
+def _chunked(fn, width: int, *arrays) -> np.ndarray:
+    """``fn`` over the ``_row_spans`` of the equal-length ``arrays``, joined;
+    each chunk's temporaries are freed before the next is built."""
     out = np.empty(len(arrays[0]))
-    for start in range(0, len(out), chunk):
-        out[start:start + chunk] = fn(*(a[start:start + chunk] for a in arrays))
+    for rows in _row_spans(len(out), width):
+        out[rows] = fn(*(a[rows] for a in arrays))
     return out
 
 
@@ -364,13 +378,15 @@ def _law_mean(model: ConcaveSum, s: np.ndarray, atoms: np.ndarray, weights: np.n
     """weights @ l(g(s) + atoms), the mean of v(s, S') over the law of S'; summed
     per row, not by BLAS, so a point's result does not depend on the batch."""
     mean = lambda x: (model.l(model.g(x)[:, None] + atoms) * weights).sum(axis=1)
-    return _chunked(mean, max(1, 2_000_000 // len(atoms)), s.ravel()).reshape(s.shape)
+    return _chunked(mean, 2 * len(atoms), s.ravel()).reshape(s.shape)  # per atom: l's argument, its weighted l
 
 
 def cursed_value(cache: InterimCache, chi: float, profile: np.ndarray, i: int):
-    """(1 - chi) * v_i(s) + chi * interim value at s_i; chi outside [0, 1] is an error."""
+    """(1 - chi) * v_i(s) + chi * interim value at s_i, for a profile (n,) or batch (N, n);
+    chi outside [0, 1], a width other than n or a signal not in [0, s_bar] is a ValueError."""
     _check_chi(chi)
     profile = np.asarray(profile, dtype=float)
+    _checked_profiles(profile, cache.space)
     v = value(cache.model, profile, i)
     mu = cache.expected_value(profile[..., i])
     return cursed_value_from_parts(v, mu, chi)
@@ -435,15 +451,14 @@ def check_single_crossing(
     n = space.n
     profiles = sample_profiles(space, stream, sample_count)
     margins, pair = np.empty(sample_count), np.empty(sample_count, dtype=np.intp)
-    step = max(1, _CHECK_CHUNK_CELLS // (n * n))
-    for start in range(0, sample_count, step):
-        rows = profiles[start:start + step]
+    for span in _row_spans(sample_count, 4 * n * n):  # per pair: the mask, value gap, masked gap and slack
+        rows = profiles[span]
         vals = np.stack([value(model, rows, i) for i in range(n)], axis=1)
         # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
         pairs = (rows[:, :, None] >= rows[:, None, :]) & ~np.eye(n, dtype=bool)
         gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(len(rows), -1)
-        margins[start:start + step] = gap.max(axis=1)
-        pair[start:start + step] = gap.argmax(axis=1)
+        margins[span] = gap.max(axis=1)
+        pair[span] = gap.argmax(axis=1)
     return _worst_case(
         "single_crossing", margins, tol, sample_count,
         lambda k: {"profile": profiles[k].tolist(), "pair": list(divmod(int(pair[k]), n))},
@@ -492,22 +507,22 @@ def check_cursedness_monotonicity(
     others = sample_profiles(space, stream.child(1), sample_count)[:, 1:]
     own_grid = np.linspace(0.0, space.s_bar, 33)
     mu = cache.expected_value(own_grid)
-    step = max(1, _CHECK_CHUNK_CELLS // (8 * own_grid.size))
+    width = 4 * 8 * own_grid.size  # per (shrink, own signal): the win mask, v, v - interim, the masked margin
 
     def overestimated(rows):  # at some winning own signal below s_bar
         wins = (own_grid > rows.max(axis=1, keepdims=True)) & (own_grid < space.s_bar)
         return (wins & (value_from_own_and_stat(model, own_grid, others_stat(model, rows)[:, None]) < mu)).any(axis=1)
 
-    others = others[_chunked(overestimated, step, others).astype(bool)]
+    others = others[_chunked(overestimated, width, others).astype(bool)]
     # each such row's others shrunk coordinate-wise 8 times; d = v - interim
     # at every own signal that beats the shrunk maximum, -inf elsewhere.  The
     # chunks draw the factors in row order, as one draw would; each chunk's
     # generator state is kept so a witness can draw its factors again.
     margins = np.empty((len(others), 8))
     best_own = np.empty((len(others), 8), dtype=np.intp)
-    states = []
-    for start in range(0, len(others), step):
-        rows = others[start:start + step]
+    states, spans = [], _row_spans(len(others), width)
+    for span in spans:
+        rows = others[span]
         states.append(gen.bit_generator.state)
         shrunk = rows[:, None, :] * gen.random((len(rows), 8, space.n - 1))
         d = np.where(
@@ -515,11 +530,12 @@ def check_cursedness_monotonicity(
             value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
             -np.inf,
         )
-        margins[start:start + step] = d.max(axis=2)
-        best_own[start:start + step] = d.argmax(axis=2)
+        margins[span] = d.max(axis=2)
+        best_own[span] = d.argmax(axis=2)
 
     def witness(k):
         r, j = divmod(k, 8)
+        step = spans[0].stop  # the rows of every chunk but the last
         replay = stream.generator()
         replay.bit_generator.state = states[r // step]
         factors = replay.random((r % step + 1, 8, space.n - 1))[-1, j]

@@ -29,7 +29,7 @@ from .mechanisms import AuctionContext, Mechanism, ThresholdRule, run_batch
 from .mechanisms import Quote, _empty_batch, _execute, _outcomes, _quote
 from .reports import CheckReport, _worst_case
 from .signals import RandomStream, sample_profiles
-from .valuations import cursed_value, value, value_scale
+from .valuations import _row_spans, cursed_value, value, value_scale
 
 __all__ = [
     "SamplingPlan",
@@ -47,7 +47,6 @@ __all__ = [
 
 _NUDGE = 1e-6
 _MONOTONE_SCAN_POINTS = 201
-_CHUNK_FLOATS = 1_000_000  # (rows x bids) cells per deviation or monotonicity chunk
 
 
 @dataclass(frozen=True)
@@ -108,13 +107,6 @@ def _profile_report(draw: Draw, name: str, margins: np.ndarray, witness=lambda k
     )
 
 
-def _row_chunks(N: int, width: int) -> list:
-    """Consecutive slices of the N profile rows, each at most
-    ``_CHUNK_FLOATS // width`` rows, so a (rows, width) array stays bounded."""
-    step = max(1, _CHUNK_FLOATS // width)
-    return [slice(start, start + step) for start in range(0, N, step)]
-
-
 def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
     """Worst deviation gain per (profile, agent) against truthful opponents.
 
@@ -128,7 +120,7 @@ def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
     regret = np.empty((N, n))
     best_bid = np.empty((N, n))
     for i in range(n):
-        for rows in _row_chunks(N, G + 3):
+        for rows in _row_spans(N, 4 * (G + 3)):  # per bid: the bid, win, payment and utility
             q = draw.agent_quote(i, rows)
             # the grid, then the truthful bid and the critical bid +- a nudge
             nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
@@ -189,7 +181,7 @@ def check_allocation_monotone(draw: Draw) -> CheckReport:
     bad = np.zeros((N, n), dtype=bool)
     first_drop = np.zeros((N, n), dtype=np.intp)
     for i in range(n):
-        for chunk in _row_chunks(N, _MONOTONE_SCAN_POINTS):
+        for chunk in _row_spans(N, 4 * _MONOTONE_SCAN_POINTS):  # per point: win, its int8 copy, diff, drops
             win = draw.mech._win(s_grid, draw.agent_quote(i, chunk), draw.ctx)
             drops = np.diff(win.astype(np.int8), axis=1) < 0
             bad[chunk, i] = drops.any(axis=1)

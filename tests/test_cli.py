@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,16 @@ class TestOracleCheck:
     def test_oversized_grid_is_config_error(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "oracle-check", "--m-values", "50")
         assert code == 2
+
+    def test_leaves_numpy_ma_unimported(self, tmp_path):
+        """numpy's unique and isin import numpy.ma on some paths; m = 21 reaches
+        isin's sorting path and the MaxSignal grid cases the tail table's knots."""
+        argv = ["--out", str(tmp_path), "oracle-check", "--n-list", "2", "--m-values", "3,21"]
+        code = f"import sys; from cursed_auctions.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.split("\n")[-2] == "0 False"
 
 
 class TestUsageErrors:

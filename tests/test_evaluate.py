@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cursed_auctions import evaluate
+from cursed_auctions import valuations
 from cursed_auctions.evaluate import (
     _h_map_and_moments,
     _metric_values,
@@ -440,7 +440,7 @@ def _assert_same_bytes(tmp_path, profiles, batch):
 class TestOutcomesCsvDifferential:
     """``write_outcomes_csv`` writes the bytes of the ``csv.writer`` loop it replaced."""
 
-    CELLS = 5_000  # a small cell budget, so chunk edges are cheap to reach
+    CELLS = 5_000  # a small budget of CSV cells, so chunk edges are cheap to reach
 
     @pytest.mark.parametrize("n", [1, 3, 25, 200])
     @pytest.mark.parametrize(
@@ -448,13 +448,13 @@ class TestOutcomesCsvDifferential:
         ids=["zero", "one", "chunk-1", "chunk", "chunk+1", "3chunks+2"],
     )
     def test_edge_values_across_chunk_edges(self, tmp_path, monkeypatch, n, rows_of):
-        monkeypatch.setattr(evaluate, "_CSV_CHUNK_CELLS", self.CELLS)
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * self.CELLS)  # the writer counts 16 floats per cell
         rows = rows_of(self.CELLS // (2 * n + 4))
         _assert_same_bytes(tmp_path, *_edge_batch(n, rows, seed=n * 1000 + rows))
 
     def test_default_chunk_edge(self, tmp_path):
         n = 25
-        _assert_same_bytes(tmp_path, *_edge_batch(n, evaluate._CSV_CHUNK_CELLS // (2 * n + 4) + 1, seed=7))
+        _assert_same_bytes(tmp_path, *_edge_batch(n, valuations._CHUNK_CELLS // (16 * (2 * n + 4)) + 1, seed=7))
 
     def test_grid_oracle_dump(self, tmp_path):
         grid = GridModel(n=2, m=3, model=WeightedSum(1.0), chi=1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursed_auctions import mechanisms
+from cursed_auctions import mechanisms, valuations
 from cursed_auctions.mechanisms import (
     GVARule,
     MaskedRule,
@@ -37,6 +37,7 @@ from cursed_auctions.valuations import (
     MaxSignal,
     ScalarMap,
     WeightedSum,
+    _CHUNK_CELLS,
     _chunked,
     cursed_value_from_parts,
     value,
@@ -304,7 +305,8 @@ class TestMaxSignalMaskClosedForm:
         monkeypatch.setattr(mechanisms, "_mask_scan", spy)
         got = MaskedRule(GVARule()).critical_bids(view, ctx)
         monkeypatch.undo()
-        ref = _chunked(lambda b, s: mechanisms._mask_scan(b, s, ctx), 1000, view.max, view.stat)
+        plain = lambda b, s: mechanisms._mask_scan(b, s, ctx)
+        ref = _chunked(plain, _CHUNK_CELLS // 1000, view.max, view.stat)  # 1000-row chunks
         return got, ref, np.concatenate([np.empty(0)] + scanned)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -379,7 +381,7 @@ class TestSolveDistinct:
         return OthersView.from_others(others[RandomStream(seed).generator().permutation(len(others))], ctx.model)
 
     @staticmethod
-    def _solve(rule, view, ctx, monkeypatch, per_row=False, row_chunk_floats=None):
+    def _solve(rule, view, ctx, monkeypatch, per_row=False, chunk_cells=None):
         """(thresholds, the (base, stat) bit pairs sent to _mask_scan)."""
         scanned = []
         scan = mechanisms._mask_scan
@@ -390,11 +392,14 @@ class TestSolveDistinct:
 
         with monkeypatch.context() as m:
             m.setattr(mechanisms, "_mask_scan", spy)
-            if row_chunk_floats is not None:
-                m.setattr(mechanisms, "_ROW_CHUNK_FLOATS", row_chunk_floats)
+            if chunk_cells is not None:
+                # mechanisms' chunks cut as under a budget of chunk_cells (exact: it divides width * budget);
+                # the interim's own chunks, nested inside, keep the default budget
+                scale = lambda width: width * valuations._CHUNK_CELLS // chunk_cells
+                m.setattr(mechanisms, "_chunked", lambda fn, width, *a: _chunked(fn, scale(width), *a))
             if not per_row:
                 return rule.critical_bids(view, ctx), scanned
-            m.setattr(mechanisms, "_per_distinct", lambda fn, a, b: fn(a, b))
+            m.setattr(mechanisms, "_per_distinct", lambda fn, width, a, b: fn(a, b))
             rows = [OthersView(view.max[i:i + 1], view.stat[i:i + 1]) for i in range(len(view))]
             return np.concatenate([rule.critical_bids(row, ctx) for row in rows]), scanned
 
@@ -407,8 +412,8 @@ class TestSolveDistinct:
         for rule in self.RULES:
             ref, ref_scanned = self._solve(rule, view, ctx, monkeypatch, per_row=True)
             # one row per optimizer chunk and two per scan chunk, then the default chunks
-            for row_chunk_floats in (1024, None):
-                got, scanned = self._solve(rule, view, ctx, monkeypatch, row_chunk_floats=row_chunk_floats)
+            for chunk_cells in (1024, None):
+                got, scanned = self._solve(rule, view, ctx, monkeypatch, chunk_cells=chunk_cells)
                 np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=repr(rule))
                 # the scan sees each distinct (base, stat) input once
                 assert sorted(scanned) == sorted(set(ref_scanned)), rule
@@ -453,7 +458,9 @@ def _dense_thresholds(view, ctx, chi):
             t_best = np.where(take, t_cand, t_best)
         return np.where(span <= 0.0, s_bar, t_best)
 
-    return _chunked(chunk, 256, view.max, view.stat)
+    # 256-row chunks, whatever chunk budget a test patches in for the search
+    parts = [chunk(view.max[a:a + 256], view.stat[a:a + 256]) for a in range(0, len(view), 256)]
+    return np.concatenate(parts + [np.empty(0)])
 
 
 def _assert_matches_dense(view, ctx, chi):
@@ -519,7 +526,7 @@ class TestCertifiedSearch:
     def test_one_row_chunks(self, monkeypatch):
         ctx = make_context(SignalSpace(3, UniformIID(1.0)), _LOG1P)
         view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(83), 40)[:, 1:], ctx.model)
-        monkeypatch.setattr(mechanisms, "_ROW_CHUNK_FLOATS", 1024)
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 1024)  # 1024 // _OPT_POINTS: one row per chunk
         for chi in (0.0, 0.5, 1.0):
             _assert_matches_dense(view, ctx, chi)
 
@@ -720,7 +727,7 @@ class TestInvariantErrors:
     @pytest.mark.parametrize("chunk_pairs", [None, 3])  # 3: one row per run_batch chunk
     def test_nonzero_masked_compensation_names_row_agent_value(self, three_ctx, monkeypatch, chunk_pairs):
         if chunk_pairs:
-            monkeypatch.setattr(mechanisms, "_QUOTE_CHUNK_PAIRS", chunk_pairs)
+            monkeypatch.setattr(valuations, "_CHUNK_CELLS", 40 * chunk_pairs)  # run_batch's 40 cells per pair
         mech = Mechanism(_UnmaskedRule(GVARule()), 1.0, "compensated")
         # only agent 2 of row 1 faces others summing below (n-1)/2 = 1
         profiles = np.array([[0.9, 0.8, 0.7], [0.4, 0.5, 0.7]])
@@ -752,6 +759,20 @@ class TestInputValidation:
             run_batch(mech, np.array([profile, profile]), three_ctx)
         with pytest.raises(ValueError):
             agent_outcomes_for_bids(mech, 0, np.array([profile]), np.linspace(0.0, 1.0, 3), three_ctx)
+
+    @pytest.mark.parametrize("bid", [1.5, np.nan, np.inf, -0.1])
+    def test_bad_bids_rejected(self, three_ctx, bid):
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        profiles = np.array([[0.5, 0.2, 0.1]])
+        for bids in (np.array([0.0, bid]), np.array([[0.3, bid]])):
+            with pytest.raises(ValueError):
+                agent_outcomes_for_bids(mech, 0, profiles, bids, three_ctx)
+
+    def test_support_edge_bids_accepted(self, three_ctx):
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        profiles = np.array([[0.5, 0.2, 0.1]])
+        win, _pay, t, _comp = agent_outcomes_for_bids(mech, 0, profiles, np.array([0.0, 1.0]), three_ctx)
+        assert t.tolist() == [0.2] and win.tolist() == [[False, True]]
 
     def test_zero_rows_allowed(self, three_ctx):
         batch = run_batch(masked_gva(three_ctx, 1.0), np.empty((0, 3)), three_ctx)

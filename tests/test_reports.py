@@ -94,12 +94,13 @@ CONTROLS = {
 }
 
 
-@pytest.mark.parametrize("chunk_cells", [None, 500], ids=["default_chunks", "small_chunks"])
+# small chunks: one row per cursedness chunk and 500 // n^2 rows per single-crossing chunk
+@pytest.mark.parametrize("chunk_cells", [None, 4 * 500], ids=["default_chunks", "small_chunks"])
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_reducer_keeps_the_loop_reports(name, chunk_cells, monkeypatch):
     make, max_violation, samples_checked, first = CONTROLS[name]
     if chunk_cells is not None:
-        monkeypatch.setattr(valuations, "_CHECK_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", chunk_cells)
     rep = make()
     assert rep.max_violation == max_violation and not rep.passed
     assert rep.samples_checked == samples_checked

@@ -161,6 +161,21 @@ class TestCursedValue:
         with pytest.raises(ValueError):
             cursed_value(cache, 1.2, np.array([30.0, 90.0]), 0)
 
+    @pytest.mark.parametrize(
+        "profile",
+        [[0.5, np.nan, 0.1], [0.5, np.inf, 0.1], [0.5, -0.1, 0.1], [1.5, 0.2, 0.1], [0.5, 0.1], [0.5, 0.1, 0.2, 0.3]],
+        ids=["nan", "inf", "negative", "above_s_bar", "width_2", "width_4"],
+    )
+    def test_bad_profiles_rejected(self, profile):
+        cache = make_interim_cache(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
+        for batch in (np.array(profile), np.array([[0.2] * len(profile), profile])):
+            with pytest.raises(ValueError):
+                cursed_value(cache, 0.5, batch, 0)
+
+    def test_support_edges_accepted(self):
+        cache = make_interim_cache(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
+        assert cursed_value(cache, 1.0, np.array([0.0, 1.0, 1.0]), 0) == 0.5
+
     def test_monotone_in_all_signals(self):
         cache = make_interim_cache(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
         profiles = sample_profiles(cache.space, RandomStream(9), 100)
@@ -258,8 +273,8 @@ class TestStructuralChecks:
     def test_single_crossing_row_chunks_match_one_chunk(self, monkeypatch):
         space = SignalSpace(30, UniformIID(1.0))
         reports = []
-        for cells in (10**9, 7 * 30 * 30):  # one chunk, then chunks of 7 rows
-            monkeypatch.setattr(valuations, "_CHECK_CHUNK_CELLS", cells)
+        for cells in (4 * 10**9, 7 * 4 * 30 * 30):  # one chunk, then chunks of 7 rows of 4 n^2 cells
+            monkeypatch.setattr(valuations, "_CHUNK_CELLS", cells)
             reports.append(check_single_crossing(WeightedSum(1.5), space, 2000, RandomStream(7)).to_json())
         assert reports[0] == reports[1]
         assert len(reports[0]["witnesses"]) == 5
@@ -280,6 +295,39 @@ class TestStructuralChecks:
         assert rep.passed  # frozen verdict for this instance and stream
         again = check_cursedness_monotonicity(cache, sample_count=10_000, stream=RandomStream(11))
         assert again.max_violation == rep.max_violation
+
+
+class TestRowSpans:
+    STEP = valuations._CHUNK_CELLS // 40  # rows of a chunk at width 40
+
+    @pytest.mark.parametrize("N", [0, 1, STEP - 1, STEP, STEP + 1, 3 * STEP + 2])
+    def test_cover_every_row_once_in_order(self, N):
+        spans = valuations._row_spans(N, 40)
+        assert np.array_equal(np.concatenate([np.arange(N)[s] for s in spans] + [np.empty(0, int)]), np.arange(N))
+        assert all(0 < s.stop - s.start <= self.STEP for s in spans)
+        assert len(spans) == -(-N // self.STEP)
+
+    def test_width_over_the_budget_takes_one_row_per_chunk(self):
+        spans = valuations._row_spans(5, valuations._CHUNK_CELLS + 1)
+        assert spans == [slice(r, r + 1) for r in range(5)]
+
+    def test_chunked_joins_the_chunks(self):
+        x = np.arange(2 * self.STEP + 3, dtype=float)
+        calls = []
+        out = valuations._chunked(lambda a, b: calls.append(len(a)) or a - b, 40, x, 2 * x)
+        assert np.array_equal(out, -x) and calls == [self.STEP, self.STEP, 3]
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "x",
+        [[0.0], [0.0, 0.0, 1.0, 0.5, 1.0, 0.25], [0.3, -0.0, 0.0, 0.3], np.linspace(0.0, 1.0, 21)],
+        ids=["single", "duplicates", "signed_zeros", "grid"],
+    )
+    def test_bits_match_numpy_unique(self, x):
+        x = np.asarray(x, dtype=float)
+        got = valuations._sorted_unique(x)
+        assert np.array_equal(got.view(np.int64), np.unique(x).view(np.int64))
 
 
 class TestModelValidation:

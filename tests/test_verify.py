@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cursed_auctions import mechanisms, verify
+from cursed_auctions import mechanisms, valuations, verify
 from cursed_auctions.mechanisms import (
     GVARule,
     MaskedRule,
@@ -280,11 +280,16 @@ class TestDraw:
                 column = draw.agent_quote(i)
                 for field, a in vars(alone).items():
                     assert _same_bits(getattr(column, field), a), (name, i, field)
-            for chunk_pairs in (mechanisms._QUOTE_CHUNK_PAIRS, 7 * n):  # one run_batch chunk, then 43
-                monkeypatch.setattr(mechanisms, "_QUOTE_CHUNK_PAIRS", chunk_pairs)
+            # one run_batch chunk, then 43 of 7 rows; only run_batch's spans are patched, so the
+            # optimizer and the mask scan inside keep their default chunks
+            for chunk_rows in (None, 7):
+                if chunk_rows:
+                    seven = lambda N, width: [slice(a, a + 7) for a in range(0, N, 7)]
+                    monkeypatch.setattr(mechanisms, "_row_spans", seven)
                 batch = run_batch(mech, draw.profiles, ctx)
                 for field, a in vars(batch).items():
-                    assert _same_bits(getattr(draw.batch, field), a), (name, chunk_pairs, field)
+                    assert _same_bits(getattr(draw.batch, field), a), (name, chunk_rows, field)
+            monkeypatch.undo()
 
 
 class _CountingRule(ThresholdRule):
@@ -328,5 +333,6 @@ def test_row_chunks_match_one_chunk(ctx, monkeypatch, make):
         return json.dumps(out + [check_chi_robustness(draw, [0.1, 0.2]).to_json()])
 
     whole = reports()
-    monkeypatch.setattr(verify, "_CHUNK_FLOATS", 7 * 14)  # 7-row deviation chunks, 1-row monotonicity chunks
+    # 7-row deviation chunks of 4 * 14 cells, 1-row monotonicity chunks of 4 * 201
+    monkeypatch.setattr(valuations, "_CHUNK_CELLS", 7 * 4 * 14)
     assert reports() == whole
