@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +31,8 @@ from .mechanisms import (
     rule_from_config,
     run_batch,
 )
-from .signals import RandomStream, SignalSpace, UniformIID, _config_number, sample_profiles
-from .valuations import MaxSignal, WeightedSum, model_from_config
+from .signals import RandomStream, SignalSpace, UniformIID, _config_number, _draw_spans
+from .valuations import MaxSignal, WeightedSum, _row_spans, model_from_config
 from .verify import CHECKERS, Draw, SamplingPlan
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -191,17 +192,34 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
+    """Sample, execute, write and reduce one row span at a time, so memory
+    stays flat in the sample count: only the four per-row metric columns
+    outlive a span.  outcomes.csv appears, by an atomic rename, only once every
+    span is written, so a failed run leaves none and keeps an earlier one."""
     cfg = _load_config(args)
     space, _model, ctx, mech = cfg.build()
     out = _out_dir(args)
-    profiles = sample_profiles(space, RandomStream(cfg.seed), cfg.samples)
-    batch = run_batch(mech, profiles, ctx)
-    ev.write_outcomes_csv(out / "outcomes.csv", profiles, batch)
+    metrics = ("revenue", "welfare", "transfers_out", "allocation_prob")
+    values = {metric: np.empty(cfg.samples) for metric in metrics}
+    # a span is one chunk of run_batch (40 cells per row and agent) and of the CSV writer (16 per cell)
+    spans = _row_spans(cfg.samples, max(40 * space.n, 16 * (2 * space.n + 4)))
+    partial = out / f".outcomes.csv.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(ev._outcomes_header(space.n))
+            for span, profiles in zip(spans, _draw_spans(space, RandomStream(cfg.seed), spans)):
+                batch = run_batch(mech, profiles, ctx)
+                fh.writelines(ev._outcome_lines(profiles, batch))
+                for metric in metrics:
+                    values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
+        os.replace(partial, out / "outcomes.csv")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
     summary = {"schema_version": ev.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": {}}
-    for metric in ("revenue", "welfare", "transfers_out", "allocation_prob"):
-        values = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
-        summary["metrics"][metric] = ev._summarize(metric, values, cfg.seed).to_json()
+    for metric in metrics:
+        summary["metrics"][metric] = ev._summarize(metric, values[metric], cfg.seed).to_json()
     _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'outcomes.csv'} and {out / 'summary.json'} ({cfg.samples} profiles)")
     return 0

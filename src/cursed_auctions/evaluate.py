@@ -406,11 +406,48 @@ def wallet_report(
 # ---------------------------------------------------------------------------
 # CSV emission (schema v1: header always present, fixed column order).
 # outcomes.csv must keep the bytes csv.writer gives for per-cell f"{x:.12g}"
-# strings: no field needs quoting, and lines end in CRLF.  Each row chunk is
-# formatted by one "%" on a repeated line template; a chunk budgets 16 float
-# cells per CSV cell (its float, the Python float and its list and tuple slots,
-# and the formatted text), so the memory it takes stays bounded in n.
+# strings: no field needs quoting, and lines end in CRLF.  The file is a header
+# line from ``_outcomes_header`` followed by the text of ``_outcome_lines``,
+# which callers may feed one block of profiles at a time: ``simulate`` streams
+# its sample through it span by span.  Each row chunk is formatted by one "%"
+# on a repeated line template; a chunk budgets 16 float cells per CSV cell (its
+# float, the Python float and its list and tuple slots, and the formatted
+# text), so the memory it takes stays bounded in n.
 # ---------------------------------------------------------------------------
+
+
+def _outcomes_header(n: int) -> str:
+    """The header line of an outcomes.csv for ``n`` agents."""
+    header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
+    header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
+    return ",".join(header) + "\r\n"
+
+
+def _outcome_lines(profiles: np.ndarray, batch):
+    """The outcomes.csv lines of ``profiles`` and their ``batch``, as an
+    iterator of text blocks, one per row chunk.  Raises ValueError, at the
+    call and before any text is made, unless ``batch`` has one row per profile
+    and the profiles' width."""
+    N, n = profiles.shape
+    if any(len(col) != N for col in (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)):
+        raise ValueError(f"batch rows do not match the {N} profiles")
+    if batch.payments.shape[1:] != (n,) or batch.thresholds.shape[1:] != (n,):
+        raise ValueError(f"batch payments and thresholds must have the profile width {n}")
+    width = 2 * n + 4
+    line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
+    threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+
+    def blocks():
+        for r in _row_spans(N, 16 * width):
+            winner = batch.winner[r]
+            cells = np.column_stack(
+                (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
+            ).ravel().tolist()
+            # the winner column holds float placeholders until here; "%s" then writes int or ""
+            cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
+            yield (line * len(winner)) % tuple(cells)
+
+    return blocks()
 
 
 def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
@@ -419,26 +456,10 @@ def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
     welfare.  Raises ValueError unless ``batch`` has one row per profile and
     the profiles' width."""
     profiles = np.atleast_2d(profiles)
-    N, n = profiles.shape
-    if any(len(col) != N for col in (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)):
-        raise ValueError(f"batch rows do not match the {N} profiles")
-    if batch.payments.shape[1:] != (n,) or batch.thresholds.shape[1:] != (n,):
-        raise ValueError(f"batch payments and thresholds must have the profile width {n}")
-    header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
-    header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
-    width = len(header)
-    line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
-    threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+    lines = _outcome_lines(profiles, batch)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for r in _row_spans(N, 16 * width):
-            winner = batch.winner[r]
-            cells = np.column_stack(
-                (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
-            ).ravel().tolist()
-            # the winner column holds float placeholders until here; "%s" then writes int or ""
-            cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
-            fh.write((line * len(winner)) % tuple(cells))
+        fh.write(_outcomes_header(profiles.shape[1]))
+        fh.writelines(lines)
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

@@ -288,7 +288,9 @@ def _grid_argmax(lo, span, stat, ctx, chi, tie_tol):
     r, m, c, F = evaluate(row, j)
     r[len(ends) - 1 :: len(ends)] = 0.0  # every row's last end is s_bar
     best = r.reshape(len(lo), -1).max(axis=1)
-    seen = [(row, j, r)]
+    k = np.full(len(lo), last)
+    hit = r == best[row]
+    np.minimum.at(k, row[hit], j[hit])
     # a row's cells join consecutive ends: flat points p and p + 1 for every p not at the last index
     p = np.flatnonzero(j != last)
     row, a, b = row[p], j[p], j[p + 1]
@@ -301,16 +303,15 @@ def _grid_argmax(lo, span, stat, ctx, chi, tie_tol):
         c_a, F_a, m_b, F_b = c_a[live], F_a[live], m_b[live], F_b[live]
         mid = (a + b) // 2
         r, m, c, F = evaluate(row, mid)
+        before = best.copy()
         np.maximum.at(best, row, r)
-        seen.append((row, mid, r))
+        k[best != before] = last  # a new best: the earlier first-best index no longer holds
+        hit = r == best[row]
+        np.minimum.at(k, row[hit], mid[hit])
         # the halves [a, mid] and [mid, b]
         row, a, b = np.concatenate((row, row)), np.concatenate((a, mid)), np.concatenate((mid, b))
         c_a, F_a = np.concatenate((c_a, c)), np.concatenate((F_a, F))
         m_b, F_b = np.concatenate((m, m_b)), np.concatenate((F, F_b))
-    row, j, r = (np.concatenate(x) for x in zip(*seen))
-    hit = r == best[row]
-    k = np.full(len(lo), last)
-    np.minimum.at(k, row[hit], j[hit])
     return k, best
 
 

@@ -303,13 +303,30 @@ def sample_profiles(space: SignalSpace, stream: RandomStream, count: int) -> np.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    out = np.empty((count, space.n), dtype=float)
-    for chunk, start in enumerate(range(0, count, _CHUNK)):
-        stop = min(start + _CHUNK, count)
-        gen = stream.generator(chunk)
-        u = gen.random((stop - start, space.n))
-        out[start:stop] = space.marginal.quantile(u)
-    return out
+    return next(_draw_spans(space, stream, [slice(0, count)]))
+
+
+def _draw_spans(space: SignalSpace, stream: RandomStream, spans):
+    """Yield the profiles of each slice in ``spans``, which must tile rows 0, 1,
+    ... in order: the rows ``sample_profiles`` would give, bit for bit.
+
+    Row r is profile r % 2**16 of Philox sub-stream r // 2**16, and one
+    generator per sub-stream carries on from span to span, so a span may start
+    or stop anywhere.  Only the current span is held.
+    """
+    gen, chunk, row = None, -1, 0
+    for span in spans:
+        if span.start != row:
+            raise ValueError(f"spans must tile the rows in order; expected a span from {row}, got {span}")
+        out = np.empty((span.stop - row, space.n), dtype=float)
+        while row < span.stop:
+            if row // _CHUNK != chunk:
+                chunk = row // _CHUNK
+                gen = stream.generator(chunk)
+            stop = min(span.stop, (chunk + 1) * _CHUNK)
+            out[row - span.start : stop - span.start] = space.marginal.quantile(gen.random((stop - row, space.n)))
+            row = stop
+        yield out
 
 
 def _check_prob(p):

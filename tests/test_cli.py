@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from cursed_auctions import cli, evaluate, valuations
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
-from cursed_auctions.mechanisms import RevenueOptimalRule
+from cursed_auctions.mechanisms import MechanismInvariantError, RevenueOptimalRule, run_batch
+from cursed_auctions.signals import RandomStream, sample_profiles
 
 
 def run_cli(*argv):
@@ -106,6 +108,82 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         for metric, mean in from_csv.items():
             assert summary["metrics"][metric]["mean"] == pytest.approx(mean, rel=1e-9, abs=1e-300)
+
+
+class TestSimulateStreaming:
+    """``simulate`` runs one row span at a time and writes the files of the
+    all-at-once path: sample_profiles, one run_batch and write_outcomes_csv."""
+
+    SPAN = 7_000  # rows per span: 2**16 is not a multiple, so a span crosses a sub-stream boundary
+    METRICS = ("revenue", "welfare", "transfers_out", "allocation_prob")
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        """Shrink the cell budget to SPAN rows per span at n = 2 and record the
+        rows each run_batch call of the CLI sees."""
+        # at n = 2 the writer's 16 * (2n + 4) cells a row outweigh run_batch's 40n
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * self.SPAN)
+        seen = []
+
+        def counting(mech, profiles, ctx):
+            seen.append(len(profiles))
+            return run_batch(mech, profiles, ctx)
+
+        monkeypatch.setattr(cli, "run_batch", counting)
+        return seen
+
+    def _reference(self, config: Path, out: Path) -> None:
+        cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
+        space, _model, ctx, mech = cfg.build()
+        profiles = sample_profiles(space, RandomStream(cfg.seed), cfg.samples)
+        batch = run_batch(mech, profiles, ctx)
+        out.mkdir()
+        evaluate.write_outcomes_csv(out / "outcomes.csv", profiles, batch)
+        metrics = {
+            m: evaluate._summarize(m, evaluate._metric_from_batch(m, batch, profiles, ctx, mech), cfg.seed).to_json()
+            for m in self.METRICS
+        }
+        summary = {"schema_version": evaluate.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": metrics}
+        cli._write_json(out / "summary.json", summary)
+
+    @pytest.mark.parametrize("samples", [0, (1 << 16) + 4_465])
+    def test_files_match_the_all_at_once_path(self, tmp_path, spans, samples):
+        config = tmp_path / "config.json"
+        space = {"n": 2, "marginal": {"type": "uniform"}}
+        config.write_text(json.dumps({"space": space, "samples": samples, "chi": 1.0}))
+        assert run_cli("--config", str(config), "--out", str(tmp_path / "new"), "simulate") == 0
+        self._reference(config, tmp_path / "ref")
+        for name in ("outcomes.csv", "summary.json"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        assert sorted(os.listdir(tmp_path / "new")) == ["outcomes.csv", "summary.json"]
+        assert sum(spans) == samples and max(spans, default=0) <= self.SPAN
+        assert len(spans) == -(-samples // self.SPAN)
+        if samples == 0:
+            header = b"s_1,s_2,winner,threshold,payment_1,payment_2,revenue,welfare\r\n"
+            assert (tmp_path / "new" / "outcomes.csv").read_bytes() == header
+            summary = json.loads((tmp_path / "new" / "summary.json").read_text())
+            assert all(summary["metrics"][m]["mean"] is None for m in self.METRICS)
+
+    @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
+    def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, earlier):
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
+        calls = []
+
+        def second_fails(mech, profiles, ctx):
+            calls.append(len(profiles))
+            if len(calls) == 2:
+                raise MechanismInvariantError("more than one winner", 0, 1, 2.0)
+            return run_batch(mech, profiles, ctx)
+
+        monkeypatch.setattr(cli, "run_batch", second_fails)
+        if earlier is not None:
+            (tmp_path / "outcomes.csv").write_bytes(earlier)
+        with pytest.raises(MechanismInvariantError):
+            run_cli("--out", str(tmp_path), "--n", "2", "--samples", "250", "simulate")
+        assert calls == [100, 100]
+        assert sorted(os.listdir(tmp_path)) == ([] if earlier is None else ["outcomes.csv"])
+        if earlier is not None:
+            assert (tmp_path / "outcomes.csv").read_bytes() == earlier
 
 
 class TestVerify:

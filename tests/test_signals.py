@@ -10,6 +10,7 @@ from cursed_auctions.signals import (
     RandomStream,
     SignalSpace,
     UniformIID,
+    _draw_spans,
     marginal_from_config,
     sample_profiles,
 )
@@ -43,6 +44,60 @@ def test_sample_prefix_stable_across_counts():
     long = sample_profiles(space, RandomStream(0), 1000)
     np.testing.assert_array_equal(short, long[:10])
 
+
+
+def _sample_profiles_reference(space, stream, count):
+    """``sample_profiles`` before it drew through ``_draw_spans``: one quantile
+    call per 2**16-row sub-stream block, kept as the reference for its bits."""
+    out = np.empty((count, space.n), dtype=float)
+    for chunk, start in enumerate(range(0, count, 1 << 16)):
+        stop = min(start + (1 << 16), count)
+        out[start:stop] = space.marginal.quantile(stream.generator(chunk).random((stop - start, space.n)))
+    return out
+
+
+def _spans(count, cuts):
+    """Consecutive slices of range(count) cut at the ``cuts`` below ``count``."""
+    edges = [0] + [c for c in cuts if 0 < c < count] + [count]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+class TestDrawSpansDifferential:
+    """``_draw_spans`` and ``sample_profiles`` give the reference's bits for any
+    tiling of the rows, sub-stream boundaries included."""
+
+    B = 1 << 16  # rows per Philox sub-stream
+
+    @pytest.mark.parametrize(
+        "marginal",
+        [UniformIID(2.0), DiscreteGridIID(points=(0.0, 0.25, 0.5, 1.0)), GenericIID("power", (0.5, 3.0))],
+        ids=["uniform", "grid", "quantile"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1])
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            [],  # one span
+            [1, 2, B - 2, B - 1, B, B + 1],  # 1-row spans at the start and around the boundary
+            [3, 50_000],  # the last span crosses the boundary
+        ],
+        ids=["whole", "single-rows", "crossing"],
+    )
+    def test_bits_match_reference(self, marginal, count, cuts):
+        space, stream = SignalSpace(3, marginal), RandomStream(11, 2)
+        ref = _sample_profiles_reference(space, stream, count)
+        spans = _spans(count, cuts)
+        blocks = list(_draw_spans(space, stream, spans))
+        assert [len(b) for b in blocks] == [s.stop - s.start for s in spans]
+        got = np.concatenate(blocks)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(sample_profiles(space, stream, count).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("spans", [[slice(1, 4)], [slice(0, 2), slice(3, 5)], [slice(0, 3), slice(0, 3)]])
+    def test_spans_must_tile_in_order(self, spans):
+        with pytest.raises(ValueError, match="tile"):
+            list(_draw_spans(SignalSpace(2, UniformIID(1.0)), RandomStream(0), spans))
 
 def test_uniform_cdf_values():
     assert UniformIID(1.0).cdf(0.25) == 0.25
