@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import numbers
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +23,7 @@ from . import oracle as orc
 from .mechanisms import (
     GVARule,
     Mechanism,
+    MechanismInvariantError,
     OthersView,
     RevenueOptimalRule,
     make_context,
@@ -36,16 +36,6 @@ from .valuations import MaxSignal, WeightedSum, _row_spans, model_from_config
 from .verify import CHECKERS, Draw, SamplingPlan
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
-
-EXPERIMENTS = (
-    "wallet",
-    "negative-revenue",
-    "max-zero-welfare",
-    "half-welfare",
-    "rev-optimal-threshold",
-)
-# Experiments that estimate from cfg.samples profiles; zero samples estimate nothing.
-_SAMPLING_EXPERIMENTS = ("negative-revenue", "max-zero-welfare", "half-welfare")
 
 
 class ConfigError(ValueError):
@@ -194,8 +184,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_simulate(args) -> int:
     """Sample, execute, write and reduce one row span at a time, so memory
     stays flat in the sample count: only the four per-row metric columns
-    outlive a span.  outcomes.csv appears, by an atomic rename, only once every
-    span is written, so a failed run leaves none and keeps an earlier one."""
+    outlive a span.  ``write_outcomes_csv`` writes the spans, so a failed run
+    leaves no outcomes.csv and keeps an earlier one."""
     cfg = _load_config(args)
     space, _model, ctx, mech = cfg.build()
     out = _out_dir(args)
@@ -203,19 +193,19 @@ def cmd_simulate(args) -> int:
     values = {metric: np.empty(cfg.samples) for metric in metrics}
     # a span is one chunk of run_batch (40 cells per row and agent) and of the CSV writer (16 per cell)
     spans = _row_spans(cfg.samples, max(40 * space.n, 16 * (2 * space.n + 4)))
-    partial = out / f".outcomes.csv.{os.getpid()}.tmp"
-    try:
-        with open(partial, "w", newline="") as fh:
-            fh.write(ev._outcomes_header(space.n))
-            for span, profiles in zip(spans, _draw_spans(space, RandomStream(cfg.seed), spans)):
+
+    def executed():
+        for span, profiles in zip(spans, _draw_spans(space, RandomStream(cfg.seed), spans)):
+            try:
                 batch = run_batch(mech, profiles, ctx)
-                fh.writelines(ev._outcome_lines(profiles, batch))
-                for metric in metrics:
-                    values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
-        os.replace(partial, out / "outcomes.csv")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+            except MechanismInvariantError as exc:  # name the sample row, not the span row
+                witness = MechanismInvariantError(exc.what, span.start + exc.row, exc.agent, exc.value)
+                raise witness.with_traceback(exc.__traceback__) from None
+            for metric in metrics:
+                values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
+            yield profiles, batch
+
+    ev.write_outcomes_csv(out / "outcomes.csv", space.n, executed())
 
     summary = {"schema_version": ev.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": {}}
     for metric in metrics:
@@ -256,17 +246,11 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args)
-    if args.name in _SAMPLING_EXPERIMENTS and cfg.samples < 1:
+    runner, sampling = EXPERIMENTS[args.name]
+    if sampling and cfg.samples < 1:
         raise ConfigError(f"experiment {args.name} needs at least one sample")
     out = _out_dir(args)
     ns = _int_list(args.n_list, "--n-list", 2) if args.n_list else None
-    runner = {
-        "wallet": _experiment_wallet,
-        "negative-revenue": _experiment_negative_revenue,
-        "max-zero-welfare": _experiment_max_zero_welfare,
-        "half-welfare": _experiment_half_welfare,
-        "rev-optimal-threshold": _experiment_rev_optimal_threshold,
-    }[args.name]
     payload = runner(cfg, ns)
     _write_json(out / f"{args.name}.json", payload)
     if payload.get("rows"):
@@ -470,6 +454,16 @@ def _experiment_rev_optimal_threshold(cfg: ExperimentConfig, _ns) -> dict:
     }
 
 
+# name -> (runner, whether it estimates from cfg.samples profiles; zero samples estimate nothing)
+EXPERIMENTS = {
+    "wallet": (_experiment_wallet, False),
+    "negative-revenue": (_experiment_negative_revenue, True),
+    "max-zero-welfare": (_experiment_max_zero_welfare, True),
+    "half-welfare": (_experiment_half_welfare, True),
+    "rev-optimal-threshold": (_experiment_rev_optimal_threshold, False),
+}
+
+
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
     ms = _int_list(args.m_values, "--m-values", 1) if args.m_values else [5, 11]
@@ -503,8 +497,13 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
 
                         mechs["broken_realized_price"] = RealizedPriceMechanism(GVARule(), chi, "compensated")
                     scale = max(ctx.scale(), 1.0)
+                    others = grid.others_profiles()
                     for mech_name, mech in mechs.items():
                         batch = run_batch(mech, profiles, ctx)
+                        if mech_name == "revenue_optimal":
+                            # all_profiles() is agent-0 major: its first rows hold agent 0 at the lowest
+                            # atom facing each others_profiles() row in order
+                            t_opts = batch.thresholds[: len(others), 0]
                         oracle_pay = orc.oracle_payments(grid, batch.thresholds, profiles)
                         gap = float(np.max(np.abs(batch.payments - oracle_pay)))
                         checks.append(
@@ -526,9 +525,6 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
                                 }
                             )
                     # brute-force optimal thresholds vs the continuous optimizer
-                    others = grid.others_profiles()
-                    view = OthersView.from_others(others, ctx.model)
-                    t_opts = RevenueOptimalRule(chi).critical_bids(view, ctx)
                     spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
                     t_oracle = orc.brute_force_rev_optimal_threshold(grid, others)
                     worst_gap = float(np.max(np.abs(t_oracle - t_opts), initial=0.0))

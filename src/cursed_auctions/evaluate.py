@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,7 +63,6 @@ METRICS = (
     "transfers_out",
     "allocation_prob",
     "virtual_surplus",
-    "compensation_out",
 )
 
 
@@ -119,8 +120,6 @@ def _metric_from_batch(metric: str, batch, profiles: np.ndarray, ctx: AuctionCon
         return np.maximum(0.0, -batch.payments).sum(axis=1)
     if metric == "allocation_prob":
         return (batch.winner >= 0).astype(float)
-    if metric == "compensation_out":
-        return -batch.compensations.sum(axis=1)
     if metric == "virtual_surplus":
         return _winner_virtual_values(mech.chi, profiles, batch, ctx)
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
@@ -406,60 +405,60 @@ def wallet_report(
 # ---------------------------------------------------------------------------
 # CSV emission (schema v1: header always present, fixed column order).
 # outcomes.csv must keep the bytes csv.writer gives for per-cell f"{x:.12g}"
-# strings: no field needs quoting, and lines end in CRLF.  The file is a header
-# line from ``_outcomes_header`` followed by the text of ``_outcome_lines``,
-# which callers may feed one block of profiles at a time: ``simulate`` streams
-# its sample through it span by span.  Each row chunk is formatted by one "%"
-# on a repeated line template; a chunk budgets 16 float cells per CSV cell (its
-# float, the Python float and its list and tuple slots, and the formatted
-# text), so the memory it takes stays bounded in n.
+# strings: no field needs quoting, and lines end in CRLF.  ``write_outcomes_csv``
+# is the one writer of the file: a header line, then the rows of each
+# (profiles, batch) block in order, so ``simulate`` streams its sample through
+# it span by span.  Each row chunk is formatted by one "%" on a repeated line
+# template; a chunk budgets 16 float cells per CSV cell (its float, the Python
+# float and its list and tuple slots, and the formatted text), so the memory it
+# takes stays bounded in n.
 # ---------------------------------------------------------------------------
 
 
-def _outcomes_header(n: int) -> str:
-    """The header line of an outcomes.csv for ``n`` agents."""
+def write_outcomes_csv(path, n: int, blocks) -> None:
+    """Write outcomes.csv for ``n`` agents from the (profiles, batch) pairs of
+    ``blocks``, in order: one line per profile with its signals, the winner (""
+    when none), the threshold of the agent with the highest signal, the
+    payments, revenue and welfare.
+
+    A block raises ValueError, before any of its text is written, unless its
+    profiles are ``n`` wide and its batch has one row per profile and ``n``
+    wide payments and thresholds.  The text goes to a temporary file next to
+    ``path`` that replaces ``path`` only after the last block; on any error,
+    including one from ``blocks`` itself, that file is deleted and an earlier
+    file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    width = 2 * n + 4
     header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
     header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
-    return ",".join(header) + "\r\n"
-
-
-def _outcome_lines(profiles: np.ndarray, batch):
-    """The outcomes.csv lines of ``profiles`` and their ``batch``, as an
-    iterator of text blocks, one per row chunk.  Raises ValueError, at the
-    call and before any text is made, unless ``batch`` has one row per profile
-    and the profiles' width."""
-    N, n = profiles.shape
-    if any(len(col) != N for col in (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)):
-        raise ValueError(f"batch rows do not match the {N} profiles")
-    if batch.payments.shape[1:] != (n,) or batch.thresholds.shape[1:] != (n,):
-        raise ValueError(f"batch payments and thresholds must have the profile width {n}")
-    width = 2 * n + 4
     line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
-    threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
-
-    def blocks():
-        for r in _row_spans(N, 16 * width):
-            winner = batch.winner[r]
-            cells = np.column_stack(
-                (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
-            ).ravel().tolist()
-            # the winner column holds float placeholders until here; "%s" then writes int or ""
-            cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
-            yield (line * len(winner)) % tuple(cells)
-
-    return blocks()
-
-
-def write_outcomes_csv(path, profiles: np.ndarray, batch) -> None:
-    """One line per profile: its signals, the winner ("" when none), the
-    threshold of the agent with the highest signal, the payments, revenue and
-    welfare.  Raises ValueError unless ``batch`` has one row per profile and
-    the profiles' width."""
-    profiles = np.atleast_2d(profiles)
-    lines = _outcome_lines(profiles, batch)
-    with open(path, "w", newline="") as fh:
-        fh.write(_outcomes_header(profiles.shape[1]))
-        fh.writelines(lines)
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for profiles, batch in blocks:
+                profiles = np.atleast_2d(profiles)
+                N = len(profiles)
+                if any(a.shape[1:] != (n,) for a in (profiles, batch.payments, batch.thresholds)):
+                    raise ValueError(f"profiles, payments and thresholds must have the width {n}")
+                columns = (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)
+                if any(len(col) != N for col in columns):
+                    raise ValueError(f"batch rows do not match the {N} profiles")
+                threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+                for r in _row_spans(N, 16 * width):
+                    winner = batch.winner[r]
+                    cells = np.column_stack(
+                        (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
+                    ).ravel().tolist()
+                    # the winner column holds float placeholders until here; "%s" then writes int or ""
+                    cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
+                    fh.write((line * len(winner)) % tuple(cells))
+                    del cells  # alive while ``blocks`` runs the next span, they lift simulate's peak ~5 MB
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

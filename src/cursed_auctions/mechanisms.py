@@ -100,12 +100,12 @@ class ModelUnsupportedError(ValueError):
 
 
 class MechanismInvariantError(RuntimeError):
-    """A mechanism broke an invariant that holds by construction; ``row``,
-    ``agent`` and ``value`` are one witness."""
+    """A mechanism broke an invariant that holds by construction; ``what``
+    names it, and ``row``, ``agent`` and ``value`` are one witness."""
 
     def __init__(self, what: str, row: int, agent: int, value: float):
         super().__init__(f"{what}: row {row}, agent {agent}, value {value!r}")
-        self.row, self.agent, self.value = row, agent, value
+        self.what, self.row, self.agent, self.value = what, row, agent, value
 
 
 @dataclass

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cursed_auctions import cli, evaluate, valuations
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
-from cursed_auctions.mechanisms import MechanismInvariantError, RevenueOptimalRule, run_batch
+from cursed_auctions.mechanisms import MechanismInvariantError, Mechanism, OthersView, RevenueOptimalRule, run_batch
+from cursed_auctions.oracle import GridModel
 from cursed_auctions.signals import RandomStream, sample_profiles
+from cursed_auctions.valuations import MaxSignal, WeightedSum
 
 
 def run_cli(*argv):
@@ -138,7 +141,7 @@ class TestSimulateStreaming:
         profiles = sample_profiles(space, RandomStream(cfg.seed), cfg.samples)
         batch = run_batch(mech, profiles, ctx)
         out.mkdir()
-        evaluate.write_outcomes_csv(out / "outcomes.csv", profiles, batch)
+        evaluate.write_outcomes_csv(out / "outcomes.csv", space.n, [(profiles, batch)])
         metrics = {
             m: evaluate._summarize(m, evaluate._metric_from_batch(m, batch, profiles, ctx, mech), cfg.seed).to_json()
             for m in self.METRICS
@@ -184,6 +187,23 @@ class TestSimulateStreaming:
         assert sorted(os.listdir(tmp_path)) == ([] if earlier is None else ["outcomes.csv"])
         if earlier is not None:
             assert (tmp_path / "outcomes.csv").read_bytes() == earlier
+
+    def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
+        calls = []
+
+        def second_fails_at_row_3(mech, profiles, ctx):
+            calls.append(len(profiles))
+            if len(calls) == 2:
+                raise MechanismInvariantError("more than one winner", 3, 1, 2.0)
+            return run_batch(mech, profiles, ctx)
+
+        monkeypatch.setattr(cli, "run_batch", second_fails_at_row_3)
+        with pytest.raises(MechanismInvariantError) as err:
+            run_cli("--out", str(tmp_path), "--n", "2", "--samples", "250", "simulate")
+        assert (err.value.what, err.value.row, err.value.agent, err.value.value) == ("more than one winner", 103, 1, 2.0)
+        assert str(err.value) == "more than one winner: row 103, agent 1, value 2.0"
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerify:
@@ -298,6 +318,37 @@ class TestOracleCheck:
             "--out", str(tmp_path), "oracle-check", "--n-list", "2", "--m-values", "5", "--inject-broken"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_profile_rows_hold_the_others_thresholds(self, n):
+        """all_profiles() is agent-0 major: its first rows put agent 0 at the
+        lowest atom against each others_profiles() row in order, so their
+        agent-0 thresholds are the direct solve on others_profiles(), bit for bit."""
+        for m in (1, 2, 5) if n == 4 else (1, 2, 5, 11):
+            for model in (WeightedSum(0.5), WeightedSum(1.0), MaxSignal()):
+                for chi in (0.0, 0.5, 1.0):
+                    grid = GridModel(n=n, m=m, model=model, chi=chi)
+                    ctx = grid.context()
+                    rule = RevenueOptimalRule(chi)
+                    others = grid.others_profiles()
+                    batch = run_batch(Mechanism(rule, chi, "compensated"), grid.all_profiles(), ctx)
+                    direct = rule.critical_bids(OthersView.from_others(others, ctx.model), ctx)
+                    np.testing.assert_array_equal(
+                        batch.thresholds[: len(others), 0].view(np.int64), direct.view(np.int64)
+                    )
+
+    def test_two_revenue_optimal_solves_per_grid(self, monkeypatch):
+        solves = []
+        solve = RevenueOptimalRule.critical_bids
+
+        def counting(rule, view, ctx):
+            solves.append(len(view))
+            return solve(rule, view, ctx)
+
+        monkeypatch.setattr(RevenueOptimalRule, "critical_bids", counting)
+        assert cli._oracle_suite([2, 3], [5])["all_passed"]
+        grids = 2 * 3 * 3  # n values x models x chi values
+        assert len(solves) == 2 * grids  # run_batch and the best response; the thresholds check reuses run_batch's
 
     def test_oversized_grid_is_config_error(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "oracle-check", "--m-values", "50")

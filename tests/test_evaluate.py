@@ -358,7 +358,7 @@ class TestCsv:
         profiles = sample_profiles(ctx.space, RandomStream(1), 5)
         batch = run_batch(mech, profiles, ctx)
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(path, profiles, batch)
+        write_outcomes_csv(path, 3, [(profiles, batch)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s_1,s_2,s_3,winner,threshold,payment_1,payment_2,payment_3,revenue,welfare"
         assert len(lines) == 6
@@ -369,11 +369,46 @@ class TestCsv:
         batch = run_batch(mech, profiles, ctx)
         path = tmp_path / "outcomes.csv"
         with pytest.raises(ValueError, match="rows"):
-            write_outcomes_csv(path, profiles[:3], batch)
+            write_outcomes_csv(path, 3, [(profiles[:3], batch)])
         for field in ("payments", "thresholds"):
             wide = dataclasses.replace(batch, **{field: np.zeros((5, 4))})
             with pytest.raises(ValueError, match="width"):
-                write_outcomes_csv(path, profiles, wide)
+                write_outcomes_csv(path, 3, [(profiles, wide)])
+        with pytest.raises(ValueError, match="width"):
+            write_outcomes_csv(path, 4, [(profiles, batch)])
+        assert os.listdir(tmp_path) == []
+
+    def test_blocks_written_in_order(self, tmp_path):
+        profiles, batch = _edge_batch(3, 40, seed=5)
+        parts = [(profiles[r], _batch_rows(batch, r)) for r in (slice(0, 7), slice(7, 7), slice(7, 40))]
+        write_outcomes_csv(tmp_path / "one.csv", 3, [(profiles, batch)])
+        write_outcomes_csv(tmp_path / "three.csv", 3, iter(parts))
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
+
+    @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
+    @pytest.mark.parametrize("failure", ["bad second block", "raising iterator"])
+    def test_failure_leaves_no_file_and_keeps_an_earlier_one(self, tmp_path, earlier, failure):
+        profiles, batch = _edge_batch(3, 40, seed=6)
+        path = tmp_path / "outcomes.csv"
+        if earlier is not None:
+            path.write_bytes(earlier)
+
+        def blocks():
+            yield profiles, batch
+            if failure == "raising iterator":
+                raise RuntimeError("the second block failed")
+            yield profiles[:3], batch
+
+        with pytest.raises(ValueError if failure == "bad second block" else RuntimeError):
+            write_outcomes_csv(path, 3, blocks())
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["outcomes.csv"])
+        if earlier is not None:
+            assert path.read_bytes() == earlier
+
+
+def _batch_rows(batch, rows):
+    """The outcomes of ``rows`` (a slice) of ``batch``."""
+    return BatchOutcome(**{f.name: getattr(batch, f.name)[rows] for f in dataclasses.fields(batch)})
 
 
 def _csv_writer_outcomes(path, profiles, batch):
@@ -432,7 +467,7 @@ def _edge_batch(n: int, rows: int, seed: int):
 
 def _assert_same_bytes(tmp_path, profiles, batch):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_outcomes_csv(new, profiles, batch)
+    write_outcomes_csv(new, profiles.shape[1], [(profiles, batch)])
     _csv_writer_outcomes(old, profiles, batch)
     assert new.read_bytes() == old.read_bytes()
 
