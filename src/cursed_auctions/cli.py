@@ -171,9 +171,9 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"  # before the open, so a failure keeps an earlier file
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     metrics = ("revenue", "welfare", "transfers_out", "allocation_prob")
     values = {metric: np.empty(cfg.samples) for metric in metrics}
-    # a span is one chunk of run_batch (40 cells per row and agent) and of the CSV writer (16 per cell)
+    # a span is one chunk of run_batch (40 cells per row and agent) and several of the CSV writer (64 per cell)
     spans = _row_spans(cfg.samples, max(40 * space.n, 16 * (2 * space.n + 4)))
 
     def executed():
@@ -556,7 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="weighted-sum weight on others")
     p.add_argument("--model", choices=["weighted_sum", "max_signal"], default=None)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="worker threads (results invariant)")
+    p.add_argument(
+        "--workers", type=int, default=None, help="worker threads for the Monte Carlo estimators (results invariant)"
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="run profiles through the configured mechanism")

@@ -19,9 +19,10 @@ means.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -195,6 +196,8 @@ def _reduce(
         return {k: _moments(values[k]) for k in keys}
 
     if workers > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, spans))
     else:
@@ -408,11 +411,59 @@ def wallet_report(
 # strings: no field needs quoting, and lines end in CRLF.  ``write_outcomes_csv``
 # is the one writer of the file: a header line, then the rows of each
 # (profiles, batch) block in order, so ``simulate`` streams its sample through
-# it span by span.  Each row chunk is formatted by one "%" on a repeated line
-# template; a chunk budgets 16 float cells per CSV cell (its float, the Python
-# float and its list and tuple slots, and the formatted text), so the memory it
-# takes stays bounded in n.
+# it span by span.  ``_csv_text`` formats a row chunk with one "%" on a
+# repeated line template.  That "%" is most of the writer's time and holds the
+# GIL, so ``_write_texts`` runs it in forked processes and writes the texts in
+# submit order.  Forked, not spawned: a spawned process imports numpy again
+# (~0.2 s), and the pool forks all its processes at the first submit, before it
+# starts its own threads.  The parent holds ~4 floats per cell of each chunk in
+# flight (its floats, their pickle and the text sent back), and those chunks
+# stay alive while ``blocks`` computes the next span, so a chunk budgets 64
+# float cells per CSV cell to keep them small next to that span.
 # ---------------------------------------------------------------------------
+
+
+def _csv_text(line: str, n: int, cells: np.ndarray, winner: np.ndarray) -> bytes:
+    """The outcomes.csv lines of one row chunk: ``cells`` holds its 2n + 4
+    float columns, the winner column a placeholder that ``winner`` fills."""
+    flat = cells.ravel().tolist()
+    # "%s" writes the winner as an int, or "" when there is none
+    flat[n :: 2 * n + 4] = [w if w >= 0 else "" for w in winner.tolist()]
+    return ((line * len(winner)) % tuple(flat)).encode("ascii")
+
+
+def _write_texts(fh, chunks) -> None:
+    """Write the ``_csv_text`` of each argument tuple of ``chunks`` to ``fh``,
+    in order.  From two chunks on, one forked process per CPU of the affinity
+    mask formats them, with at most workers + 1 submitted but not yet written,
+    and the pool is shut down before this returns or raises.  With one chunk,
+    one CPU or no "fork" start method they are formatted inline."""
+    head = list(itertools.islice(chunks, 2))
+    chunks = itertools.chain(head, chunks)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    fork = None
+    if len(head) == 2 and workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    if fork is None:
+        for args in chunks:
+            fh.write(_csv_text(*args))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=fork)
+    try:
+        pending = deque()
+        for args in chunks:
+            pending.append(pool.submit(_csv_text, *args))
+            if len(pending) > workers:
+                fh.write(pending.popleft().result())
+        while pending:
+            fh.write(pending.popleft().result())
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def write_outcomes_csv(path, n: int, blocks) -> None:
@@ -425,8 +476,8 @@ def write_outcomes_csv(path, n: int, blocks) -> None:
     profiles are ``n`` wide and its batch has one row per profile and ``n``
     wide payments and thresholds.  The text goes to a temporary file next to
     ``path`` that replaces ``path`` only after the last block; on any error,
-    including one from ``blocks`` itself, that file is deleted and an earlier
-    file at ``path`` is left as it was.
+    including one from ``blocks`` itself or from a formatting process, that
+    file is deleted and an earlier file at ``path`` is left as it was.
     """
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -434,27 +485,28 @@ def write_outcomes_csv(path, n: int, blocks) -> None:
     header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
     header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
     line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
+
+    def chunks():
+        for profiles, batch in blocks:
+            profiles = np.atleast_2d(profiles)
+            N = len(profiles)
+            if any(a.shape[1:] != (n,) for a in (profiles, batch.payments, batch.thresholds)):
+                raise ValueError(f"profiles, payments and thresholds must have the width {n}")
+            columns = (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)
+            if any(len(col) != N for col in columns):
+                raise ValueError(f"batch rows do not match the {N} profiles")
+            threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+            for r in _row_spans(N, 64 * width):
+                winner = batch.winner[r]
+                cells = np.column_stack(
+                    (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
+                )
+                yield line, n, cells, winner
+
     try:
-        with open(partial, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for profiles, batch in blocks:
-                profiles = np.atleast_2d(profiles)
-                N = len(profiles)
-                if any(a.shape[1:] != (n,) for a in (profiles, batch.payments, batch.thresholds)):
-                    raise ValueError(f"profiles, payments and thresholds must have the width {n}")
-                columns = (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)
-                if any(len(col) != N for col in columns):
-                    raise ValueError(f"batch rows do not match the {N} profiles")
-                threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
-                for r in _row_spans(N, 16 * width):
-                    winner = batch.winner[r]
-                    cells = np.column_stack(
-                        (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
-                    ).ravel().tolist()
-                    # the winner column holds float placeholders until here; "%s" then writes int or ""
-                    cells[n::width] = [w if w >= 0 else "" for w in winner.tolist()]
-                    fh.write((line * len(winner)) % tuple(cells))
-                    del cells  # alive while ``blocks`` runs the next span, they lift simulate's peak ~5 MB
+        with open(partial, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode("ascii"))
+            _write_texts(fh, chunks())
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -91,6 +91,14 @@ class TestSimulate:
         assert (a / "outcomes.csv").read_bytes() == (b / "outcomes.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_unserializable_payload_keeps_an_earlier_json_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        cli._write_json(path, {"schema_version": 1, "metrics": {"mean": 0.5}})
+        earlier = path.read_bytes()
+        assert earlier == b'{\n  "metrics": {\n    "mean": 0.5\n  },\n  "schema_version": 1\n}\n'
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"a": 1, "b": object()})
+        assert path.read_bytes() == earlier
 
     def test_summary_matches_outcomes_csv(self, tmp_path):
         # 4001 rows at n=500 exceed one 2,000,000/n estimator chunk

@@ -1,16 +1,19 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from cursed_auctions import valuations
+from cursed_auctions import evaluate, valuations
 from cursed_auctions.evaluate import (
     _h_map_and_moments,
     _metric_values,
@@ -305,6 +308,14 @@ def test_cli_import_needs_no_scipy():
     assert out.split("\n")[:2] == ["[]", "True"]
 
 
+def test_cli_import_starts_no_pool_machinery():
+    code = "import sys; import cursed_auctions.cli; print('concurrent' in sys.modules, 'multiprocessing' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False False\n"
+
+
 class TestWalletReport:
     def test_naive_bid_and_utility(self):
         rep = wallet_report("U[0,100]", chi=1.0, mc_draws=200_000, seed=5)
@@ -483,19 +494,131 @@ class TestOutcomesCsvDifferential:
         ids=["zero", "one", "chunk-1", "chunk", "chunk+1", "3chunks+2"],
     )
     def test_edge_values_across_chunk_edges(self, tmp_path, monkeypatch, n, rows_of):
-        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * self.CELLS)  # the writer counts 16 floats per cell
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * self.CELLS)  # the writer counts 64 floats per cell
         rows = rows_of(self.CELLS // (2 * n + 4))
         _assert_same_bytes(tmp_path, *_edge_batch(n, rows, seed=n * 1000 + rows))
 
     def test_default_chunk_edge(self, tmp_path):
         n = 25
-        _assert_same_bytes(tmp_path, *_edge_batch(n, valuations._CHUNK_CELLS // (16 * (2 * n + 4)) + 1, seed=7))
+        _assert_same_bytes(tmp_path, *_edge_batch(n, valuations._CHUNK_CELLS // (64 * (2 * n + 4)) + 1, seed=7))
 
     def test_grid_oracle_dump(self, tmp_path):
         grid = GridModel(n=2, m=3, model=WeightedSum(1.0), chi=1.0)
         profiles = grid.all_profiles()
         batch = run_batch(Mechanism(GVARule(), 1.0, "compensated"), profiles, grid.context())
         _assert_same_bytes(tmp_path, profiles, batch)
+
+
+_PARENT_PID = os.getpid()
+_MARK = 0.3125  # the first signal of the row whose chunk a formatting process finishes last
+_csv_text = evaluate._csv_text
+
+
+def _late_marked_chunk(line, n, cells, winner):
+    """``_csv_text``, slowed in a formatting process for the chunk that starts
+    with the mark, so the chunks after it complete first."""
+    if os.getpid() != _PARENT_PID and cells[0, 0] == _MARK:
+        time.sleep(0.2)
+    return _csv_text(line, n, cells, winner)
+
+
+def _dies_in_child(line, n, cells, winner):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _csv_text(line, n, cells, winner)
+
+
+class TestOutcomesCsvProcesses:
+    """The text of a multi-chunk file is formatted in one forked process per CPU
+    of the affinity mask; the bytes do not depend on that count, and no process
+    or temporary file outlives the call."""
+
+    N, ROWS = 3, 50  # 50-row chunks at n = 3
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Chunks of ROWS rows, and the number of processes forked so far."""
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * self.N + 4) * self.ROWS)
+        forked = []
+        fork = os.fork
+
+        def counting():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return forked
+
+    def _cpus(self, monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def _blocks(self):
+        """A block of 3 chunks + 2 rows, an empty block and a one-row no-sale
+        block, with the mark at the first row; and the whole sample."""
+        rows = 3 * self.ROWS + 3
+        profiles, batch = _edge_batch(self.N, rows, seed=11)
+        profiles[0, 0] = _MARK
+        batch.winner[-1] = -1
+        cuts = (slice(0, rows - 1), slice(rows - 1, rows - 1), slice(rows - 1, rows))
+        return [(profiles[r], _batch_rows(batch, r)) for r in cuts], profiles, batch
+
+    def _assert_no_leftovers(self, out, text):
+        """No process and no temporary file is left, and outcomes.csv holds ``text``."""
+        assert multiprocessing.active_children() == []
+        assert os.listdir(out) == ["outcomes.csv"]
+        assert (out / "outcomes.csv").read_bytes() == text
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bytes_for_any_process_count(self, tmp_path, monkeypatch, forks, cpus):
+        blocks, profiles, batch = self._blocks()
+        _csv_writer_outcomes(tmp_path / "reference.csv", profiles, batch)
+        self._cpus(monkeypatch, 1)
+        write_outcomes_csv(tmp_path / "inline.csv", self.N, blocks)
+        assert forks == []
+        self._cpus(monkeypatch, cpus)
+        monkeypatch.setattr(evaluate, "_csv_text", _late_marked_chunk)
+        write_outcomes_csv(tmp_path / "outcomes.csv", self.N, iter(blocks))
+        assert len(forks) == (cpus if cpus > 1 else 0)
+        text = (tmp_path / "outcomes.csv").read_bytes()
+        assert text == (tmp_path / "inline.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_one_chunk_forks_nothing(self, tmp_path, monkeypatch, forks):
+        self._cpus(monkeypatch, 2)
+        profiles, batch = _edge_batch(self.N, self.ROWS, seed=12)
+        _assert_same_bytes(tmp_path, profiles, batch)
+        assert forks == []
+
+    def test_success_leaves_only_the_file(self, tmp_path, monkeypatch, forks):
+        self._cpus(monkeypatch, 2)
+        blocks, profiles, batch = self._blocks()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "outcomes.csv").write_bytes(b"from an earlier run\r\n")
+        write_outcomes_csv(out / "outcomes.csv", self.N, blocks)
+        assert len(forks) == 2
+        _csv_writer_outcomes(tmp_path / "reference.csv", profiles, batch)
+        self._assert_no_leftovers(out, (tmp_path / "reference.csv").read_bytes())
+
+    def test_bad_block_mid_stream_stops_every_process(self, tmp_path, monkeypatch, forks):
+        self._cpus(monkeypatch, 2)
+        blocks, profiles, batch = self._blocks()
+        earlier = b"from an earlier run\r\n"
+        (tmp_path / "outcomes.csv").write_bytes(earlier)
+        with pytest.raises(ValueError, match="rows"):
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, [blocks[0], (profiles[:2], batch)])
+        assert len(forks) == 2
+        self._assert_no_leftovers(tmp_path, earlier)
+
+    def test_dead_process_stops_every_process(self, tmp_path, monkeypatch, forks):
+        self._cpus(monkeypatch, 2)
+        blocks, _profiles, _batch = self._blocks()
+        earlier = b"from an earlier run\r\n"
+        (tmp_path / "outcomes.csv").write_bytes(earlier)
+        monkeypatch.setattr(evaluate, "_csv_text", _dies_in_child)
+        with pytest.raises(BrokenProcessPool):
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, blocks)
+        self._assert_no_leftovers(tmp_path, earlier)
 
 
 def test_masked_welfare_never_exceeds_optimal_pointwise(ctx):
