@@ -191,8 +191,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     metrics = ("revenue", "welfare", "transfers_out", "allocation_prob")
     values = {metric: np.empty(cfg.samples) for metric in metrics}
-    # a span is one chunk of run_batch (40 cells per row and agent) and several of the CSV writer (64 per cell)
-    spans = _row_spans(cfg.samples, max(40 * space.n, 16 * (2 * space.n + 4)))
+    # a span is one chunk of the CSV writer (64 float cells per CSV cell), which
+    # is narrower than one chunk of run_batch (40 per row and agent)
+    spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
 
     def executed():
         for span, profiles in zip(spans, _draw_spans(space, RandomStream(cfg.seed), spans)):

@@ -411,25 +411,113 @@ def wallet_report(
 # strings: no field needs quoting, and lines end in CRLF.  ``write_outcomes_csv``
 # is the one writer of the file: a header line, then the rows of each
 # (profiles, batch) block in order, so ``simulate`` streams its sample through
-# it span by span.  ``_csv_text`` formats a row chunk with one "%" on a
-# repeated line template.  That "%" is most of the writer's time and holds the
-# GIL, so ``_write_texts`` runs it in forked processes and writes the texts in
-# submit order.  Forked, not spawned: a spawned process imports numpy again
-# (~0.2 s), and the pool forks all its processes at the first submit, before it
-# starts its own threads.  The parent holds ~4 floats per cell of each chunk in
-# flight (its floats, their pickle and the text sent back), and those chunks
-# stay alive while ``blocks`` computes the next span, so a chunk budgets 64
-# float cells per CSV cell to keep them small next to that span.
+# it span by span.  ``_csv_text`` encodes a row chunk with whole-array steps
+# (below); only rows holding a cell outside its fast range go through "%".
+# Encoding still costs about as much CPU as the rest of ``simulate``, so
+# ``_write_texts`` runs it in forked processes, off the calling process, and
+# writes the texts in submit order.
+# Forked, not spawned: a spawned process imports numpy again (~0.2 s), and the
+# pool forks all its processes at the first submit, before it starts its own
+# threads.  The parent holds ~4 floats per cell of each chunk in flight (its
+# floats, their pickle and the text sent back), and those chunks stay alive
+# while ``blocks`` computes the next span, so a chunk budgets 64 float cells
+# per CSV cell to keep them small next to that span.
+#
+# The encoder.  A cell of |x| in [1e-4, 1e3) has the decimal exponent
+# e = floor(log10|x|) in -4..2, and s = fl(|x| * 10**(11 - e)) is one correctly
+# rounded multiply by an exact power of ten, so rint(s) is the correctly
+# rounded 12-digit mantissa m unless s is exactly k + 1/2 (rint rounds that to
+# even, "%" rounds the exact product).  A cell is encoded only when
+# 1e11 <= s, m < 1e12 and s is not k + 1/2; then e is its "%.12g" exponent and
+# m its digits.  Its 24-byte slot holds little-endian words looked up in
+# tables: 8 bytes of sign, integer part and point ("-0.000" for e = -4, "12."
+# for 12.5 at e = 1, no point for an integer), three 4-digit groups of the
+# fraction with trailing zeros left out, and the separator.  Unused bytes are
+# 0, and one ``bytes.translate`` deletes them.  Zeros write "0" or "-0", a
+# winner of -1 writes nothing, and every other row with a cell that is not
+# encoded (an exponent outside -4..2, a k + 1/2 product, inf or nan) is
+# formatted by "%" into its slots, which it always fits: a "%.12g" cell is at
+# most 19 characters.
 # ---------------------------------------------------------------------------
+
+_CSV_SUB_ROWS = 128  # rows encoded at once: small temporaries, reused heap instead of fresh pages
+_CSV_POW = 10.0 ** (11 - np.arange(-4, 3))  # 10**(11 - e) for e = -4..2, each exact
+_CSV_FRACTION = np.maximum(1e12 / _CSV_POW, 1.0)  # 10**(e + 1) shifts the fraction to 12 digits
+
+
+def _csv_tables() -> tuple:
+    """(groups, heads): little-endian text words, 0 bytes for nothing.
+
+    groups[g] is the 4-digit group g with its trailing zeros left out, and
+    groups[10_000 + g] is g in full.  heads[2008 * minus + 1004 * integral + c]
+    is a cell's first 8 bytes: the sign, then "0." and -e - 1 zeros for
+    c = e + 4 in 0..3 (e < 0), or the integer part c - 4 in 1..999 and its
+    point, which an integral cell leaves out; an integral cell at c = 0 is the
+    zero "0".
+    """
+    digits = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row g: the 4 digits of g
+    more = np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]  # a nonzero digit here or after
+    groups = np.concatenate([np.where(more, digits, 0), digits]).astype(np.uint8, order="C")
+    c = np.arange(1004)
+    whole = np.maximum(c - 4, 0)
+    heads = np.zeros((2, 2, 1004, 8), np.uint8)
+    heads[1, ..., 0] = ord("-")
+    heads[..., 1] = np.where(whole >= 100, 48 + whole // 100, 0)
+    heads[..., 2] = np.where(whole >= 10, 48 + whole // 10 % 10, 0)
+    heads[..., 3] = 48 + whole % 10
+    heads[:, 0, :, 4] = ord(".")
+    heads[:, 0, :, 5:] = np.where(np.arange(3) < 3 - c[:, None], 48, 0)
+    return groups.view("<u4").ravel(), heads.view("<u8").ravel()
+
+
+_CSV_GROUPS, _CSV_HEADS = _csv_tables()
 
 
 def _csv_text(line: str, n: int, cells: np.ndarray, winner: np.ndarray) -> bytes:
     """The outcomes.csv lines of one row chunk: ``cells`` holds its 2n + 4
-    float columns, the winner column a placeholder that ``winner`` fills."""
-    flat = cells.ravel().tolist()
-    # "%s" writes the winner as an int, or "" when there is none
-    flat[n :: 2 * n + 4] = [w if w >= 0 else "" for w in winner.tolist()]
-    return ((line * len(winner)) % tuple(flat)).encode("ascii")
+    float columns, the winner column a placeholder that ``winner`` fills.
+    Rows the encoder cannot take are formatted by the "%" template ``line``."""
+    width = cells.shape[1]
+    sep = np.full(width, ord(","), "<u4")
+    sep[-1] = int.from_bytes(b"\r\n", "little")
+    pieces = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log10(0), and inf or nan cells
+        for r0 in range(0, len(cells), _CSV_SUB_ROWS):
+            x = cells[r0 : r0 + _CSV_SUB_ROWS]
+            w = winner[r0 : r0 + _CSV_SUB_ROWS]
+            a = np.abs(x)
+            e = np.floor(np.log10(a))
+            e = np.fmin(np.fmax(e, -4.0, out=e), 2.0, out=e)  # zero and nan take -4
+            k = e.astype(np.intp) + 4
+            scale = _CSV_POW[k]
+            s = a * scale
+            m = np.rint(s)
+            fallback = ~(((s >= 1e11) & (m < 1e12) & (np.abs(s - m) != 0.5)) | (a == 0.0))
+            np.copyto(m, 0.0, where=fallback)  # keeps the table indices of those cells in range
+            whole = np.floor(m / scale)  # 0 when e < 0
+            frac = (m - whole * scale) * _CSV_FRACTION[k]
+            g0 = np.floor(frac / 1e8)
+            rest = frac - g0 * 1e8
+            g1 = np.floor(rest / 1e4)
+            g2 = rest - g1 * 1e4
+            head = whole + np.minimum(e, 0.0) + 4.0 + 1004.0 * (frac == 0.0) + 2008.0 * np.signbit(x)
+            slots = np.empty(x.shape + (6,), "<u4")
+            slots.view("<u8")[..., 0] = _CSV_HEADS[head.astype(np.intp)]
+            slots[..., 2] = _CSV_GROUPS[(g0 + 1e4 * (rest != 0.0)).astype(np.intp)]
+            slots[..., 3] = _CSV_GROUPS[(g1 + 1e4 * (g2 != 0.0)).astype(np.intp)]
+            slots[..., 4] = _CSV_GROUPS[g2.astype(np.intp)]
+            slots[..., 5] = sep
+            slots[w < 0, n, :5] = 0
+            redo = np.flatnonzero(fallback.any(axis=1))
+            if redo.size:
+                texts = []
+                for row, wr in zip(x[redo].tolist(), w[redo].tolist()):
+                    row[n] = wr if wr >= 0 else ""  # "%s" writes the winner as an int, or "" when there is none
+                    texts.append(line % tuple(row))
+                rows = np.array(texts, dtype=f"S{24 * width}")  # 0-padded
+                slots.view(np.uint8).reshape(len(x), -1)[redo] = rows.view(np.uint8).reshape(len(redo), -1)
+            pieces.append(slots.tobytes().translate(None, b"\0"))
+    return b"".join(pieces)
 
 
 def _write_texts(fh, chunks) -> None:

@@ -446,7 +446,9 @@ def _mask_thresholds(base_t, view, ctx):
     rows = np.flatnonzero(todo)
     if rows.size:  # MaxSignal batches rarely leave a row to scan; skip the sort then
         scan = lambda base, stat: _mask_scan(base, stat, ctx)
-        out[rows] = _per_distinct(scan, _SCAN_POINTS, base_t[rows], view.stat[rows])  # a cell per scan point
+        # at its peak the scan holds three float cells per scan point (the t grid
+        # and the value and the interim there) and a few per row (its span)
+        out[rows] = _per_distinct(scan, 3 * _SCAN_POINTS + 8, base_t[rows], view.stat[rows])
     return out
 
 

@@ -130,18 +130,29 @@ class TestSimulateStreaming:
 
     @pytest.fixture
     def spans(self, monkeypatch):
-        """Shrink the cell budget to SPAN rows per span at n = 2 and record the
-        rows each run_batch call of the CLI sees."""
-        # at n = 2 the writer's 16 * (2n + 4) cells a row outweigh run_batch's 40n
-        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * self.SPAN)
-        seen = []
+        """Shrink the cell budget to SPAN rows per writer chunk at n = 2, and
+        record the rows each run_batch call of the CLI sees and the rows of
+        each chunk the writer formats."""
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * self.SPAN)  # 64 floats per CSV cell
+        seen, chunks = [], []
 
         def counting(mech, profiles, ctx):
             seen.append(len(profiles))
             return run_batch(mech, profiles, ctx)
 
+        write_texts = evaluate._write_texts
+
+        def chunk_rows(fh, args):
+            def recorded():
+                for a in args:
+                    chunks.append(len(a[3]))  # the chunk's winner column
+                    yield a
+
+            write_texts(fh, recorded())
+
         monkeypatch.setattr(cli, "run_batch", counting)
-        return seen
+        monkeypatch.setattr(evaluate, "_write_texts", chunk_rows)
+        return seen, chunks
 
     def _reference(self, config: Path, out: Path) -> None:
         cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
@@ -163,6 +174,8 @@ class TestSimulateStreaming:
         space = {"n": 2, "marginal": {"type": "uniform"}}
         config.write_text(json.dumps({"space": space, "samples": samples, "chi": 1.0}))
         assert run_cli("--config", str(config), "--out", str(tmp_path / "new"), "simulate") == 0
+        spans, chunks = spans
+        assert spans == chunks  # each run_batch call of simulate sees exactly one writer chunk of rows
         self._reference(config, tmp_path / "ref")
         for name in ("outcomes.csv", "summary.json"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
@@ -177,7 +190,7 @@ class TestSimulateStreaming:
 
     @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
     def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, earlier):
-        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
         calls = []
 
         def second_fails(mech, profiles, ctx):
@@ -197,7 +210,7 @@ class TestSimulateStreaming:
             assert (tmp_path / "outcomes.csv").read_bytes() == earlier
 
     def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 16 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
         calls = []
 
         def second_fails_at_row_3(mech, profiles, ctx):

@@ -509,6 +509,95 @@ class TestOutcomesCsvDifferential:
         _assert_same_bytes(tmp_path, profiles, batch)
 
 
+def _percent_text(line, n, cells, winner):
+    """One "%" on the repeated line template: the chunk formatter that
+    ``_csv_text`` replaced, kept as the reference for its bytes."""
+    flat = cells.ravel().tolist()
+    flat[n :: 2 * n + 4] = [w if w >= 0 else "" for w in winner.tolist()]
+    return ((line * len(winner)) % tuple(flat)).encode("ascii")
+
+
+class TestCsvEncoder:
+    """``_csv_text`` writes the bytes of the "%" template on every kind of cell."""
+
+    @staticmethod
+    def _assert_encodes(values, n=3, winners=(0, -1, 2)):
+        """Rows whose float columns hold ``values`` in order (cycled to fill the
+        last row) and whose winner column cycles through ``winners``."""
+        width = 2 * n + 4
+        values = np.asarray(values, dtype=float).ravel()
+        rows = max(1, -(-len(values) // (width - 1)))
+        winner = np.resize(np.asarray(winners, dtype=np.int64), rows)
+        floats = np.resize(values, (rows, width - 1))
+        cells = np.column_stack((floats[:, :n], winner, floats[:, n:]))
+        line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
+        got = evaluate._csv_text(line, n, cells, winner).split(b"\r\n")
+        want = _percent_text(line, n, cells, winner).split(b"\r\n")
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not bad and len(got) == len(want), bad[:3]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64, endpoint=False)
+        bits[::3] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals and signed zeros
+        bits[1::7] |= np.uint64(0x7FF0_0000_0000_0000)  # infinities and nan payloads
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+        self._assert_encodes(np.concatenate([specials, bits.view(np.float64)]))
+
+    @pytest.mark.parametrize("n", [1, 3, 25])
+    def test_every_fixed_notation_exponent(self, n):
+        rng = np.random.default_rng(32 + n)
+        values = []
+        for e in range(-4, 12):
+            x = rng.uniform(10.0**e, 10.0 ** (e + 1), 400)
+            values.append(x)
+            values += [[float(f"{v:.{d}g}") for v in x[:40]] for d in range(1, 13)]  # trailing zeros in each group
+        values = np.concatenate(values)
+        values[1::2] *= -1.0
+        self._assert_encodes(values, n=n)
+
+    def test_switch_points_and_integers(self):
+        edges = [9.9999999999995e-5, 1e-4, 1e-5, 99.99999999995, 999999999999.5, 1e12]
+        near = [np.nextafter(x, d) for x in edges for d in (0.0, math.inf)]
+        powers = [10.0**e for e in range(-6, 14)]
+        integers = [1.0, -20.0, 100.0, 999.0, 1000.0, 12.0, 3.0e11]
+        values = edges + near + powers + integers
+        self._assert_encodes(values + [-v for v in values])
+
+    def test_winners(self):
+        self._assert_encodes(np.linspace(-3.0, 3.0, 70), n=2, winners=(-1, 0, 9, 10, 99, 100, 1000))
+
+    def test_exact_half_products(self):
+        """Cells x whose product fl(|x| * 10**p) is exactly k + 1/2, so rounding
+        that product to an integer would round the tie, not the exact value."""
+        rng = np.random.default_rng(34)
+        p = rng.integers(0, 16, 40_000)
+        k = rng.integers(10**11, 10**12, 40_000).astype(float)
+        scale = 10.0**p
+        target = k + 0.5
+        a = target / scale
+        found = np.zeros(len(a), dtype=bool)
+        x = np.zeros(len(a))
+        for direction in (math.inf, 0.0):
+            step = a.copy()
+            for _ in range(4):
+                hit = ~found & (step * scale == target)
+                x[hit], found[hit] = step[hit], True
+                step = np.nextafter(step, direction)
+        assert found.sum() > 10_000
+        x = x[found]
+        x[1::2] *= -1.0
+        self._assert_encodes(x, n=25)
+
+    def test_sub_block_edges(self):
+        rng = np.random.default_rng(35)
+        sub = evaluate._CSV_SUB_ROWS
+        for rows in (sub - 1, sub, sub + 1, 2 * sub + 1):
+            values = rng.normal(scale=10.0, size=(rows, 9))
+            values[rows // 2, 4] = math.nan  # one row formatted by "%" mid-block
+            self._assert_encodes(values)
+
+
 _PARENT_PID = os.getpid()
 _MARK = 0.3125  # the first signal of the row whose chunk a formatting process finishes last
 _csv_text = evaluate._csv_text

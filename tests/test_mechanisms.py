@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,7 +413,7 @@ class TestSolveDistinct:
         assert (zero & neg).any() and (zero & ~neg).any()
         for rule in self.RULES:
             ref, ref_scanned = self._solve(rule, view, ctx, monkeypatch, per_row=True)
-            # one row per optimizer chunk and two per scan chunk, then the default chunks
+            # one row per optimizer chunk and per scan chunk, then the default chunks
             for chunk_cells in (1024, None):
                 got, scanned = self._solve(rule, view, ctx, monkeypatch, chunk_cells=chunk_cells)
                 np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=repr(rule))
@@ -419,6 +421,38 @@ class TestSolveDistinct:
                 assert sorted(scanned) == sorted(set(ref_scanned)), rule
             if isinstance(ctx.model, ConcaveSum) and isinstance(rule, MaskedRule):
                 assert len(set(ref_scanned)) < len(ref_scanned), rule  # repeated scan rows were merged
+
+    @pytest.mark.parametrize("model,n", [(_L2, 3), (_LOG1P, 50)], ids=["l2-3", "log1p-50"])
+    def test_full_scan_chunk_stays_within_the_cell_budget(self, model, n, monkeypatch):
+        """A full chunk of the mask scan traces at most the float cells of the
+        budget, and not much less: its width matches what a row holds."""
+        ctx = make_context(SignalSpace(n, UniformIID(1.0)), model)
+        rng = RandomStream(83).generator()
+        view = OthersView(rng.random(6000) * 0.5, rng.random(6000) * 0.5)
+        calls = []
+        scan = mechanisms._mask_scan
+
+        def traced(base, stat, ctx):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = scan(base, stat, ctx)
+                calls.append((len(base), tracemalloc.get_traced_memory()[1] - start))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(mechanisms, "_mask_scan", traced)
+        got = MaskedRule(GVARule()).critical_bids(view, ctx)
+        monkeypatch.undo()
+        assert len(calls) > 1  # so the largest call is a full chunk
+        peak = max(calls)[1]
+        assert 0.9 * 8 * _CHUNK_CELLS < peak <= 8 * _CHUNK_CELLS  # bytes of the budget's float cells
+        # the thresholds do not depend on the chunks: the scan's old width of one cell per point
+        with monkeypatch.context() as m:
+            m.setattr(mechanisms, "_per_distinct", lambda fn, width, a, b: _chunked(fn, mechanisms._SCAN_POINTS, a, b))
+            old = MaskedRule(GVARule()).critical_bids(view, ctx)
+        np.testing.assert_array_equal(got.view(np.int64), old.view(np.int64))
 
     @pytest.mark.parametrize("rule", RULES, ids=repr)
     def test_zero_rows(self, rule):
