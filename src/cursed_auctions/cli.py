@@ -8,9 +8,11 @@ experiment target fails, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,19 +186,29 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_simulate(args) -> int:
     """Sample, execute, write and reduce one row span at a time, so memory
     stays flat in the sample count: only the four per-row metric columns
-    outlive a span.  ``write_outcomes_csv`` writes the spans, so a failed run
-    leaves no outcomes.csv and keeps an earlier one."""
+    outlive a span.  The spans are cut into one contiguous part per CPU of the
+    affinity mask, and ``write_outcomes_csv`` runs each part in a forked
+    process when there are several, so the metric columns are shared memory
+    that those processes fill.  A failed run leaves no outcomes.csv and keeps
+    an earlier one."""
+    import mmap
+
     cfg = _load_config(args)
     space, _model, ctx, mech = cfg.build()
     out = _out_dir(args)
     metrics = ("revenue", "welfare", "transfers_out", "allocation_prob")
-    values = {metric: np.empty(cfg.samples) for metric in metrics}
+    shared = mmap.mmap(-1, max(1, 8 * len(metrics) * cfg.samples))  # anonymous, shared with forked processes
+    columns = np.frombuffer(shared, dtype=float, count=len(metrics) * cfg.samples)
+    values = dict(zip(metrics, columns.reshape(len(metrics), cfg.samples)))
     # a span is one chunk of the CSV writer (64 float cells per CSV cell), which
     # is narrower than one chunk of run_batch (40 per row and agent)
     spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, len(spans))
+    groups = [spans[k * len(spans) // count : (k + 1) * len(spans) // count] for k in range(count)]
 
-    def executed():
-        for span, profiles in zip(spans, _draw_spans(space, RandomStream(cfg.seed), spans)):
+    def executed(group):
+        for span, profiles in zip(group, _draw_spans(space, RandomStream(cfg.seed), group)):
             try:
                 batch = run_batch(mech, profiles, ctx)
             except MechanismInvariantError as exc:  # name the sample row, not the span row
@@ -206,7 +218,7 @@ def cmd_simulate(args) -> int:
                 values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
             yield profiles, batch
 
-    ev.write_outcomes_csv(out / "outcomes.csv", space.n, executed())
+    ev.write_outcomes_csv(out / "outcomes.csv", space.n, [functools.partial(executed, g) for g in groups])
 
     summary = {"schema_version": ev.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": {}}
     for metric in metrics:

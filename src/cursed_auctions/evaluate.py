@@ -19,10 +19,9 @@ means.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
-from collections import deque
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -410,18 +409,19 @@ def wallet_report(
 # outcomes.csv must keep the bytes csv.writer gives for per-cell f"{x:.12g}"
 # strings: no field needs quoting, and lines end in CRLF.  ``write_outcomes_csv``
 # is the one writer of the file: a header line, then the rows of each
-# (profiles, batch) block in order, so ``simulate`` streams its sample through
-# it span by span.  ``_csv_text`` encodes a row chunk with whole-array steps
-# (below); only rows holding a cell outside its fast range go through "%".
-# Encoding still costs about as much CPU as the rest of ``simulate``, so
-# ``_write_texts`` runs it in forked processes, off the calling process, and
-# writes the texts in submit order.
-# Forked, not spawned: a spawned process imports numpy again (~0.2 s), and the
-# pool forks all its processes at the first submit, before it starts its own
-# threads.  The parent holds ~4 floats per cell of each chunk in flight (its
-# floats, their pickle and the text sent back), and those chunks stay alive
-# while ``blocks`` computes the next span, so a chunk budgets 64 float cells
-# per CSV cell to keep them small next to that span.
+# (profiles, batch) block of each part in order, so ``simulate`` streams its
+# sample through it span by span.  ``_csv_text`` encodes a row chunk with
+# whole-array steps (below); only rows holding a cell outside its fast range
+# go through "%".
+# Encoding costs about as much CPU as the rest of ``simulate``, so a part is a
+# contiguous share of the sample that one forked process draws, executes,
+# encodes and writes to its own file; the calling process appends the files in
+# order.  No float or text crosses a pipe: a process sends back None or its
+# exception.  Forked, not spawned: a spawned process imports numpy again
+# (~0.2 s), and a part is a closure, which only a fork hands over without
+# pickling.  A chunk budgets 64 float cells per CSV cell, which keeps a chunk's
+# encoder input and text small, and ``simulate``'s spans, one writer chunk
+# each, fine enough to share out evenly between processes.
 #
 # The encoder.  A cell of |x| in [1e-4, 1e3) has the decimal exponent
 # e = floor(log10|x|) in -4..2, and s = fl(|x| * 10**(11 - e)) is one correctly
@@ -520,85 +520,107 @@ def _csv_text(line: str, n: int, cells: np.ndarray, winner: np.ndarray) -> bytes
     return b"".join(pieces)
 
 
-def _write_texts(fh, chunks) -> None:
-    """Write the ``_csv_text`` of each argument tuple of ``chunks`` to ``fh``,
-    in order.  From two chunks on, one forked process per CPU of the affinity
-    mask formats them, with at most workers + 1 submitted but not yet written,
-    and the pool is shut down before this returns or raises.  With one chunk,
-    one CPU or no "fork" start method they are formatted inline."""
-    head = list(itertools.islice(chunks, 2))
-    chunks = itertools.chain(head, chunks)
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _write_blocks(fh, n: int, line: str, blocks) -> None:
+    """Write the lines of each (profiles, batch) block of ``blocks`` to ``fh``,
+    after checking the block's shapes."""
+    width = 2 * n + 4
+    for profiles, batch in blocks:
+        profiles = np.atleast_2d(profiles)
+        N = len(profiles)
+        if any(a.shape[1:] != (n,) for a in (profiles, batch.payments, batch.thresholds)):
+            raise ValueError(f"profiles, payments and thresholds must have the width {n}")
+        columns = (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)
+        if any(len(col) != N for col in columns):
+            raise ValueError(f"batch rows do not match the {N} profiles")
+        threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
+        for r in _row_spans(N, 64 * width):
+            winner = batch.winner[r]
+            cells = np.column_stack(
+                (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
+            )
+            fh.write(_csv_text(line, n, cells, winner))
+
+
+def _forked_part(conn, name: Path, n: int, line: str, part) -> None:
+    """In a forked process: append the blocks of ``part()`` to the file
+    ``name``, then send None, or the exception that stopped it, through
+    ``conn``.  Any other failure, such as an exception that cannot be pickled,
+    ends the process without a message, which the caller reports."""
+    try:
+        with open(name, "ab") as fh:
+            _write_blocks(fh, n, line, part())
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(None)
+
+
+def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
+    """Write outcomes.csv for ``n`` agents: one line per profile with its
+    signals, the winner ("" when none), the threshold of the agent with the
+    highest signal, the payments, revenue and welfare.  Each of ``parts`` is a
+    zero-argument callable that returns an iterable of (profiles, batch)
+    blocks; the rows follow the parts in order and each part's blocks in order.
+
+    A block raises ValueError, before any of its text is written, unless its
+    profiles are ``n`` wide and its batch has one row per profile and ``n``
+    wide payments and thresholds.  From two parts on, each part runs in its
+    own forked process and writes its own file, so what a part changes outside
+    it is lost unless that is shared memory; with one part, or no "fork" start
+    method, the parts run in the calling process.  The text goes to a
+    temporary file next to ``path`` that replaces ``path`` only after the last
+    part.  On any error, in a block, in a part or from a process that dies,
+    every process is stopped, every temporary file is deleted and an earlier
+    file at ``path`` is left as it was; a part's own exception is raised again
+    in the calling process.
+    """
+    path = Path(path)
+    names = [path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp") for k in range(max(1, len(parts)))]
+    header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
+    header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
+    line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
     fork = None
-    if len(head) == 2 and workers > 1:
+    if len(parts) > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
-    if fork is None:
-        for args in chunks:
-            fh.write(_csv_text(*args))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=fork)
+    children = []  # (process, receiving end of its pipe) per part
     try:
-        pending = deque()
-        for args in chunks:
-            pending.append(pool.submit(_csv_text, *args))
-            if len(pending) > workers:
-                fh.write(pending.popleft().result())
-        while pending:
-            fh.write(pending.popleft().result())
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def write_outcomes_csv(path, n: int, blocks) -> None:
-    """Write outcomes.csv for ``n`` agents from the (profiles, batch) pairs of
-    ``blocks``, in order: one line per profile with its signals, the winner (""
-    when none), the threshold of the agent with the highest signal, the
-    payments, revenue and welfare.
-
-    A block raises ValueError, before any of its text is written, unless its
-    profiles are ``n`` wide and its batch has one row per profile and ``n``
-    wide payments and thresholds.  The text goes to a temporary file next to
-    ``path`` that replaces ``path`` only after the last block; on any error,
-    including one from ``blocks`` itself or from a formatting process, that
-    file is deleted and an earlier file at ``path`` is left as it was.
-    """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    width = 2 * n + 4
-    header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
-    header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
-    line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
-
-    def chunks():
-        for profiles, batch in blocks:
-            profiles = np.atleast_2d(profiles)
-            N = len(profiles)
-            if any(a.shape[1:] != (n,) for a in (profiles, batch.payments, batch.thresholds)):
-                raise ValueError(f"profiles, payments and thresholds must have the width {n}")
-            columns = (batch.winner, batch.thresholds, batch.payments, batch.revenue, batch.welfare)
-            if any(len(col) != N for col in columns):
-                raise ValueError(f"batch rows do not match the {N} profiles")
-            threshold = batch.thresholds[np.arange(N), np.argmax(profiles, axis=1)]
-            for r in _row_spans(N, 64 * width):
-                winner = batch.winner[r]
-                cells = np.column_stack(
-                    (profiles[r], winner, threshold[r], batch.payments[r], batch.revenue[r], batch.welfare[r])
-                )
-                yield line, n, cells, winner
-
-    try:
-        with open(partial, "wb") as fh:
-            fh.write((",".join(header) + "\r\n").encode("ascii"))
-            _write_texts(fh, chunks())
-        os.replace(partial, path)
+        names[0].write_bytes((",".join(header) + "\r\n").encode("ascii"))  # the first part appends to it
+        if fork is not None:
+            for name, part in zip(names, parts):
+                receive, send = fork.Pipe(duplex=False)
+                child = fork.Process(target=_forked_part, args=(send, name, n, line, part), daemon=True)
+                child.start()
+                send.close()  # before the next fork, so the pipe ends when its process does
+                children.append((child, receive))
+        with open(names[0], "ab") as fh:
+            if not children:
+                for part in parts:
+                    _write_blocks(fh, n, line, part())
+            for name, (child, receive) in zip(names, children):
+                try:
+                    error = receive.recv()
+                except EOFError:
+                    child.join()
+                    error = RuntimeError(f"a process writing outcomes.csv died with exit code {child.exitcode}")
+                if error is not None:
+                    raise error
+                if name != names[0]:
+                    with open(name, "rb") as text:
+                        shutil.copyfileobj(text, fh)
+        os.replace(names[0], path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for child, _receive in children:
+            child.kill()
         raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+        for name in names:
+            name.unlink(missing_ok=True)
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

@@ -107,6 +107,9 @@ class MechanismInvariantError(RuntimeError):
         super().__init__(f"{what}: row {row}, agent {agent}, value {value!r}")
         self.what, self.row, self.agent, self.value = what, row, agent, value
 
+    def __reduce__(self):  # ``args`` holds only the message, so pickle the witness
+        return type(self), (self.what, self.row, self.agent, self.value)
+
 
 @dataclass
 class AuctionContext:

@@ -307,15 +307,20 @@ def sample_profiles(space: SignalSpace, stream: RandomStream, count: int) -> np.
 
 
 def _draw_spans(space: SignalSpace, stream: RandomStream, spans):
-    """Yield the profiles of each slice in ``spans``, which must tile rows 0, 1,
-    ... in order: the rows ``sample_profiles`` would give, bit for bit.
+    """Yield the profiles of each slice in ``spans``, which must tile the rows
+    from the first one's start on, in order: the rows ``sample_profiles`` would
+    give, bit for bit.
 
     Row r is profile r % 2**16 of Philox sub-stream r // 2**16, and one
     generator per sub-stream carries on from span to span, so a span may start
-    or stop anywhere.  Only the current span is held.
+    or stop anywhere.  A generator opened mid sub-stream skips the doubles of
+    the rows before: one per signal, and Philox makes 4 per counter step, so
+    the skip costs the same at any row.  Only the current span is held.
     """
-    gen, chunk, row = None, -1, 0
+    gen, chunk, row = None, -1, None
     for span in spans:
+        if row is None:
+            row = span.start
         if span.start != row:
             raise ValueError(f"spans must tile the rows in order; expected a span from {row}, got {span}")
         out = np.empty((span.stop - row, space.n), dtype=float)
@@ -323,6 +328,10 @@ def _draw_spans(space: SignalSpace, stream: RandomStream, spans):
             if row // _CHUNK != chunk:
                 chunk = row // _CHUNK
                 gen = stream.generator(chunk)
+                skip = (row - chunk * _CHUNK) * space.n
+                if skip:
+                    gen.bit_generator.advance(skip // 4)
+                    gen.random(skip % 4)
             stop = min(span.stop, (chunk + 1) * _CHUNK)
             out[row - span.start : stop - span.start] = space.marginal.quantile(gen.random((stop - row, space.n)))
             row = stop

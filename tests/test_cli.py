@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from cursed_auctions import cli, evaluate, valuations
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
 from cursed_auctions.mechanisms import MechanismInvariantError, Mechanism, OthersView, RevenueOptimalRule, run_batch
 from cursed_auctions.oracle import GridModel
-from cursed_auctions.signals import RandomStream, sample_profiles
+from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.valuations import MaxSignal, WeightedSum
 
 
@@ -122,37 +123,65 @@ class TestSimulate:
 
 
 class TestSimulateStreaming:
-    """``simulate`` runs one row span at a time and writes the files of the
+    """``simulate`` runs one row span at a time, in one contiguous part of the
+    spans per CPU of the affinity mask, and writes the files of the
     all-at-once path: sample_profiles, one run_batch and write_outcomes_csv."""
 
     SPAN = 7_000  # rows per span: 2**16 is not a multiple, so a span crosses a sub-stream boundary
+    ROWS = (1 << 16) + 4_465  # the largest sample below
     METRICS = ("revenue", "welfare", "transfers_out", "allocation_prob")
 
     @pytest.fixture
-    def spans(self, monkeypatch):
-        """Shrink the cell budget to SPAN rows per writer chunk at n = 2, and
-        record the rows each run_batch call of the CLI sees and the rows of
-        each chunk the writer formats."""
-        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * self.SPAN)  # 64 floats per CSV cell
-        seen, chunks = [], []
+    def calls(self, monkeypatch, tmp_path):
+        """Record, from whichever process makes it, the sample row and row count
+        of each run_batch call of the CLI and of each chunk the writer encodes;
+        ``calls.fail_at = row`` makes the call for the span from that row raise.
+        Rows are of the default seed and marginal at n = 2."""
+        sample = sample_profiles(SignalSpace(2, UniformIID(1.0)), RandomStream(2024), self.ROWS)
+        row_of = {x: r for r, x in enumerate(sample[:, 0].tolist())}
+        assert len(row_of) == self.ROWS
+        log = tmp_path / "calls.log"
+        csv_text = evaluate._csv_text
 
-        def counting(mech, profiles, ctx):
-            seen.append(len(profiles))
+        def record(kind, first, rows):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {row_of[first]} {rows}\n")
+
+        def logged_run_batch(mech, profiles, ctx):
+            record("run_batch", profiles[0, 0], len(profiles))
+            if row_of[profiles[0, 0]] == calls.fail_at:
+                raise MechanismInvariantError("more than one winner", 3, 1, 2.0)
             return run_batch(mech, profiles, ctx)
 
-        write_texts = evaluate._write_texts
+        def logged_csv_text(line, n, cells, winner):
+            record("chunk", cells[0, 0], len(winner))
+            return csv_text(line, n, cells, winner)
 
-        def chunk_rows(fh, args):
-            def recorded():
-                for a in args:
-                    chunks.append(len(a[3]))  # the chunk's winner column
-                    yield a
+        def calls(kind):
+            """The sorted (row, row count) pairs of ``kind`` calls so far."""
+            lines = log.read_text().splitlines() if log.exists() else []
+            return sorted(tuple(map(int, x.split()[1:])) for x in lines if x.split()[0] == kind)
 
-            write_texts(fh, recorded())
+        calls.fail_at = None
+        monkeypatch.setattr(cli, "run_batch", logged_run_batch)
+        monkeypatch.setattr(evaluate, "_csv_text", logged_csv_text)
+        return calls
 
-        monkeypatch.setattr(cli, "run_batch", counting)
-        monkeypatch.setattr(evaluate, "_write_texts", chunk_rows)
-        return seen, chunks
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        """Patch the affinity mask to ``count`` CPUs (None: keep the real one),
+        and return the list that counts forks."""
+        if count is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        forked = []
+        fork = os.fork
+
+        def counting():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return forked
 
     def _reference(self, config: Path, out: Path) -> None:
         cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
@@ -160,7 +189,7 @@ class TestSimulateStreaming:
         profiles = sample_profiles(space, RandomStream(cfg.seed), cfg.samples)
         batch = run_batch(mech, profiles, ctx)
         out.mkdir()
-        evaluate.write_outcomes_csv(out / "outcomes.csv", space.n, [(profiles, batch)])
+        evaluate.write_outcomes_csv(out / "outcomes.csv", space.n, [lambda: [(profiles, batch)]])
         metrics = {
             m: evaluate._summarize(m, evaluate._metric_from_batch(m, batch, profiles, ctx, mech), cfg.seed).to_json()
             for m in self.METRICS
@@ -168,63 +197,59 @@ class TestSimulateStreaming:
         summary = {"schema_version": evaluate.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": metrics}
         cli._write_json(out / "summary.json", summary)
 
-    @pytest.mark.parametrize("samples", [0, (1 << 16) + 4_465])
-    def test_files_match_the_all_at_once_path(self, tmp_path, spans, samples):
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+    @pytest.mark.parametrize("samples", [0, ROWS])
+    def test_files_match_the_all_at_once_path(self, tmp_path, monkeypatch, calls, samples, cpus):
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * self.SPAN)  # 64 floats per CSV cell
+        forks = self._cpus(monkeypatch, cpus)
         config = tmp_path / "config.json"
         space = {"n": 2, "marginal": {"type": "uniform"}}
         config.write_text(json.dumps({"space": space, "samples": samples, "chi": 1.0}))
         assert run_cli("--config", str(config), "--out", str(tmp_path / "new"), "simulate") == 0
-        spans, chunks = spans
-        assert spans == chunks  # each run_batch call of simulate sees exactly one writer chunk of rows
+        spans = calls("run_batch")
+        assert spans == calls("chunk")  # each run_batch call of simulate sees exactly one writer chunk of rows
         self._reference(config, tmp_path / "ref")
         for name in ("outcomes.csv", "summary.json"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
         assert sorted(os.listdir(tmp_path / "new")) == ["outcomes.csv", "summary.json"]
-        assert sum(spans) == samples and max(spans, default=0) <= self.SPAN
-        assert len(spans) == -(-samples // self.SPAN)
+        assert spans == [(r, min(self.SPAN, samples - r)) for r in range(0, samples, self.SPAN)]
+        parts = min(len(os.sched_getaffinity(0)), len(spans))
+        assert len(forks) == (parts if parts > 1 else 0)
+        assert multiprocessing.active_children() == []
         if samples == 0:
             header = b"s_1,s_2,winner,threshold,payment_1,payment_2,revenue,welfare\r\n"
             assert (tmp_path / "new" / "outcomes.csv").read_bytes() == header
             summary = json.loads((tmp_path / "new" / "summary.json").read_text())
             assert all(summary["metrics"][m]["mean"] is None for m in self.METRICS)
 
+    @pytest.mark.parametrize("cpus", [1, 2])  # the span from row 100 runs inline, or in the second part's process
     @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
-    def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, earlier):
+    def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, calls, earlier, cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        calls = []
-
-        def second_fails(mech, profiles, ctx):
-            calls.append(len(profiles))
-            if len(calls) == 2:
-                raise MechanismInvariantError("more than one winner", 0, 1, 2.0)
-            return run_batch(mech, profiles, ctx)
-
-        monkeypatch.setattr(cli, "run_batch", second_fails)
+        self._cpus(monkeypatch, cpus)
+        calls.fail_at = 100
+        out = tmp_path / "out"
+        out.mkdir()
         if earlier is not None:
-            (tmp_path / "outcomes.csv").write_bytes(earlier)
+            (out / "outcomes.csv").write_bytes(earlier)
         with pytest.raises(MechanismInvariantError):
-            run_cli("--out", str(tmp_path), "--n", "2", "--samples", "250", "simulate")
-        assert calls == [100, 100]
-        assert sorted(os.listdir(tmp_path)) == ([] if earlier is None else ["outcomes.csv"])
+            run_cli("--out", str(out), "--n", "2", "--samples", "250", "simulate")
+        assert calls("run_batch") == [(0, 100), (100, 100)]
+        assert multiprocessing.active_children() == []
+        assert sorted(os.listdir(out)) == ([] if earlier is None else ["outcomes.csv"])
         if earlier is not None:
-            assert (tmp_path / "outcomes.csv").read_bytes() == earlier
+            assert (out / "outcomes.csv").read_bytes() == earlier
 
-    def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch, calls, cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        calls = []
-
-        def second_fails_at_row_3(mech, profiles, ctx):
-            calls.append(len(profiles))
-            if len(calls) == 2:
-                raise MechanismInvariantError("more than one winner", 3, 1, 2.0)
-            return run_batch(mech, profiles, ctx)
-
-        monkeypatch.setattr(cli, "run_batch", second_fails_at_row_3)
+        self._cpus(monkeypatch, cpus)
+        calls.fail_at = 100  # the error names row 3 of that span
         with pytest.raises(MechanismInvariantError) as err:
-            run_cli("--out", str(tmp_path), "--n", "2", "--samples", "250", "simulate")
+            run_cli("--out", str(tmp_path / "out"), "--n", "2", "--samples", "250", "simulate")
         assert (err.value.what, err.value.row, err.value.agent, err.value.value) == ("more than one winner", 103, 1, 2.0)
         assert str(err.value) == "more than one winner: row 103, agent 1, value 2.0"
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestVerify:

@@ -1,12 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from cursed_auctions.mechanisms import (
     BatchOutcome,
     GVARule,
     Mechanism,
+    MechanismInvariantError,
     make_context,
     masked_gva,
     run,
@@ -369,7 +370,7 @@ class TestCsv:
         profiles = sample_profiles(ctx.space, RandomStream(1), 5)
         batch = run_batch(mech, profiles, ctx)
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(path, 3, [(profiles, batch)])
+        write_outcomes_csv(path, 3, [lambda: [(profiles, batch)]])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s_1,s_2,s_3,winner,threshold,payment_1,payment_2,payment_3,revenue,welfare"
         assert len(lines) == 6
@@ -380,20 +381,20 @@ class TestCsv:
         batch = run_batch(mech, profiles, ctx)
         path = tmp_path / "outcomes.csv"
         with pytest.raises(ValueError, match="rows"):
-            write_outcomes_csv(path, 3, [(profiles[:3], batch)])
+            write_outcomes_csv(path, 3, [lambda: [(profiles[:3], batch)]])
         for field in ("payments", "thresholds"):
             wide = dataclasses.replace(batch, **{field: np.zeros((5, 4))})
             with pytest.raises(ValueError, match="width"):
-                write_outcomes_csv(path, 3, [(profiles, wide)])
+                write_outcomes_csv(path, 3, [lambda: [(profiles, wide)]])
         with pytest.raises(ValueError, match="width"):
-            write_outcomes_csv(path, 4, [(profiles, batch)])
+            write_outcomes_csv(path, 4, [lambda: [(profiles, batch)]])
         assert os.listdir(tmp_path) == []
 
     def test_blocks_written_in_order(self, tmp_path):
         profiles, batch = _edge_batch(3, 40, seed=5)
-        parts = [(profiles[r], _batch_rows(batch, r)) for r in (slice(0, 7), slice(7, 7), slice(7, 40))]
-        write_outcomes_csv(tmp_path / "one.csv", 3, [(profiles, batch)])
-        write_outcomes_csv(tmp_path / "three.csv", 3, iter(parts))
+        blocks = [(profiles[r], _batch_rows(batch, r)) for r in (slice(0, 7), slice(7, 7), slice(7, 40))]
+        write_outcomes_csv(tmp_path / "one.csv", 3, [lambda: [(profiles, batch)]])
+        write_outcomes_csv(tmp_path / "three.csv", 3, [lambda: iter(blocks)])
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
 
     @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
@@ -411,7 +412,7 @@ class TestCsv:
             yield profiles[:3], batch
 
         with pytest.raises(ValueError if failure == "bad second block" else RuntimeError):
-            write_outcomes_csv(path, 3, blocks())
+            write_outcomes_csv(path, 3, [blocks])
         assert os.listdir(tmp_path) == ([] if earlier is None else ["outcomes.csv"])
         if earlier is not None:
             assert path.read_bytes() == earlier
@@ -478,7 +479,7 @@ def _edge_batch(n: int, rows: int, seed: int):
 
 def _assert_same_bytes(tmp_path, profiles, batch):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_outcomes_csv(new, profiles.shape[1], [(profiles, batch)])
+    write_outcomes_csv(new, profiles.shape[1], [lambda: [(profiles, batch)]])
     _csv_writer_outcomes(old, profiles, batch)
     assert new.read_bytes() == old.read_bytes()
 
@@ -599,13 +600,13 @@ class TestCsvEncoder:
 
 
 _PARENT_PID = os.getpid()
-_MARK = 0.3125  # the first signal of the row whose chunk a formatting process finishes last
+_MARK = 0.3125  # the first signal of the part whose process finishes last
 _csv_text = evaluate._csv_text
 
 
 def _late_marked_chunk(line, n, cells, winner):
-    """``_csv_text``, slowed in a formatting process for the chunk that starts
-    with the mark, so the chunks after it complete first."""
+    """``_csv_text``, slowed in a forked process for the chunk that starts with
+    the mark, so the parts after it finish first."""
     if os.getpid() != _PARENT_PID and cells[0, 0] == _MARK:
         time.sleep(0.2)
     return _csv_text(line, n, cells, winner)
@@ -617,12 +618,13 @@ def _dies_in_child(line, n, cells, winner):
     return _csv_text(line, n, cells, winner)
 
 
-class TestOutcomesCsvProcesses:
-    """The text of a multi-chunk file is formatted in one forked process per CPU
-    of the affinity mask; the bytes do not depend on that count, and no process
-    or temporary file outlives the call."""
+class TestOutcomesCsvParts:
+    """Each part of the file after the first is written in its own forked
+    process; the bytes do not depend on the part count, and no process or
+    temporary file outlives the call."""
 
     N, ROWS = 3, 50  # 50-row chunks at n = 3
+    CUTS = (0, 60, 110, 110, 152, 153)  # five blocks, one empty and the last a one-row no-sale block
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -638,18 +640,16 @@ class TestOutcomesCsvProcesses:
         monkeypatch.setattr(os, "fork", counting)
         return forked
 
-    def _cpus(self, monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    def _blocks(self):
-        """A block of 3 chunks + 2 rows, an empty block and a one-row no-sale
-        block, with the mark at the first row; and the whole sample."""
-        rows = 3 * self.ROWS + 3
-        profiles, batch = _edge_batch(self.N, rows, seed=11)
-        profiles[0, 0] = _MARK
+    def _parts(self, count):
+        """The five blocks cut into ``count`` contiguous parts, the mark at the
+        first row of the second part; and the whole sample."""
+        profiles, batch = _edge_batch(self.N, self.CUTS[-1], seed=11)
         batch.winner[-1] = -1
-        cuts = (slice(0, rows - 1), slice(rows - 1, rows - 1), slice(rows - 1, rows))
-        return [(profiles[r], _batch_rows(batch, r)) for r in cuts], profiles, batch
+        blocks = [(profiles[a:b], _batch_rows(batch, slice(a, b))) for a, b in zip(self.CUTS, self.CUTS[1:])]
+        groups = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
+        if count > 1:
+            profiles[self.CUTS[len(blocks) // count], 0] = _MARK
+        return [lambda g=g: iter(g) for g in groups], profiles, batch
 
     def _assert_no_leftovers(self, out, text):
         """No process and no temporary file is left, and outcomes.csv holds ``text``."""
@@ -657,56 +657,84 @@ class TestOutcomesCsvProcesses:
         assert os.listdir(out) == ["outcomes.csv"]
         assert (out / "outcomes.csv").read_bytes() == text
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_same_bytes_for_any_process_count(self, tmp_path, monkeypatch, forks, cpus):
-        blocks, profiles, batch = self._blocks()
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_same_bytes_for_any_part_count(self, tmp_path, monkeypatch, forks, count):
+        parts, profiles, batch = self._parts(count)
         _csv_writer_outcomes(tmp_path / "reference.csv", profiles, batch)
-        self._cpus(monkeypatch, 1)
-        write_outcomes_csv(tmp_path / "inline.csv", self.N, blocks)
-        assert forks == []
-        self._cpus(monkeypatch, cpus)
         monkeypatch.setattr(evaluate, "_csv_text", _late_marked_chunk)
-        write_outcomes_csv(tmp_path / "outcomes.csv", self.N, iter(blocks))
-        assert len(forks) == (cpus if cpus > 1 else 0)
-        text = (tmp_path / "outcomes.csv").read_bytes()
-        assert text == (tmp_path / "inline.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-        assert multiprocessing.active_children() == []
+        out = tmp_path / "out"
+        out.mkdir()
+        write_outcomes_csv(out / "outcomes.csv", self.N, parts)
+        assert len(forks) == (count if count > 1 else 0)
+        self._assert_no_leftovers(out, (tmp_path / "reference.csv").read_bytes())
 
-    def test_one_chunk_forks_nothing(self, tmp_path, monkeypatch, forks):
-        self._cpus(monkeypatch, 2)
-        profiles, batch = _edge_batch(self.N, self.ROWS, seed=12)
+    def test_one_part_forks_nothing(self, tmp_path, forks):
+        profiles, batch = _edge_batch(self.N, 3 * self.ROWS + 1, seed=12)
         _assert_same_bytes(tmp_path, profiles, batch)
         assert forks == []
 
-    def test_success_leaves_only_the_file(self, tmp_path, monkeypatch, forks):
-        self._cpus(monkeypatch, 2)
-        blocks, profiles, batch = self._blocks()
+    def test_success_replaces_an_earlier_file(self, tmp_path, forks):
+        parts, profiles, batch = self._parts(2)
         out = tmp_path / "out"
         out.mkdir()
         (out / "outcomes.csv").write_bytes(b"from an earlier run\r\n")
-        write_outcomes_csv(out / "outcomes.csv", self.N, blocks)
+        write_outcomes_csv(out / "outcomes.csv", self.N, parts)
         assert len(forks) == 2
         _csv_writer_outcomes(tmp_path / "reference.csv", profiles, batch)
         self._assert_no_leftovers(out, (tmp_path / "reference.csv").read_bytes())
 
-    def test_bad_block_mid_stream_stops_every_process(self, tmp_path, monkeypatch, forks):
-        self._cpus(monkeypatch, 2)
-        blocks, profiles, batch = self._blocks()
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_bad_block_stops_every_process(self, tmp_path, forks, part):
+        parts, profiles, batch = self._parts(3)
+        good = parts[part]
+        parts[part] = lambda: itertools.chain(good(), [(profiles[:2], batch)])
         earlier = b"from an earlier run\r\n"
         (tmp_path / "outcomes.csv").write_bytes(earlier)
         with pytest.raises(ValueError, match="rows"):
-            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, [blocks[0], (profiles[:2], batch)])
-        assert len(forks) == 2
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, parts)
+        assert len(forks) == 3
         self._assert_no_leftovers(tmp_path, earlier)
 
+    def test_failure_stops_later_parts_without_waiting(self, tmp_path, forks):
+        parts, profiles, batch = self._parts(2)
+        good = parts[1]
+
+        def slow():
+            time.sleep(30)
+            yield from good()
+
+        parts = [lambda: [(profiles[:2], batch)], slow]
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="rows"):
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, parts)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path) == []
+
+    def test_invariant_error_in_a_process_arrives_whole(self, tmp_path, forks):
+        parts, _profiles, _batch = self._parts(3)
+        good = parts[1]
+
+        def fails():
+            yield from good()
+            raise MechanismInvariantError("more than one winner", 103, 1, 2.0)
+
+        parts[1] = fails
+        with pytest.raises(MechanismInvariantError) as err:
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, parts)
+        assert (err.value.what, err.value.row, err.value.agent, err.value.value) == ("more than one winner", 103, 1, 2.0)
+        assert str(err.value) == "more than one winner: row 103, agent 1, value 2.0"
+        assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path) == []
+
     def test_dead_process_stops_every_process(self, tmp_path, monkeypatch, forks):
-        self._cpus(monkeypatch, 2)
-        blocks, _profiles, _batch = self._blocks()
+        parts, _profiles, _batch = self._parts(3)
         earlier = b"from an earlier run\r\n"
         (tmp_path / "outcomes.csv").write_bytes(earlier)
         monkeypatch.setattr(evaluate, "_csv_text", _dies_in_child)
-        with pytest.raises(BrokenProcessPool):
-            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, blocks)
+        with pytest.raises(RuntimeError, match="died with exit code 1"):
+            write_outcomes_csv(tmp_path / "outcomes.csv", self.N, parts)
+        assert len(forks) == 3
         self._assert_no_leftovers(tmp_path, earlier)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -772,6 +773,12 @@ class TestInvariantErrors:
         with pytest.raises(MechanismInvariantError) as err:
             agent_outcomes_for_bids(mech, 2, profiles, np.linspace(0.0, 1.0, 5), three_ctx)
         assert (err.value.row, err.value.agent) == (1, 2)
+
+    def test_pickle_round_trip_keeps_the_witness(self):
+        err = pickle.loads(pickle.dumps(MechanismInvariantError("more than one winner", 3, 1, 2.0)))
+        assert type(err) is MechanismInvariantError
+        assert (err.what, err.row, err.agent, err.value) == ("more than one winner", 3, 1, 2.0)
+        assert str(err) == "more than one winner: row 3, agent 1, value 2.0"
 
     def test_two_winners_names_row_agent_count(self, three_ctx):
         mech = _TiesWinMechanism(GVARule(), 0.5, "compensated")

@@ -390,6 +390,6 @@ def test_outcome_dump(tmp_path):
     path = tmp_path / "grid.csv"
     profiles = grid.all_profiles()
     batch = run_batch(Mechanism(GVARule(), 1.0, "compensated"), profiles, grid.context())
-    write_outcomes_csv(path, grid.n, [(profiles, batch)])
+    write_outcomes_csv(path, grid.n, [lambda: [(profiles, batch)]])
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 10  # header + 9 profiles

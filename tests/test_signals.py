@@ -94,7 +94,30 @@ class TestDrawSpansDifferential:
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         np.testing.assert_array_equal(sample_profiles(space, stream, count).view(np.int64), ref.view(np.int64))
 
-    @pytest.mark.parametrize("spans", [[slice(1, 4)], [slice(0, 2), slice(3, 5)], [slice(0, 3), slice(0, 3)]])
+    @pytest.mark.parametrize(
+        "marginal",
+        [UniformIID(2.0), DiscreteGridIID(points=(0.0, 0.25, 0.5, 1.0)), GenericIID("power", (0.5, 3.0))],
+        ids=["uniform", "grid", "quantile"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 25])  # the doubles skipped before a row take every residue mod 4
+    @pytest.mark.parametrize("start", [1, 2, 3, B - 1, B, B + 1])
+    def test_first_span_may_start_at_any_row(self, marginal, n, start):
+        """The rows from ``start`` on, in spans that cross the next sub-stream
+        boundary, are the reference's rows."""
+        space, stream = SignalSpace(n, marginal), RandomStream(11, 2)
+        boundary = (start // self.B + 1) * self.B
+        stop = boundary + 2
+        edges = sorted({start, start + 1, boundary - 1, boundary + 1, stop})
+        spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        got = np.concatenate(list(_draw_spans(space, stream, spans)))
+        ref = _sample_profiles_reference(space, stream, stop)[start:]
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "spans",
+        [[slice(0, 2), slice(3, 5)], [slice(0, 3), slice(0, 3)], [slice(1, 4), slice(5, 6)], [slice(4, 6), slice(2, 4)]],
+    )
     def test_spans_must_tile_in_order(self, spans):
         with pytest.raises(ValueError, match="tile"):
             list(_draw_spans(SignalSpace(2, UniformIID(1.0)), RandomStream(0), spans))
