@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import numbers
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,9 +53,8 @@ class ExperimentConfig:
     mechanism: dict = field(default_factory=lambda: {"rule": {"kind": "m_gva"}, "payment_policy": "compensated"})
     samples: int = 100_000
     seed: int = 2024
-    workers: int = 1
 
-    _KEYS = ("space", "model", "chi", "mechanism", "samples", "seed", "workers")
+    _KEYS = ("space", "model", "chi", "mechanism", "samples", "seed")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -70,7 +68,7 @@ class ExperimentConfig:
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         try:
-            for key, integral in (("chi", False), ("samples", True), ("seed", True), ("workers", True)):
+            for key, integral in (("chi", False), ("samples", True), ("seed", True)):
                 setattr(cfg, key, _config_number(getattr(cfg, key), key, integral))
             for key in ("space", "model", "mechanism"):
                 setattr(cfg, key, _parsed_numbers(getattr(cfg, key)))
@@ -78,8 +76,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not (0.0 <= cfg.chi <= 1.0):
             raise ConfigError(f"chi must lie in [0, 1], got {cfg.chi}")
-        if cfg.samples < 0 or cfg.workers < 1:
-            raise ConfigError("samples must be >= 0 and workers >= 1")
+        if cfg.samples < 0:
+            raise ConfigError("samples must be >= 0")
         return cfg
 
     def to_dict(self) -> dict:
@@ -142,8 +140,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.samples = args.samples
     if args.chi is not None:
         cfg.chi = args.chi
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.n is not None:
         cfg.space = dict(cfg.space, n=args.n)
     if args.model is not None:
@@ -172,8 +168,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _finite(obj):
+    """``obj`` with each number that is not finite as None, which strict JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"  # before the open, so a failure keeps an earlier file
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True) + "\n"  # before the open, to keep an earlier file
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -203,8 +208,7 @@ def cmd_simulate(args) -> int:
     # a span is one chunk of the CSV writer (64 float cells per CSV cell), which
     # is narrower than one chunk of run_batch (40 per row and agent)
     spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(cpus, len(spans))
+    count = min(ev._cpus(), len(spans))
     groups = [spans[k * len(spans) // count : (k + 1) * len(spans) // count] for k in range(count)]
 
     def executed(group):
@@ -268,7 +272,7 @@ def cmd_experiment(args) -> int:
     _write_json(out / f"{args.name}.json", payload)
     if payload.get("rows"):
         ev.write_estimates_csv(out / f"{args.name}.csv", payload["rows"])
-    print(json.dumps({k: v for k, v in payload.items() if k != "rows"}, indent=2, sort_keys=True))
+    print(json.dumps(_finite({k: v for k, v in payload.items() if k != "rows"}), indent=2, sort_keys=True))
     return 0 if payload.get("passed", True) else 1
 
 
@@ -331,7 +335,7 @@ def _experiment_negative_revenue(cfg: ExperimentConfig, ns) -> dict:
         space = SignalSpace(n, UniformIID(1.0))
         ctx = make_context(space, WeightedSum(0.5))
         mech = Mechanism(GVARule(), 1.0, "compensated")
-        rep = ev.estimate(mech, ctx, "transfers_out", cfg.samples, cfg.seed, workers=cfg.workers)
+        rep = ev.estimate(mech, ctx, "transfers_out", cfg.samples, cfg.seed)
         measured.append(rep.mean)
         rows.append(
             {
@@ -395,8 +399,8 @@ def _experiment_half_welfare(cfg: ExperimentConfig, ns) -> dict:
         space = SignalSpace(n, UniformIID(1.0))
         ctx = make_context(space, WeightedSum(0.5))
         mech = masked_gva(ctx, 1.0)
-        w = ev.estimate(mech, ctx, "welfare", cfg.samples, cfg.seed, workers=cfg.workers)
-        opt = ev.optimal_welfare(ctx, cfg.samples, cfg.seed, workers=cfg.workers)
+        w = ev.estimate(mech, ctx, "welfare", cfg.samples, cfg.seed)
+        opt = ev.optimal_welfare(ctx, cfg.samples, cfg.seed)
         prob = ev.event_probability(ctx, n, cfg.samples, cfg.seed)
         cond = ev.conditional_welfare(mech, ctx, cfg.samples, cfg.seed)
         ratios[n] = w.mean / opt.mean
@@ -569,9 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="weighted-sum weight on others")
     p.add_argument("--model", choices=["weighted_sum", "max_signal"], default=None)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument(
-        "--workers", type=int, default=None, help="worker threads for the Monte Carlo estimators (results invariant)"
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="run profiles through the configured mechanism")

@@ -2,14 +2,14 @@
 two-bidder wallet-game demonstration.
 
 Every estimator streams through one reducer, ``_reduce``.  It draws chunk c
-as ``sample_profiles(space, RandomStream(seed, c), rows)`` with a chunk row
-count fixed by the caller, maps it to per-row values, and keeps each chunk's
+as ``sample_profiles(space, RandomStream(seed, c), rows)`` would, one
+``run_batch`` span at a time, maps it to per-row values, and keeps each chunk's
 (count, sum, M2), where M2 is the sum of squared deviations from the chunk
 mean.  Chunks are merged in chunk order (Chan, Golub & LeVeque 1979): the
 mean is the exactly rounded sum of chunk sums over the count, and
 M2 = sum_c [M2_c + count_c * (mean_c - mean)^2], so the standard error does
 not cancel for metrics with a large mean.  Estimates are deterministic in
-(seed, sample count) and do not depend on how many workers processed the
+(seed, sample count) and do not depend on how many threads processed the
 chunks.  Cursedness sweeps reuse the identical draws for every chi (common
 random numbers); with a fixed rule this turns the pointwise payment
 monotonicity in chi into an exact, assertion-grade comparison of the sweep
@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import AuctionContext, Mechanism, run_batch
-from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, sample_profiles
+from .mechanisms import _BATCH_CELLS, AuctionContext, Mechanism, run_batch
+from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, _draw_spans
 from .valuations import (
     ConcaveSum,
     WeightedSum,
@@ -167,64 +167,60 @@ def _summarize(metric: str, values: np.ndarray, seed: int) -> EstimateReport:
     return EstimateReport.from_m2(metric, *_merge([_moments(values)]), seed)
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask, which ``taskset`` narrows (1 without one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _reduce(
-    space: SignalSpace,
-    keys: Sequence,
-    values_fn: Callable[[np.ndarray], dict],
-    n_samples: int,
-    seed: int,
+    space: SignalSpace, keys: Sequence, values_fn: Callable[[np.ndarray], dict], n_samples: int, seed: int,
     chunk_rows: int,
-    workers: int = 1,
 ) -> dict:
     """The one Monte Carlo loop: {key: (count, mean, M2)} over ``n_samples`` profiles.
 
-    Chunk c holds ``sample_profiles(space, RandomStream(seed, c), rows)`` with
-    rows = ``chunk_rows`` except in the last chunk; ``values_fn(profiles)``
-    maps it to {key: 1-D values}, which may cover only some of the rows.
-    Chunks may run on ``workers`` threads; they are merged in chunk order, so
-    the result does not depend on the worker count.  Fewer than one sample is
-    a ValueError: an empty sample has no mean.
+    Chunk c holds the rows of ``sample_profiles(space, RandomStream(seed, c),
+    rows)``, rows = ``chunk_rows`` except in the last chunk, drawn one
+    ``run_batch`` span at a time so no thread holds a whole chunk's profiles;
+    ``values_fn(profiles)`` maps a span to {key: 1-D values}, which may cover
+    only some of its rows.  Chunks run on a thread per CPU of the affinity mask
+    and merge in chunk order, so the result does not depend on the CPU count.
+    Fewer than one sample is a ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    spans = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range(-(-n_samples // chunk_rows))]
+    chunks = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range(-(-n_samples // chunk_rows))]
 
-    def one(span):
-        c, rows = span
-        values = values_fn(sample_profiles(space, RandomStream(seed, c), rows))
-        return {k: _moments(values[k]) for k in keys}
+    def one(chunk):
+        c, rows = chunk
+        spans = _row_spans(rows, _BATCH_CELLS * space.n)
+        parts = [values_fn(profiles) for profiles in _draw_spans(space, RandomStream(seed, c), spans)]
+        return {k: _moments(np.concatenate([p[k] for p in parts])) for k in keys}
 
-    if workers > 1 and len(spans) > 1:
+    threads = min(_cpus(), len(chunks))
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, spans))
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(one, chunks))
     else:
-        parts = [one(s) for s in spans]
-    return {k: _merge([p[k] for p in parts]) for k in keys}
+        results = [one(chunk) for chunk in chunks]
+    return {k: _merge([r[k] for r in results]) for k in keys}
 
 
-def _estimates(mech: Mechanism, ctx: AuctionContext, metrics: list, n_samples: int, seed: int, workers: int = 1) -> dict:
+def _estimates(mech: Mechanism, ctx: AuctionContext, metrics: list, n_samples: int, seed: int) -> dict:
     def values_fn(profiles):
         batch = run_batch(mech, profiles, ctx)
         return {m: _metric_from_batch(m, batch, profiles, ctx, mech) for m in metrics}
 
-    moments = _reduce(ctx.space, metrics, values_fn, n_samples, seed, _chunk_rows(ctx.space.n), workers)
+    moments = _reduce(ctx.space, metrics, values_fn, n_samples, seed, _chunk_rows(ctx.space.n))
     return {m: EstimateReport.from_m2(m, *moments[m], seed) for m in metrics}
 
 
-def estimate(
-    mech: Mechanism,
-    ctx: AuctionContext,
-    metric: str,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-) -> EstimateReport:
+def estimate(mech: Mechanism, ctx: AuctionContext, metric: str, n_samples: int, seed: int) -> EstimateReport:
     """Monte Carlo mean of a per-auction metric over i.i.d. signal profiles."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    return _estimates(mech, ctx, [metric], n_samples, seed, workers)[metric]
+    return _estimates(mech, ctx, [metric], n_samples, seed)[metric]
 
 
 def estimate_many(
@@ -237,7 +233,7 @@ def estimate_many(
     """Like :func:`estimate` for several metrics sharing one execution pass.
 
     Identical draws and results to calling ``estimate`` per metric with the
-    same seed; one run of the mechanism per chunk instead of one per metric.
+    same seed; one run of the mechanism per span instead of one per metric.
     """
     metrics = list(metrics)
     bad = [m for m in metrics if m not in METRICS]
@@ -246,7 +242,7 @@ def estimate_many(
     return _estimates(mech, ctx, metrics, n_samples, seed)
 
 
-def optimal_welfare(ctx: AuctionContext, n_samples: int, seed: int, workers: int = 1) -> EstimateReport:
+def optimal_welfare(ctx: AuctionContext, n_samples: int, seed: int) -> EstimateReport:
     """Welfare of always giving the item to the highest signal (the efficient
     benchmark; requires single crossing so the highest signal has the highest value)."""
     if not single_crossing_holds(ctx.model, ctx.space):
@@ -258,7 +254,7 @@ def optimal_welfare(ctx: AuctionContext, n_samples: int, seed: int, workers: int
         stat = profile_stats(ctx.model, profiles)[rows, top]
         return {"optimal_welfare": value_from_own_and_stat(ctx.model, profiles[rows, top], stat)}
 
-    moments = _reduce(ctx.space, ["optimal_welfare"], values_fn, n_samples, seed, _chunk_rows(ctx.space.n), workers)
+    moments = _reduce(ctx.space, ["optimal_welfare"], values_fn, n_samples, seed, _chunk_rows(ctx.space.n))
     return EstimateReport.from_m2("optimal_welfare", *moments["optimal_welfare"], seed)
 
 

@@ -93,6 +93,7 @@ _OPT_POINTS = 2048
 _OPT_FRAC = np.linspace(0.0, 1.0, _OPT_POINTS)
 _OPT_STRIDE = 128
 _GOLDEN_ITERS = 60
+_BATCH_CELLS = 40  # float cells per (row, agent) of a run_batch span: the quote and its outcome
 
 
 class ModelUnsupportedError(ValueError):
@@ -578,7 +579,7 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
     profiles = _checked_profiles(profiles, ctx.space)
     N, n = profiles.shape
     out = _empty_batch(N, n)
-    for span in _row_spans(N, 40 * n):  # 40 cells per (row, agent) quote and its outcome
+    for span in _row_spans(N, _BATCH_CELLS * n):
         rows = profiles[span]
         _execute(out, span.start, mech, rows, _quote(mech, rows, ctx, range(n), span.start), ctx)
     return out

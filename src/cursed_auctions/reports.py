@@ -54,13 +54,12 @@ def _worst_case(name: str, margins, tolerance: float, samples_checked: int, witn
     """The report of a sampled check from its margins, positive where a case
     violates the property: the largest margin (0 if none is positive) and, as
     witnesses, ``{**witness(k), "margin": margins[k]}`` for the flat indices k
-    of the ``_MAX_WITNESSES`` largest positive margins, largest first."""
+    of the ``_MAX_WITNESSES`` largest positive margins: NaN first, then largest
+    first, ties by ascending k, whatever sort kernel numpy picks."""
     margins = np.ravel(margins)
-    witnesses = []
-    for k in np.argsort(margins)[::-1][:_MAX_WITNESSES]:
-        if margins[k] <= 0:
-            break
-        witnesses.append({**witness(int(k)), "margin": float(margins[k])})
+    violating = np.flatnonzero(~(margins <= 0))  # positive or NaN
+    order = np.lexsort((-margins[violating], ~np.isnan(margins[violating])))  # stable: ties keep ascending k
+    witnesses = [{**witness(int(k)), "margin": float(margins[k])} for k in violating[order[:_MAX_WITNESSES]]]
     return CheckReport(name, margins.max(initial=0.0), tolerance, samples_checked, witnesses)
 
 

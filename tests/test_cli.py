@@ -337,6 +337,23 @@ class TestExperiments:
         assert payload["passed"] is True
         assert all(abs(r - 1.0) <= 0.05 for r in payload["target_ratio"])
 
+    @pytest.mark.parametrize(
+        "seed, name, n_list",
+        [("1", "half-welfare", ["--n-list", "10"]), ("2", "negative-revenue", [])],
+        ids=["half-welfare", "negative-revenue"],
+    )
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path, capsys, seed, name, n_list):
+        """One sample keeps no draw on the half-welfare event (a NaN conditional
+        welfare), or estimates a zero outflow (a NaN fitted exponent)."""
+        assert run_cli("--out", str(tmp_path), "--samples", "1", "--seed", seed, "experiment", name, *n_list) == 1
+        strict = lambda text: json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} is not strict JSON"))
+        payload = strict((tmp_path / f"{name}.json").read_text())
+        printed = strict(capsys.readouterr().out)
+        if name == "half-welfare":
+            assert payload["rows"][0]["conditional_welfare"] is None
+        else:
+            assert payload["fitted_exponent"] is None and printed["fitted_exponent"] is None
+
 
 class TestNegativeRevenueFormula:
     def test_two_bidders_by_hand(self):
@@ -462,7 +479,6 @@ def test_config_file_not_found(tmp_path):
         '{"seed": [1]}',
         '{"samples": 2.7}',
         '{"seed": 1.5}',
-        '{"workers": 1.5}',
         '{"samples": Infinity}',
         '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": Infinity}}, "samples": 10}',
         '{"model": {"family": "weighted_sum", "beta": NaN}, "mechanism": {"rule": {"kind": "gva"}}}',
@@ -491,12 +507,11 @@ def test_integral_float_counts_accepted():
     raw = {
         "samples": 10.0,
         "seed": 3.0,
-        "workers": 1.0,
         "space": {"n": 2.0, "marginal": {"type": "uniform"}},
         "mechanism": {"rule": {"kind": "revenue_optimal"}},
     }
     cfg = ExperimentConfig.from_dict(raw)
-    assert (cfg.samples, cfg.seed, cfg.workers) == (10, 3, 1)
+    assert (cfg.samples, cfg.seed) == (10, 3)
     space, _model, _ctx, mech = cfg.build()
     assert space.n == 2 and mech.rule == RevenueOptimalRule(cfg.chi)
     raw["mechanism"] = {"rule": {"kind": "revenue_optimal", "grid_size": 64.0}}
@@ -506,8 +521,9 @@ def test_integral_float_counts_accepted():
 
 def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"shenanigans": True}))
-    assert run_cli("--config", str(cfg), "--out", str(tmp_path), "simulate") == 2
+    for raw in ({"shenanigans": True}, {"workers": 1}):  # the CPU count comes from the affinity mask, not a key
+        cfg.write_text(json.dumps(raw))
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path), "simulate") == 2
 
 
 @pytest.mark.parametrize("chi", [1.5, "nan"])

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -87,12 +88,6 @@ class TestEstimate:
         rep = estimate(masked_gva(mctx, 0.5), mctx, "allocation_prob", 20_000, seed=7)
         assert rep.mean == 0.0
 
-    def test_deterministic_and_worker_invariant(self, ctx):
-        mech = Mechanism(GVARule(), 0.63, "compensated")
-        a = estimate(mech, ctx, "revenue", 30_000, seed=11, workers=1)
-        b = estimate(mech, ctx, "revenue", 30_000, seed=11, workers=4)
-        assert a.mean == b.mean and a.standard_error == b.standard_error
-
     def test_estimate_many_matches_estimate(self, ctx):
         wide = make_context(SignalSpace(200, UniformIID(1.0)), WeightedSum(0.5))
         mech = Mechanism(GVARule(), 1.0, "compensated")
@@ -128,6 +123,92 @@ class TestEstimate:
         for i in range(3):
             utilities += batch.win[:, i] * value(ctx.model, profiles, i) - batch.payments[:, i]
         np.testing.assert_allclose(batch.revenue + utilities, batch.welfare, atol=1e-12)
+
+
+def _whole_chunk_reduce(space, keys, values_fn, n_samples, seed, chunk_rows):
+    """The reducer before it streamed: each chunk drawn whole by
+    ``sample_profiles`` and mapped by one ``values_fn`` call, inline."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    spans = [(c, min(chunk_rows, n_samples - c * chunk_rows)) for c in range(-(-n_samples // chunk_rows))]
+    parts = []
+    for c, rows in spans:
+        values = values_fn(sample_profiles(space, RandomStream(seed, c), rows))
+        parts.append({k: evaluate._moments(values[k]) for k in keys})
+    return {k: evaluate._merge([p[k] for p in parts]) for k in keys}
+
+
+# every estimator on 3 or more chunks of the small_chunks fixture
+ESTIMATORS = {
+    "estimate": lambda mech, ctx: estimate(mech, ctx, "virtual_surplus", 2000, 5),
+    "estimate_many": lambda mech, ctx: estimate_many(mech, ctx, list(evaluate.METRICS), 2000, 5),
+    "optimal_welfare": lambda mech, ctx: optimal_welfare(ctx, 2000, 5),
+    "chi_sweep": lambda mech, ctx: chi_sweep(lambda c: masked_gva(ctx, c), ctx, [0.25, 1.0], "welfare", 2000, 5),
+    "event_probability": lambda mech, ctx: event_probability(ctx, 3000, 3000, 5),  # 1333-row chunks
+    "conditional_welfare": lambda mech, ctx: conditional_welfare(mech, ctx, 2000, 5),
+}
+
+
+class TestReduceThreads:
+    """``_reduce`` draws each chunk one run_batch span at a time, runs the
+    chunks on one thread per CPU of the affinity mask and merges them in chunk
+    order: every estimate is the one the whole-chunk inline loop gives."""
+
+    SPAN = 64  # run_batch rows at n = 3
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_chunk_rows", lambda n: 700)
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 40 * 3 * self.SPAN)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The list of threads started so far."""
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return started
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])  # None: the real affinity mask
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_matches_whole_chunk_reduce_for_any_cpu_count(self, ctx, monkeypatch, small_chunks, name, cpus):
+        mech = masked_gva(ctx, 1.0)
+        call = ESTIMATORS[name]
+        with monkeypatch.context() as m:
+            m.setattr(evaluate, "_reduce", _whole_chunk_reduce)
+            expected = call(mech, ctx)
+        if cpus is not None:
+            monkeypatch.setattr(evaluate, "_cpus", lambda: cpus)
+        assert call(mech, ctx) == expected  # reports compare every field exactly
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("subset", [False, True], ids=["full_rows", "subset_rows"])
+    def test_values_fn_sees_at_most_one_batch_span(self, ctx, monkeypatch, small_chunks, threads, subset, cpus):
+        monkeypatch.setattr(evaluate, "_cpus", lambda: cpus)
+        mech = Mechanism(GVARule(), 0.63, "compensated")
+        seen = []
+
+        def values_fn(profiles):
+            seen.append(len(profiles))
+            rows = profiles[profiles[:, 0] > 0.9] if subset else profiles  # some spans keep no row
+            batch = run_batch(mech, rows, ctx)
+            return {"revenue": batch.revenue, "welfare": batch.welfare}
+
+        got = evaluate._reduce(ctx.space, ["revenue", "welfare"], values_fn, 2000, 9, 700)
+        assert max(seen) == self.SPAN and sum(seen) == 2000 and len(seen) == 11 + 11 + 10  # chunks of 700, 700, 600
+        assert got == _whole_chunk_reduce(ctx.space, ["revenue", "welfare"], values_fn, 2000, 9, 700)
+        assert (len(threads) > 0) == (cpus > 1)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, threads):
+        monkeypatch.setattr(evaluate, "_cpus", lambda: 2)
+        mctx = make_context(SignalSpace(2, UniformIID(1.0)), MaxSignal())
+        reps = estimate_many(masked_gva(mctx, 0.25), mctx, ["allocation_prob", "welfare"], 8000, seed=2024)
+        assert reps["allocation_prob"].mean == 0.0 and threads == []
 
 
 class TestVirtualSurplus:

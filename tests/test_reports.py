@@ -9,7 +9,7 @@ from cursed_auctions import valuations
 from cursed_auctions.mechanisms import GVARule, make_context
 from cursed_auctions.reports import _MAX_WITNESSES, _worst_case
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID
-from cursed_auctions.testing import RealizedPriceMechanism
+from cursed_auctions.testing import IntervalAllocationMechanism, RealizedPriceMechanism
 from cursed_auctions.valuations import (
     ConcaveSum,
     ScalarMap,
@@ -18,7 +18,7 @@ from cursed_auctions.valuations import (
     check_single_crossing,
     make_interim_cache,
 )
-from cursed_auctions.verify import Draw, SamplingPlan, check_chi_robustness
+from cursed_auctions.verify import Draw, SamplingPlan, check_allocation_monotone, check_chi_robustness
 
 
 def test_worst_case_keeps_the_largest_positive_margins():
@@ -27,6 +27,26 @@ def test_worst_case_keeps_the_largest_positive_margins():
     assert rep.max_violation == 3.0 and not rep.passed and rep.samples_checked == 9
     assert [w["margin"] for w in rep.witnesses] == [3.0, 2.0, 1.5, 1.0, 0.5]
     assert [w["case"] for w in rep.witnesses] == [4, 2, 7, 5, 1]
+
+
+@pytest.mark.parametrize("count", [10, 10_000])
+def test_tied_margins_name_the_first_rows(count):
+    margins = np.ones(count)
+    margins[2] = 0.0
+    rep = _worst_case("toy", margins, 0.0, count, lambda k: {"case": k})
+    assert [w["case"] for w in rep.witnesses] == [0, 1, 3, 4, 5]
+    margins[[count - 1, 6]] = np.nan, 2.0  # NaN first, then the largest
+    rep = _worst_case("toy", margins, 0.0, count, lambda k: {"case": k})
+    assert [w["case"] for w in rep.witnesses] == [count - 1, 6, 0, 1, 3]
+
+
+def test_tied_allocation_drops_name_the_first_profiles():
+    ctx = make_context(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
+    plan = SamplingPlan(profile_count=10_000, deviation_grid_size=11, stream=RandomStream(2024))
+    draw = Draw(IntervalAllocationMechanism(GVARule(), 0.5), ctx, plan)
+    rep = check_allocation_monotone(draw)
+    assert rep.samples_checked == 10_000 and [w["margin"] for w in rep.witnesses] == [1.0] * _MAX_WITNESSES
+    assert [w["profile"] for w in rep.witnesses] == draw.profiles[:_MAX_WITNESSES].tolist()
 
 
 def test_worst_case_without_violations():
