@@ -516,20 +516,27 @@ class Quote:
 def _quote(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext, agents, first_row: int = 0) -> Quote:
     """Quote the columns ``agents`` of ``profiles``, whose row r is profile row
     ``first_row + r``: all those (row, agent) pairs go through one
-    ``critical_bids`` and one ``expected_value`` call, flattened in (row,
-    agent) order, with the others' maxima and statistics ``run_batch`` uses.
-    A masked rule owes no compensation (the curse gap is >= 0 at every
+    ``critical_bids`` and one ``_quote_at`` call, flattened in (row, agent)
+    order.  A masked rule owes no compensation (the curse gap is >= 0 at every
     threshold below s_bar it returns); a nonzero one raises
     MechanismInvariantError with the row, agent and value."""
     maxo = _max_excluding_self(profiles)[:, agents].reshape(-1)
     view = OthersView(maxo, profile_stats(ctx.model, profiles)[:, agents].reshape(-1))
-    t = mech.rule.critical_bids(view, ctx)
-    q = Quote(view.stat, t, value_from_own_and_stat(ctx.model, t, view.stat), ctx.interim.expected_value(t))
-    q.compensation = mech._compensations(q, ctx)
+    q = _quote_at(mech, mech.rule.critical_bids(view, ctx), view.stat, ctx)
     if isinstance(mech.rule, MaskedRule) and np.any(q.compensation != 0.0):
         k = int(np.flatnonzero(q.compensation)[0])
         what = "masked mechanism produced a nonzero compensation"
         raise MechanismInvariantError(what, first_row + k // len(agents), agents[k % len(agents)], float(q.compensation[k]))
+    return q
+
+
+def _quote_at(mech: Mechanism, t: np.ndarray, stat: np.ndarray, ctx: AuctionContext) -> Quote:
+    """The quote of (row, agent) pairs with critical bids ``t`` against the
+    others' statistics ``stat``: the true value and the interim expectation at
+    t, and from them the compensation and the winner's price under the
+    mechanism's payment policy."""
+    q = Quote(stat, t, value_from_own_and_stat(ctx.model, t, stat), ctx.interim.expected_value(t))
+    q.compensation = mech._compensations(q, ctx)
     if mech.payment_policy == "zero-transfer":
         q.price = cursed_value_from_parts(q.v_t, q.mu_t, mech.chi)
     else:
@@ -571,47 +578,38 @@ class BatchOutcome:
 
 
 def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> BatchOutcome:
-    """Execute the auction on every row of ``profiles`` (shape (N, n)).
+    """Execute the auction on every row of ``profiles`` (shape (N, n)), one
+    row span (one ``_quote``) at a time.
 
     Raises ValueError unless every signal is finite and in [0, s_bar] and the
-    width is n; zero rows are fine.
+    width is n; zero rows are fine.  Raises MechanismInvariantError on a row
+    with more than one winner.
     """
     profiles = _checked_profiles(profiles, ctx.space)
     N, n = profiles.shape
-    out = _empty_batch(N, n)
-    for span in _row_spans(N, _BATCH_CELLS * n):
-        rows = profiles[span]
-        _execute(out, span.start, mech, rows, _quote(mech, rows, ctx, range(n), span.start), ctx)
-    return out
-
-
-def _empty_batch(N: int, n: int) -> BatchOutcome:
-    return BatchOutcome(
+    out = BatchOutcome(
         np.empty(N, dtype=np.intp), np.empty((N, n), dtype=bool), np.empty((N, n)),
         np.empty((N, n)), np.empty((N, n)), np.zeros(N), np.empty(N),
     )
-
-
-def _execute(out: BatchOutcome, start: int, mech: Mechanism, rows: np.ndarray, q: Quote, ctx: AuctionContext):
-    """Write the truthful outcomes of ``rows``, profile rows ``start`` on, into
-    ``out`` from their all-agent quote ``q``; raises MechanismInvariantError
-    on a row with more than one winner."""
-    stop, n = start + len(rows), rows.shape[1]
-    w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
-    win = w.reshape(-1, n)
-    n_winners = win.sum(axis=1)
-    if np.any(n_winners > 1):
-        r = int(np.argmax(n_winners > 1))
-        second = int(np.flatnonzero(win[r])[1])
-        raise MechanismInvariantError("more than one winner", start + r, second, float(n_winners[r]))
-    out.win[start:stop] = win
-    out.payments[start:stop] = pay.reshape(-1, n)
-    out.thresholds[start:stop] = q.t.reshape(-1, n)
-    out.compensations[start:stop] = q.compensation.reshape(-1, n)
-    r, i = np.nonzero(win)
-    out.welfare[start + r] = value_from_own_and_stat(ctx.model, rows[r, i], q.stat.reshape(-1, n)[r, i])
-    out.winner[start:stop] = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
-    out.revenue[start:stop] = out.payments[start:stop].sum(axis=1)
+    for span in _row_spans(N, _BATCH_CELLS * n):
+        rows = profiles[span]
+        q = _quote(mech, rows, ctx, range(n), span.start)
+        w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
+        win = w.reshape(-1, n)
+        n_winners = win.sum(axis=1)
+        if np.any(n_winners > 1):
+            r = int(np.argmax(n_winners > 1))
+            second = int(np.flatnonzero(win[r])[1])
+            raise MechanismInvariantError("more than one winner", span.start + r, second, float(n_winners[r]))
+        out.win[span] = win
+        out.payments[span] = pay.reshape(-1, n)
+        out.thresholds[span] = q.t.reshape(-1, n)
+        out.compensations[span] = q.compensation.reshape(-1, n)
+        r, i = np.nonzero(win)
+        out.welfare[span.start + r] = value_from_own_and_stat(ctx.model, rows[r, i], q.stat.reshape(-1, n)[r, i])
+        out.winner[span] = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
+        out.revenue[span] = out.payments[span].sum(axis=1)
+    return out
 
 
 def run(mech: Mechanism, profile: np.ndarray, ctx: AuctionContext) -> Outcome:
@@ -663,7 +661,7 @@ def masked_gva(ctx: AuctionContext, chi: float) -> Mechanism:
 
     At chi = 0 the mask is vacuous (no compensation is ever owed), so the
     plain efficient rule is used.  For chi > 0 compensations are provably
-    zero; every quote of a masked rule checks this (see ``_quote``).
+    zero; ``_quote`` checks this for every (row, agent) pair it quotes.
     """
     if not single_crossing_holds(ctx.model, ctx.space):
         raise ModelUnsupportedError("model fails single crossing; efficient rule undefined")

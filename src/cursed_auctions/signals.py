@@ -52,6 +52,12 @@ class RandomStream:
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 1 << 128:  # Philox's key is 128 bits
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        if self.stream_index < 0:
+            raise ValueError(f"stream_index must be non-negative, got {self.stream_index}")
+
     def child(self, offset: int) -> "RandomStream":
         return RandomStream(self.seed, self.stream_index + offset)
 

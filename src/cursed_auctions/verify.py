@@ -1,17 +1,16 @@
 """Sampled checkers for the incentive and budget properties of auction mechanisms.
 
 Each checker reads one :class:`Draw` -- the signal profiles a
-:class:`SamplingPlan` draws, one quote of every (row, agent) pair and the
-truthful outcomes ``run_batch`` would execute from it -- so the properties of
-one verify run are checked on the same sample.  Each computes one margin per
-checked case (profile; (eps, profile); (chi pair, profile, agent)), positive
-where the case violates the property, and reduces them with
-``reports._worst_case`` to a :class:`CheckReport`.  Deviation-based
-checks evaluate a finite bid grid that always contains the truthful report,
-the support endpoints, and the agent's critical bid plus/minus a small nudge;
-for threshold mechanisms a bidder's utility is piecewise constant in the bid
-with a single jump at the critical bid, so this grid is exhaustive up to the
-nudge width.
+:class:`SamplingPlan` draws and the truthful outcomes ``run_batch`` executes on
+them -- so the properties of one verify run are checked on the same sample and
+thresholds.  Each computes one margin per checked case (profile; (eps,
+profile); (chi pair, profile, agent)), positive where the case violates the
+property, and reduces them with ``reports._worst_case`` to a
+:class:`CheckReport`.  Deviation-based checks evaluate a finite bid grid that
+always contains the truthful report, the support endpoints, and the agent's
+critical bid plus/minus a small nudge; for threshold mechanisms a bidder's
+utility is piecewise constant in the bid with a single jump at the critical
+bid, so this grid is exhaustive up to the nudge width.
 
 Tolerances default to 1e-9 times the value at the all-s_bar profile so that
 the same checks stay meaningful on [0, 1] and [0, 100] supports.
@@ -26,10 +25,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mechanisms import AuctionContext, Mechanism, ThresholdRule, run_batch
-from .mechanisms import Quote, _empty_batch, _execute, _outcomes, _quote
+from .mechanisms import Quote, _outcomes, _quote_at
 from .reports import CheckReport, _worst_case
 from .signals import RandomStream, sample_profiles
-from .valuations import _row_spans, cursed_value, value, value_scale
+from .valuations import _row_spans, cursed_value, profile_stats, value, value_scale
 
 __all__ = [
     "SamplingPlan",
@@ -74,22 +73,20 @@ class SamplingPlan:
 
 class Draw:
     """The sample one verify run checks: the plan's profiles, drawn once, the
-    tolerance, one quote of every (row, agent) pair and the truthful outcomes
-    executed from it, so every checker reads the same profiles and thresholds."""
+    tolerance and the batch ``run_batch`` executes on the profiles, so every
+    checker reads the same profiles and thresholds."""
 
     def __init__(self, mech: Mechanism, ctx: AuctionContext, plan: SamplingPlan = SamplingPlan()):
         self.mech, self.ctx, self.plan = mech, ctx, plan
         self.tolerance = plan.resolve_tolerance(ctx)
         self.profiles = sample_profiles(ctx.space, plan.stream, plan.profile_count)
-        N, n = self.profiles.shape
-        self.quote = _quote(mech, self.profiles, ctx, range(n))
-        self.batch = _empty_batch(N, n)
-        _execute(self.batch, 0, mech, self.profiles, self.quote, ctx)
+        self.batch = run_batch(mech, self.profiles, ctx)
 
     def agent_quote(self, i: int, rows: slice = slice(None)) -> Quote:
-        """Agent i's quote for the profile rows ``rows``, as views of the shared quote."""
-        n = self.ctx.space.n
-        return Quote(**{k: a.reshape(-1, n)[rows, i] for k, a in vars(self.quote).items()})
+        """Agent i's quote for the profile rows ``rows``, rebuilt from the
+        batch's critical bids, so no threshold is computed twice."""
+        stat = profile_stats(self.ctx.model, self.profiles[rows])[:, i]
+        return _quote_at(self.mech, self.batch.thresholds[rows, i], stat, self.ctx)
 
     def values(self, chi: Optional[float] = None) -> list:
         """Each agent's per-profile value of the item: true, or cursed at ``chi``."""

@@ -442,6 +442,12 @@ class TestUsageErrors:
             ["--samples", "0", "experiment", "max-zero-welfare"],
             ["--samples", "0", "experiment", "negative-revenue"],
             ["--model", "max_signal", "--beta", "0.3", "simulate"],
+            ["--seed", "-1", "simulate"],
+            ["--seed", "-1", "verify"],
+            ["--seed", "-1", "experiment", "wallet"],
+            ["--seed", str(2**128), "simulate"],
+            ["--seed", str(2**128), "verify"],
+            ["--seed", str(2**128), "experiment", "wallet"],
         ],
     )
     def test_exits_two(self, tmp_path, argv):
@@ -479,6 +485,7 @@ def test_config_file_not_found(tmp_path):
         '{"seed": [1]}',
         '{"samples": 2.7}',
         '{"seed": 1.5}',
+        '{"seed": -1}',
         '{"samples": Infinity}',
         '{"space": {"n": 3, "marginal": {"type": "uniform", "s_bar": Infinity}}, "samples": 10}',
         '{"model": {"family": "weighted_sum", "beta": NaN}, "mechanism": {"rule": {"kind": "gva"}}}',

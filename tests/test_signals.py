@@ -38,6 +38,18 @@ def test_sampling_deterministic_and_stream_sensitive():
     assert a.tobytes() != c.tobytes()
 
 
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**128, 0), (0, -1)])
+def test_stream_outside_philox_range_rejected(seed, index):
+    with pytest.raises(ValueError):
+        RandomStream(seed, index)
+
+
+def test_stream_accepts_the_whole_key_range():
+    space = SignalSpace(2, UniformIID(1.0))
+    for seed in (0, 2**128 - 1):
+        assert sample_profiles(space, RandomStream(seed), 3).shape == (3, 2)
+
+
 def test_sample_prefix_stable_across_counts():
     space = SignalSpace(2, UniformIID(1.0))
     short = sample_profiles(space, RandomStream(0), 10)

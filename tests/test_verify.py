@@ -313,6 +313,36 @@ def test_every_checker_reads_one_quote(ctx):
     assert rule.calls == [200 * ctx.space.n]
 
 
+def _reports(draw) -> str:
+    """Every report of ``draw``, witnesses included, as one JSON text."""
+    out = [checker(draw).to_json() for checker in CHECKERS.values()]
+    return json.dumps(out + [check_chi_robustness(draw, [0.1, 0.2]).to_json()])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mechanism(_CountingRule(RevenueOptimalRule(0.5)), 0.5, "compensated"),
+        lambda: Mechanism(_CountingRule(MaskedRule(GVARule())), 0.5, "zero-transfer"),
+        lambda: RealizedPriceMechanism(_CountingRule(GVARule()), 0.5, "compensated"),
+        lambda: LoserSurchargeMechanism(_CountingRule(GVARule()), 0.5, "compensated"),
+        lambda: IntervalAllocationMechanism(_CountingRule(GVARule()), 0.5, "compensated"),
+    ],
+    ids=["revenue_optimal", "masked_zero_transfer", "realized_price", "loser_surcharge", "interval_allocation"],
+)
+def test_quotes_follow_run_batch_spans(ctx, monkeypatch, make):
+    """A Draw quotes its profiles in run_batch's row spans, and the reports,
+    witnesses included, do not depend on those spans."""
+    plan = SamplingPlan(profile_count=200, deviation_grid_size=11, stream=RandomStream(13))
+    whole = _reports(Draw(make(), ctx, plan))
+    seven = lambda N, width: [slice(a, min(a + 7, N)) for a in range(0, N, 7)]
+    monkeypatch.setattr(mechanisms, "_row_spans", seven)
+    mech = make()
+    draw = Draw(mech, ctx, plan)
+    assert len(mech.rule.calls) == 29 and max(mech.rule.calls) == 7 * ctx.space.n
+    assert _reports(draw) == whole
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -327,12 +357,7 @@ def test_row_chunks_match_one_chunk(ctx, monkeypatch, make):
     monotonicity passes split the profile rows."""
     plan = SamplingPlan(profile_count=200, deviation_grid_size=11, stream=RandomStream(13))
     draw = Draw(make(), ctx, plan)
-
-    def reports():
-        out = [checker(draw).to_json() for checker in CHECKERS.values()]
-        return json.dumps(out + [check_chi_robustness(draw, [0.1, 0.2]).to_json()])
-
-    whole = reports()
+    whole = _reports(draw)
     # 7-row deviation chunks of 4 * 14 cells, 1-row monotonicity chunks of 4 * 201
     monkeypatch.setattr(valuations, "_CHUNK_CELLS", 7 * 4 * 14)
-    assert reports() == whole
+    assert _reports(draw) == whole
