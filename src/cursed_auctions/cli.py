@@ -330,6 +330,8 @@ def _negative_revenue_formula(n: int) -> float:
 
 def _experiment_negative_revenue(cfg: ExperimentConfig, ns) -> dict:
     ns = ns or [25, 50, 100]
+    if len(set(ns)) < 2:
+        raise ConfigError(f"the growth-exponent fit needs two distinct bidder counts in --n-list, got {ns}")
     targets = [_negative_revenue_formula(n) for n in ns]
     rows = []
     measured = []

@@ -24,7 +24,7 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -352,7 +352,6 @@ _WALLET_SUPPORTS = {
 def wallet_report(
     support: str = "U[0,100]",
     chi: float = 1.0,
-    probe_signal: Optional[float] = None,
     mc_draws: int = 1_000_000,
     seed: int = 2024,
 ) -> dict:
@@ -369,9 +368,8 @@ def wallet_report(
         raise ValueError(f"support must be one of {sorted(_WALLET_SUPPORTS)}")
     if not (0.0 <= chi <= 1.0):
         raise ValueError("chi must lie in [0, 1]")
-    marginal, default_probe = _WALLET_SUPPORTS[support]
+    marginal, probe = _WALLET_SUPPORTS[support]
     mean = marginal.mean()
-    probe = default_probe if probe_signal is None else float(probe_signal)
 
     gen = RandomStream(seed).generator()
     rival = np.asarray(marginal.quantile(gen.random(mc_draws)))

@@ -1,7 +1,7 @@
 """Machine-readable results for property checks and comparisons.
 
 Every sampled check computes one margin per checked case, positive where the
-case violates the property, and builds its report with ``_worst_case``.
+case violates the property, and builds its report run by run with ``_worst_case``.
 """
 
 from __future__ import annotations
@@ -50,17 +50,25 @@ class CheckReport:
         }
 
 
-def _worst_case(name: str, margins, tolerance: float, samples_checked: int, witness) -> CheckReport:
-    """The report of a sampled check from its margins, positive where a case
-    violates the property: the largest margin (0 if none is positive) and, as
-    witnesses, ``{**witness(k), "margin": margins[k]}`` for the flat indices k
-    of the ``_MAX_WITNESSES`` largest positive margins: NaN first, then largest
-    first, ties by ascending k, whatever sort kernel numpy picks."""
-    margins = np.ravel(margins)
-    violating = np.flatnonzero(~(margins <= 0))  # positive or NaN
-    order = np.lexsort((-margins[violating], ~np.isnan(margins[violating])))  # stable: ties keep ascending k
-    witnesses = [{**witness(int(k)), "margin": float(margins[k])} for k in violating[order[:_MAX_WITNESSES]]]
-    return CheckReport(name, margins.max(initial=0.0), tolerance, samples_checked, witnesses)
+def _worst_case(name: str, spans, tolerance: float, samples_checked: int) -> CheckReport:
+    """The report of a sampled check from the ``(margins, witness)`` runs of
+    consecutive cases that ``spans`` yields, a margin being positive where its
+    case violates the property: the largest margin (0 if none is positive)
+    and, as witnesses, ``{**witness(k), "margin": margins[k]}`` for the
+    ``_MAX_WITNESSES`` largest positive margins, k indexing the run's flat
+    margins: NaN first, then largest first, ties in case order, however the
+    cases are cut.  A run's witness is called before the next run is drawn."""
+    worst, kept = 0.0, []
+    for margins, witness in spans:
+        margins = np.ravel(margins)
+        worst = np.maximum(worst, margins.max(initial=0.0))  # NaN kept
+        violating = np.flatnonzero(~(margins <= 0))  # positive or NaN
+        order = np.lexsort((-margins[violating], ~np.isnan(margins[violating])))  # stable: ties keep ascending k
+        for k in violating[order[:_MAX_WITNESSES]]:
+            m = float(margins[k])  # ranked NaN first, then largest
+            kept.append(((m == m, -m if m == m else 0.0), {**witness(int(k)), "margin": m}))
+        kept = sorted(kept, key=lambda c: c[0])[:_MAX_WITNESSES]  # stable: earlier runs' ties stay first
+    return CheckReport(name, worst, tolerance, samples_checked, [w for _, w in kept])
 
 
 def _jsonify(obj):

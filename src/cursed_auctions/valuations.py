@@ -20,8 +20,8 @@ under i.i.d. signals; ``InterimCache`` precomputes it without random draws
 (closed form, tail table, or the law of the others' statistic).
 
 The two structural assumptions, single crossing and monotone cursedness, are
-checked on sampled profiles in row chunks of bounded size, reduced like the
-mechanism checks by ``reports._worst_case``.
+checked on sampled profiles drawn in row chunks of bounded size, each chunk
+reduced as it is drawn, like the mechanism checks, by ``reports._worst_case``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .signals import (
     UnsupportedMarginalError,
     _checked_profiles,
     _config_number,
-    sample_profiles,
+    _draw_spans,
 )
 
 __all__ = [
@@ -361,6 +361,8 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 def _row_spans(N: int, width: int) -> list:
     """Consecutive slices of ``range(N)`` of at most ``_CHUNK_CELLS // width`` rows
     (one at least): the chunks of a loop that holds ``width`` float cells per row."""
+    if N < 0:
+        raise ValueError("count must be non-negative")
     step = max(1, _CHUNK_CELLS // width)
     return [slice(start, min(start + step, N)) for start in range(0, N, step)]
 
@@ -449,20 +451,17 @@ def check_single_crossing(
     """Sampled check that the higher-signal bidder has the weakly higher value."""
     tol = 1e-12 * max(value_scale(model, space), 1.0)
     n = space.n
-    profiles = sample_profiles(space, stream, sample_count)
-    margins, pair = np.empty(sample_count), np.empty(sample_count, dtype=np.intp)
-    for span in _row_spans(sample_count, 4 * n * n):  # per pair: the mask, value gap, masked gap and slack
-        rows = profiles[span]
-        vals = np.stack([value(model, rows, i) for i in range(n)], axis=1)
-        # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
-        pairs = (rows[:, :, None] >= rows[:, None, :]) & ~np.eye(n, dtype=bool)
-        gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(len(rows), -1)
-        margins[span] = gap.max(axis=1)
-        pair[span] = gap.argmax(axis=1)
-    return _worst_case(
-        "single_crossing", margins, tol, sample_count,
-        lambda k: {"profile": profiles[k].tolist(), "pair": list(divmod(int(pair[k]), n))},
-    )
+
+    def runs():  # per pair: the mask, value gap, masked gap and slack
+        for rows in _draw_spans(space, stream, _row_spans(sample_count, 4 * n * n)):
+            vals = np.stack([value(model, rows, i) for i in range(n)], axis=1)
+            # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
+            pairs = (rows[:, :, None] >= rows[:, None, :]) & ~np.eye(n, dtype=bool)
+            gap = np.where(pairs, vals[:, None, :] - vals[:, :, None], -np.inf).reshape(len(rows), -1)
+            pair = gap.argmax(axis=1)
+            yield gap.max(axis=1), lambda k: {"profile": rows[k].tolist(), "pair": list(divmod(int(pair[k]), n))}
+
+    return _worst_case("single_crossing", runs(), tol, sample_count)
 
 
 def single_crossing_holds(model: ValuationModel, space: SignalSpace) -> bool:
@@ -503,42 +502,28 @@ def check_cursedness_monotonicity(
         )
 
     tol = 1e-12 * max(value_scale(model, space), 1.0)
-    gen = stream.generator()
-    others = sample_profiles(space, stream.child(1), sample_count)[:, 1:]
     own_grid = np.linspace(0.0, space.s_bar, 33)
     mu = cache.expected_value(own_grid)
-    width = 4 * 8 * own_grid.size  # per (shrink, own signal): the win mask, v, v - interim, the masked margin
+    gen = stream.generator()  # the shrink factors, drawn in row order across the runs
 
     def overestimated(rows):  # at some winning own signal below s_bar
         wins = (own_grid > rows.max(axis=1, keepdims=True)) & (own_grid < space.s_bar)
         return (wins & (value_from_own_and_stat(model, own_grid, others_stat(model, rows)[:, None]) < mu)).any(axis=1)
 
-    others = others[_chunked(overestimated, width, others).astype(bool)]
-    # each such row's others shrunk coordinate-wise 8 times; d = v - interim
-    # at every own signal that beats the shrunk maximum, -inf elsewhere.  The
-    # chunks draw the factors in row order, as one draw would; each chunk's
-    # generator state is kept so a witness can draw its factors again.
-    margins = np.empty((len(others), 8))
-    best_own = np.empty((len(others), 8), dtype=np.intp)
-    states, spans = [], _row_spans(len(others), width)
-    for span in spans:
-        rows = others[span]
-        states.append(gen.bit_generator.state)
-        shrunk = rows[:, None, :] * gen.random((len(rows), 8, space.n - 1))
-        d = np.where(
-            own_grid > shrunk.max(axis=2, keepdims=True),
-            value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
-            -np.inf,
-        )
-        margins[span] = d.max(axis=2)
-        best_own[span] = d.argmax(axis=2)
+    def runs():  # per (shrink, own signal): the win mask, v, v - interim, the masked margin
+        for rows in _draw_spans(space, stream.child(1), _row_spans(sample_count, 4 * 8 * own_grid.size)):
+            others = rows[overestimated(rows[:, 1:]), 1:]
+            # each such row's others shrunk coordinate-wise 8 times; d = v - interim
+            # at every own signal that beats the shrunk maximum, -inf elsewhere
+            shrunk = others[:, None, :] * gen.random((len(others), 8, space.n - 1))
+            d = np.where(
+                own_grid > shrunk.max(axis=2, keepdims=True),
+                value_from_own_and_stat(model, own_grid, others_stat(model, shrunk)[..., None]) - mu,
+                -np.inf,
+            )
+            own = own_grid[d.argmax(axis=2)]
+            yield d.max(axis=2), lambda k: {
+                "others": others[k // 8].tolist(), "shrunk": shrunk[k // 8, k % 8].tolist(), "own": float(own.flat[k])
+            }
 
-    def witness(k):
-        r, j = divmod(k, 8)
-        step = spans[0].stop  # the rows of every chunk but the last
-        replay = stream.generator()
-        replay.bit_generator.state = states[r // step]
-        factors = replay.random((r % step + 1, 8, space.n - 1))[-1, j]
-        return {"others": others[r].tolist(), "shrunk": (others[r] * factors).tolist(), "own": float(own_grid[best_own[r, j]])}
-
-    return _worst_case("cursedness_monotonicity", margins, tol, sample_count, witness)
+    return _worst_case("cursedness_monotonicity", runs(), tol, sample_count)

@@ -5,12 +5,13 @@ Each checker reads one :class:`Draw` -- the signal profiles a
 them -- so the properties of one verify run are checked on the same sample and
 thresholds.  Each computes one margin per checked case (profile; (eps,
 profile); (chi pair, profile, agent)), positive where the case violates the
-property, and reduces them with ``reports._worst_case`` to a
-:class:`CheckReport`.  Deviation-based checks evaluate a finite bid grid that
-always contains the truthful report, the support endpoints, and the agent's
-critical bid plus/minus a small nudge; for threshold mechanisms a bidder's
-utility is piecewise constant in the bid with a single jump at the critical
-bid, so this grid is exhaustive up to the nudge width.
+property, and reduces them to a :class:`CheckReport` with
+``reports._worst_case``, one row chunk at a time where it deviates or scans.
+Deviation-based checks evaluate a finite bid grid that always contains the
+truthful report, the support endpoints, and the agent's critical bid
+plus/minus a small nudge; for threshold mechanisms a bidder's utility is
+piecewise constant in the bid with a single jump at the critical bid, so this
+grid is exhaustive up to the nudge width.
 
 Tolerances default to 1e-9 times the value at the all-s_bar profile so that
 the same checks stay meaningful on [0, 1] and [0, 100] supports.
@@ -96,28 +97,41 @@ class Draw:
         return [cursed_value(ctx.interim, chi, P, i) for i in range(ctx.space.n)]
 
 
-def _profile_report(draw: Draw, name: str, margins: np.ndarray, witness=lambda k: {}) -> CheckReport:
-    """Report one margin per drawn profile; each witness names its profile."""
-    return _worst_case(
-        name, margins, draw.tolerance, len(draw.profiles),
-        lambda k: {"profile": draw.profiles[k].tolist(), **witness(k)},
-    )
+def _profile_report(draw: Draw, name: str, runs, per_profile: int = 1) -> CheckReport:
+    """Report the ``(rows, margins, witness)`` that ``runs`` yields for
+    consecutive row slices, ``per_profile`` cases a profile; each witness
+    names its profile."""
+    spans = ((m, lambda k: {"profile": draw.profiles[rows][k].tolist(), **witness(k)}) for rows, m, witness in runs)
+    return _worst_case(name, spans, draw.tolerance, len(draw.profiles) * per_profile)
+
+
+def _whole(margins: np.ndarray):
+    """One run of one margin per drawn profile, with no witness fields but the profile."""
+    return [(slice(None), margins, lambda k: {})]
+
+
+def _worst_agent(rows: slice, margin: np.ndarray, detail: np.ndarray):
+    """The run of the row slice ``rows`` from each agent's (rows, n) margin and
+    detail: the largest margin per row, the first agent with it and that
+    agent's detail."""
+    agent = margin.argmax(axis=1)
+    return rows, margin.max(axis=1), agent, detail[np.arange(len(agent)), agent]
 
 
 def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
-    """Worst deviation gain per (profile, agent) against truthful opponents.
+    """Worst deviation gain per profile against truthful opponents, one
+    ``_worst_agent`` run per row slice, with the best bid as the detail.
 
     ``agent_values[i]`` is the per-profile value the deviating agent assigns
     the item (its cursed value under the relevant cursedness level).
-    Returns (regret matrix (N, n), best-bid matrix (N, n)).
     """
     (N, n), G = draw.profiles.shape, draw.plan.deviation_grid_size
     s_bar = draw.ctx.s_bar
     grid = np.linspace(0.0, s_bar, G)
-    regret = np.empty((N, n))
-    best_bid = np.empty((N, n))
-    for i in range(n):
-        for rows in _row_spans(N, 4 * (G + 3)):  # per bid: the bid, win, payment and utility
+    for rows in _row_spans(N, 4 * (G + 3)):  # per bid: the bid, win, payment and utility
+        shape = (rows.stop - rows.start, n)
+        regret, best_bid = np.empty(shape), np.empty(shape)
+        for i in range(n):
             q = draw.agent_quote(i, rows)
             # the grid, then the truthful bid and the critical bid +- a nudge
             nudged = np.clip(q.t[:, None] + np.array([-_NUDGE, _NUDGE]) * s_bar, 0.0, s_bar)
@@ -127,28 +141,25 @@ def _deviation_regrets(draw: Draw, agent_values: Sequence[np.ndarray]):
             u = win * agent_values[i][rows, None] - pay
             k = np.argmax(u, axis=1)
             at = np.arange(len(k))
-            regret[rows, i] = u[at, k] - u[:, G]  # column G is the truthful bid
-            best_bid[rows, i] = bids[at, k]
-    return regret, best_bid
+            regret[:, i] = u[at, k] - u[:, G]  # column G is the truthful bid
+            best_bid[:, i] = bids[at, k]
+        yield _worst_agent(rows, regret, best_bid)
 
 
 def check_cepic(draw: Draw) -> CheckReport:
     """Truthful reporting maximizes the cursed utility against every sampled
     deviation, profile by profile."""
-    regret, best_bid = _deviation_regrets(draw, draw.values(draw.mech.chi))
-    agent_idx = regret.argmax(axis=1)
-    return _profile_report(
-        draw,
-        "cepic",
-        regret.max(axis=1),
-        lambda k: {"agent": int(agent_idx[k]), "deviation": float(best_bid[k, agent_idx[k]])},
+    runs = (
+        (rows, regret, lambda k: {"agent": int(agent[k]), "deviation": float(bid[k])})
+        for rows, regret, agent, bid in _deviation_regrets(draw, draw.values(draw.mech.chi))
     )
+    return _profile_report(draw, "cepic", runs)
 
 
 def _ir_report(draw: Draw, name: str, agent_values: Sequence[np.ndarray]) -> CheckReport:
     b = draw.batch
     utils = np.column_stack([b.win[:, i] * v - b.payments[:, i] for i, v in enumerate(agent_values)])
-    return _profile_report(draw, name, np.maximum(0.0, -utils.min(axis=1)))
+    return _profile_report(draw, name, _whole(np.maximum(0.0, -utils.min(axis=1))))
 
 
 def check_epir(draw: Draw) -> CheckReport:
@@ -163,33 +174,32 @@ def check_cepir(draw: Draw) -> CheckReport:
 
 def check_epbb(draw: Draw) -> CheckReport:
     """The seller's total collected payment is non-negative on every profile."""
-    return _profile_report(draw, "epbb", np.maximum(0.0, -draw.batch.revenue))
+    return _profile_report(draw, "epbb", _whole(np.maximum(0.0, -draw.batch.revenue)))
 
 
 def check_no_positive_transfers(draw: Draw) -> CheckReport:
     """The participation constant is exactly zero at every sampled others-profile."""
-    return _profile_report(draw, "no_positive_transfers", np.abs(draw.batch.compensations).max(axis=1))
+    return _profile_report(draw, "no_positive_transfers", _whole(np.abs(draw.batch.compensations).max(axis=1)))
 
 
 def check_allocation_monotone(draw: Draw) -> CheckReport:
     """Fixing the others, the win indicator is non-decreasing in the own report."""
     s_grid = np.linspace(0.0, draw.ctx.s_bar, _MONOTONE_SCAN_POINTS)
     N, n = draw.profiles.shape
-    bad = np.zeros((N, n), dtype=bool)
-    first_drop = np.zeros((N, n), dtype=np.intp)
-    for i in range(n):
+
+    def runs():
         for chunk in _row_spans(N, 4 * _MONOTONE_SCAN_POINTS):  # per point: win, its int8 copy, diff, drops
-            win = draw.mech._win(s_grid, draw.agent_quote(i, chunk), draw.ctx)
-            drops = np.diff(win.astype(np.int8), axis=1) < 0
-            bad[chunk, i] = drops.any(axis=1)
-            first_drop[chunk, i] = np.argmax(drops, axis=1)
-    agent = np.argmax(bad, axis=1)  # the first agent whose win indicator drops
-    return _profile_report(
-        draw,
-        "allocation_monotone",
-        bad.any(axis=1).astype(float),
-        lambda k: {"agent": int(agent[k]), "drop_at": float(s_grid[first_drop[k, agent[k]] + 1])},
-    )
+            shape = (chunk.stop - chunk.start, n)
+            bad, first_drop = np.empty(shape), np.empty(shape, dtype=np.intp)
+            for i in range(n):
+                win = draw.mech._win(s_grid, draw.agent_quote(i, chunk), draw.ctx)
+                drops = np.diff(win.astype(np.int8), axis=1) < 0
+                bad[:, i] = drops.any(axis=1)
+                first_drop[:, i] = np.argmax(drops, axis=1)
+            rows, margin, agent, first = _worst_agent(chunk, bad, first_drop)  # the first agent whose win drops
+            yield rows, margin, lambda k: {"agent": int(agent[k]), "drop_at": float(s_grid[first[k] + 1])}
+
+    return _profile_report(draw, "allocation_monotone", runs())
 
 
 def check_chi_robustness(draw: Draw, eps_list: Sequence[float]) -> CheckReport:
@@ -201,19 +211,14 @@ def check_chi_robustness(draw: Draw, eps_list: Sequence[float]) -> CheckReport:
     for eps in eps_list:
         if not (0.0 <= draw.mech.chi + eps <= 1.0):
             raise ValueError(f"chi + eps = {draw.mech.chi + eps} outside [0, 1]")
-    N = len(draw.profiles)
     bounds = np.array(eps_list, dtype=float) * value_scale(draw.ctx.model, draw.ctx.space)
-    regrets = np.reshape(
-        [_deviation_regrets(draw, draw.values(draw.mech.chi + eps))[0].max(axis=1) for eps in eps_list],
-        (len(eps_list), N),
-    )
 
-    def witness(k):
-        e, r = divmod(k, N)
-        regret, bound = float(regrets[e, r]), float(bounds[e])
-        return {"profile": draw.profiles[r].tolist(), "eps": eps_list[e], "regret": regret, "bound": bound}
+    def runs():  # eps-major, so the cases run in (eps, profile) order
+        for eps, bound in zip(eps_list, bounds):
+            for rows, regret, _, _ in _deviation_regrets(draw, draw.values(draw.mech.chi + eps)):
+                yield rows, regret - bound, lambda k: {"eps": eps, "regret": float(regret[k]), "bound": float(bound)}
 
-    return _worst_case("chi_robustness", regrets - bounds[:, None], draw.tolerance, N * len(eps_list), witness)
+    return _profile_report(draw, "chi_robustness", runs(), len(eps_list))
 
 
 def check_payment_chi_monotone(
@@ -237,7 +242,7 @@ def check_payment_chi_monotone(
         pair, r, agent = np.unravel_index(k, gaps.shape)
         return {"profile": profiles[r].tolist(), "agent": int(agent), "chi_pair": [chis[pair], chis[pair + 1]]}
 
-    return _worst_case("payment_chi_monotone", gaps, tol, len(profiles) * len(chis), witness)
+    return _worst_case("payment_chi_monotone", [(gaps, witness)], tol, len(profiles) * len(chis))
 
 
 CHECKERS = {

@@ -441,6 +441,8 @@ class TestUsageErrors:
             ["--samples", "0", "experiment", "half-welfare"],
             ["--samples", "0", "experiment", "max-zero-welfare"],
             ["--samples", "0", "experiment", "negative-revenue"],
+            ["experiment", "negative-revenue", "--n-list", "25"],
+            ["experiment", "negative-revenue", "--n-list", "25,25"],
             ["--model", "max_signal", "--beta", "0.3", "simulate"],
             ["--seed", "-1", "simulate"],
             ["--seed", "-1", "verify"],

@@ -296,6 +296,13 @@ class TestStructuralChecks:
         again = check_cursedness_monotonicity(cache, sample_count=10_000, stream=RandomStream(11))
         assert again.max_violation == rep.max_violation
 
+    def test_negative_sample_count_rejected(self):
+        space = SignalSpace(3, UniformIID(1.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            check_single_crossing(WeightedSum(0.5), space, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            check_cursedness_monotonicity(make_interim_cache(space, ConcaveSum(l=LOG1P, g=IDENTITY, h=IDENTITY)), -1)
+
 
 class TestRowSpans:
     STEP = valuations._CHUNK_CELLS // 40  # rows of a chunk at width 40

@@ -252,8 +252,8 @@ def _same_bits(a, b) -> bool:
 
 
 class TestDraw:
-    """A Draw's one all-pairs quote serves the per-agent quotes and the
-    truthful outcomes that separate quotes and run_batch compute."""
+    """A Draw's per-agent quotes, rebuilt from its batch's thresholds, match
+    separate quotes, and its batch matches run_batch at any row spans."""
 
     MODELS = {
         "weighted_sum": WeightedSum(0.5),
