@@ -21,6 +21,7 @@ import numpy as np
 
 from . import evaluate as ev
 from . import oracle as orc
+from . import valuations
 from .mechanisms import (
     GVARule,
     Mechanism,
@@ -210,7 +211,7 @@ def cmd_simulate(args) -> int:
     # a span is one chunk of the CSV writer (64 float cells per CSV cell), which
     # is narrower than one chunk of run_batch (40 per row and agent)
     spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
-    count = min(ev._cpus(), len(spans))
+    count = min(valuations._cpus(), len(spans))
     groups = [spans[k * len(spans) // count : (k + 1) * len(spans) // count] for k in range(count)]
 
     def executed(group):

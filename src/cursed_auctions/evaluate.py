@@ -19,6 +19,8 @@ means.
 from __future__ import annotations
 
 import csv
+import errno
+import functools
 import math
 import os
 import shutil
@@ -28,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import valuations
 from .mechanisms import _BATCH_CELLS, AuctionContext, Mechanism, run_batch
 from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, _draw_spans
 from .valuations import (
@@ -167,11 +170,6 @@ def _summarize(metric: str, values: np.ndarray, seed: int) -> EstimateReport:
     return EstimateReport.from_m2(metric, *_merge([_moments(values)]), seed)
 
 
-def _cpus() -> int:
-    """The CPUs in this process's affinity mask, which ``taskset`` narrows (1 without one)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _reduce(
     space: SignalSpace, keys: Sequence, values_fn: Callable[[np.ndarray], dict], n_samples: int, seed: int,
     chunk_rows: int,
@@ -196,7 +194,7 @@ def _reduce(
         parts = [values_fn(profiles) for profiles in _draw_spans(space, RandomStream(seed, c), spans)]
         return {k: _moments(np.concatenate([p[k] for p in parts])) for k in keys}
 
-    threads = min(_cpus(), len(chunks))
+    threads = min(valuations._cpus(), len(chunks))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -410,12 +408,11 @@ def wallet_report(
 # Encoding costs about as much CPU as the rest of ``simulate``, so a part is a
 # contiguous share of the sample that one forked process draws, executes,
 # encodes and writes to its own file; the calling process appends the files in
-# order.  No float or text crosses a pipe: a process sends back None or its
-# exception.  Forked, not spawned: a spawned process imports numpy again
-# (~0.2 s), and a part is a closure, which only a fork hands over without
-# pickling.  A chunk budgets 64 float cells per CSV cell, which keeps a chunk's
-# encoder input and text small, and ``simulate``'s spans, one writer chunk
-# each, fine enough to share out evenly between processes.
+# order.  No float or text crosses a pipe: ``valuations._forked`` runs the
+# parts, and a process sends back None or its exception.  A chunk budgets 64
+# float cells per CSV cell, which keeps a chunk's encoder input and text small,
+# and ``simulate``'s spans, one writer chunk each, fine enough to share out
+# evenly between processes.
 #
 # The encoder.  A cell of |x| in [1e-4, 1e3) has the decimal exponent
 # e = floor(log10|x|) in -4..2, and s = fl(|x| * 10**(11 - e)) is one correctly
@@ -535,18 +532,31 @@ def _write_blocks(fh, n: int, line: str, blocks) -> None:
             fh.write(_csv_text(line, n, cells, winner))
 
 
-def _forked_part(conn, name: Path, n: int, line: str, part) -> None:
-    """In a forked process: append the blocks of ``part()`` to the file
-    ``name``, then send None, or the exception that stopped it, through
-    ``conn``.  Any other failure, such as an exception that cannot be pickled,
-    ends the process without a message, which the caller reports."""
-    try:
-        with open(name, "ab") as fh:
-            _write_blocks(fh, n, line, part())
-    except Exception as exc:
-        conn.send(exc)
-    else:
-        conn.send(None)
+def _write_part(name: Path, n: int, line: str, part) -> None:
+    """Append the blocks of ``part()`` to the file ``name``."""
+    with open(name, "ab") as fh:
+        _write_blocks(fh, n, line, part())
+
+
+# what copy_file_range gives where the kernel or the filesystem does not offer it
+_NO_COPY_RANGE = {errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP}
+
+
+def _append(fh, name: Path) -> None:
+    """Append the file ``name`` at the offset of ``fh``, which must not be
+    opened for appending: by ``os.copy_file_range`` until it copies nothing,
+    or by ``shutil.copyfileobj`` from where it stopped if it is refused."""
+    with open(name, "rb") as text:
+        try:
+            while os.copy_file_range(text.fileno(), fh.fileno(), 1 << 30):
+                pass
+            return
+        except AttributeError:  # no copy_file_range on this platform
+            pass
+        except OSError as exc:
+            if exc.errno not in _NO_COPY_RANGE:
+                raise
+        shutil.copyfileobj(text, fh)
 
 
 def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
@@ -558,61 +568,36 @@ def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
 
     A block raises ValueError, before any of its text is written, unless its
     profiles are ``n`` wide and its batch has one row per profile and ``n``
-    wide payments and thresholds.  From two parts on, each part runs in its
-    own forked process and writes its own file, so what a part changes outside
-    it is lost unless that is shared memory; with one part, or no "fork" start
-    method, the parts run in the calling process.  The text goes to a
-    temporary file next to ``path`` that replaces ``path`` only after the last
-    part.  On any error, in a block, in a part or from a process that dies,
-    every process is stopped, every temporary file is deleted and an earlier
-    file at ``path`` is left as it was; a part's own exception is raised again
-    in the calling process.
+    wide payments and thresholds.  From two parts on, when
+    ``valuations._may_fork``, each part runs in its own forked process through
+    ``valuations._forked`` and writes its own file, so what a part changes
+    outside it is lost unless that is shared memory; otherwise the parts run
+    in the calling process.  The calling process appends the files in order
+    with ``os.copy_file_range``.  The text goes to a temporary file next to
+    ``path`` that replaces ``path`` only after the last part.  On any error, in
+    a block, in a part or from a process that dies, every process is stopped,
+    every temporary file is deleted and an earlier file at ``path`` is left as
+    it was; a part's own exception is raised again in the calling process.
     """
     path = Path(path)
     names = [path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp") for k in range(max(1, len(parts)))]
     header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
     header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
     line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
-    fork = None
-    if len(parts) > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-    children = []  # (process, receiving end of its pipe) per part
     try:
         names[0].write_bytes((",".join(header) + "\r\n").encode("ascii"))  # the first part appends to it
-        if fork is not None:
-            for name, part in zip(names, parts):
-                receive, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=_forked_part, args=(send, name, n, line, part), daemon=True)
-                child.start()
-                send.close()  # before the next fork, so the pipe ends when its process does
-                children.append((child, receive))
-        with open(names[0], "ab") as fh:
-            if not children:
-                for part in parts:
-                    _write_blocks(fh, n, line, part())
-            for name, (child, receive) in zip(names, children):
-                try:
-                    error = receive.recv()
-                except EOFError:
-                    child.join()
-                    error = RuntimeError(f"a process writing outcomes.csv died with exit code {child.exitcode}")
-                if error is not None:
-                    raise error
-                if name != names[0]:
-                    with open(name, "rb") as text:
-                        shutil.copyfileobj(text, fh)
+        if len(parts) > 1 and valuations._may_fork():
+            writers = [functools.partial(_write_part, name, n, line, part) for name, part in zip(names, parts)]
+            valuations._forked(writers)
+            with open(names[0], "r+b") as fh:  # not "ab": copy_file_range refuses a file opened for appending
+                fh.seek(0, os.SEEK_END)
+                for name in names[1:]:
+                    _append(fh, name)
+        else:
+            for part in parts:
+                _write_part(names[0], n, line, part)
         os.replace(names[0], path)
-    except BaseException:
-        for child, _receive in children:
-            child.kill()
-        raise
     finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
         for name in names:
             name.unlink(missing_ok=True)
 

@@ -26,6 +26,8 @@ reduced as it is drawn, like the mechanism checks, by ``reports._worst_case``.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -367,10 +369,106 @@ def _row_spans(N: int, width: int) -> list:
     return [slice(start, min(start + step, N)) for start in range(0, N, step)]
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask, which ``taskset`` narrows (1 without one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_in_part = False  # True in a process that ``_forked`` started
+
+
+def _may_fork() -> bool:
+    """Whether a call may fan out into forked parts: only the outermost call
+    does, and only while it is the one live Python thread (an estimator's
+    thread never is), so no part forks again and no thread exists at a fork."""
+    import multiprocessing
+
+    return not _in_part and threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _run_part(conn, part) -> None:
+    """In a forked process: run ``part()``, then send None, or the exception
+    that stopped it, through ``conn``.  Any other failure, such as an
+    exception that cannot be pickled, ends the process without a message."""
+    global _in_part
+    _in_part = True
+    try:
+        part()
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(None)
+
+
+def _forked(parts) -> None:
+    """Run each zero-argument callable of ``parts`` in its own forked process,
+    and return when all have finished.
+
+    Each process sends back None or its exception through a one-way pipe.  The
+    first failed part's exception, in part order, is raised again here, and a
+    process that ends without a message is a RuntimeError with its exit code.
+    On any error every process is killed; none outlives the call.  What a part
+    changes outside itself is lost unless it is shared memory or a file.
+    Forked, not spawned: a spawned process imports numpy again (~0.2 s), and a
+    part is a closure, which only a fork hands over without pickling.
+    """
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    children = []  # (process, receiving end of its pipe) per part
+    try:
+        for part in parts:
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_part, args=(send, part), daemon=True)
+            child.start()
+            send.close()  # before the next fork, so the pipe ends when its process does
+            children.append((child, receive))
+        for child, receive in children:
+            try:
+                error = receive.recv()
+            except EOFError:
+                child.join()
+                error = RuntimeError(f"a forked part died with exit code {child.exitcode}")
+            if error is not None:
+                raise error
+    except BaseException:
+        for child, _receive in children:
+            child.kill()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
 def _chunked(fn, width: int, *arrays) -> np.ndarray:
     """``fn`` over the ``_row_spans`` of the equal-length ``arrays``, joined;
-    each chunk's temporaries are freed before the next is built."""
-    out = np.empty(len(arrays[0]))
+    each chunk's temporaries are freed before the next is built.
+
+    A call of more than one chunk, when ``_may_fork``, splits the rows by
+    stride into W = min(CPUs, chunks) parts, rows k, k + W, ... in part k, so
+    rows sorted by cost share the work evenly.  Each part copies its rows into
+    contiguous arrays, as the inline loop's chunks are, runs the same chunk
+    loop over them in a forked process and writes into a shared anonymous
+    ``mmap``; the caller waits and returns a copy.  ``fn`` must give each row
+    a result that depends on that row alone, so the result does not depend on W.
+    """
+    N = len(arrays[0])
+    parts = min(_cpus(), len(_row_spans(N, width)))
+    if parts < 2 or not _may_fork():
+        return _chunk_loop(fn, width, np.empty(N), arrays)
+    import mmap
+
+    out = np.frombuffer(mmap.mmap(-1, 8 * N), dtype=float)  # anonymous, shared with the forked parts
+    _forked([
+        lambda k=k: _chunk_loop(fn, width, out[k::parts], [np.ascontiguousarray(a[k::parts]) for a in arrays])
+        for k in range(parts)
+    ])
+    return out.copy()
+
+
+def _chunk_loop(fn, width: int, out: np.ndarray, arrays) -> np.ndarray:
+    """``out`` filled with ``fn`` over the ``_row_spans`` of ``arrays``."""
     for rows in _row_spans(len(out), width):
         out[rows] = fn(*(a[rows] for a in arrays))
     return out

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import pickle
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursed_auctions import mechanisms, valuations
+from cursed_auctions import evaluate, mechanisms, valuations
 from cursed_auctions.mechanisms import (
     GVARule,
     MaskedRule,
@@ -305,9 +309,10 @@ class TestMaxSignalMaskClosedForm:
             scanned.append(base.copy())
             return scan(base, stat, ctx)
 
-        monkeypatch.setattr(mechanisms, "_mask_scan", spy)
-        got = MaskedRule(GVARule()).critical_bids(view, ctx)
-        monkeypatch.undo()
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)  # the spy sees the scans of this process only
+        with monkeypatch.context() as m:
+            m.setattr(mechanisms, "_mask_scan", spy)
+            got = MaskedRule(GVARule()).critical_bids(view, ctx)
         plain = lambda b, s: mechanisms._mask_scan(b, s, ctx)
         ref = _chunked(plain, _CHUNK_CELLS // 1000, view.max, view.stat)  # 1000-row chunks
         return got, ref, np.concatenate([np.empty(0)] + scanned)
@@ -395,6 +400,7 @@ class TestSolveDistinct:
 
         with monkeypatch.context() as m:
             m.setattr(mechanisms, "_mask_scan", spy)
+            m.setattr(valuations, "_cpus", lambda: 1)  # the spy sees the scans of this process only
             if chunk_cells is not None:
                 # mechanisms' chunks cut as under a budget of chunk_cells (exact: it divides width * budget);
                 # the interim's own chunks, nested inside, keep the default budget
@@ -444,6 +450,7 @@ class TestSolveDistinct:
             return out
 
         monkeypatch.setattr(mechanisms, "_mask_scan", traced)
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)  # the spy sees the scans of this process only
         got = MaskedRule(GVARule()).critical_bids(view, ctx)
         monkeypatch.undo()
         assert len(calls) > 1  # so the largest call is a full chunk
@@ -598,6 +605,7 @@ class TestCertifiedSearch:
             return parts(t, stat, ctx, chi)
 
         monkeypatch.setattr(mechanisms, "_revenue_parts", spy)
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)  # the spy sees the evaluations of this process only
         RevenueOptimalRule(1.0).critical_bids(view, ctx)
         rows = len(np.unique(np.stack([view.max, view.stat], 1), axis=0))
         search = sum(points) - (2 + mechanisms._GOLDEN_ITERS) * rows
@@ -818,3 +826,156 @@ class TestInputValidation:
     def test_zero_rows_allowed(self, three_ctx):
         batch = run_batch(masked_gva(three_ctx, 1.0), np.empty((0, 3)), three_ctx)
         assert batch.payments.shape == (0, 3) and batch.welfare.shape == (0,)
+
+
+def _counted_forks(monkeypatch):
+    """The list that counts the processes forked from here on; a fork inside a
+    forked process raises instead."""
+    parent, fork, forked = os.getpid(), os.fork, []
+
+    def counting():
+        if os.getpid() != parent:
+            raise AssertionError("a forked part forked again")
+        forked.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
+
+
+class TestChunkedParts:
+    """A ``_chunked`` call of several chunks runs its rows, split by stride,
+    in one forked process per CPU, and gives the bits one process gives; a
+    call of one chunk, in a part or beside another thread runs inline."""
+
+    WIDTH = 40
+    ROWS = 4  # rows of a chunk at WIDTH under the ``budget`` fixture
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", self.WIDTH * self.ROWS)
+
+    def _same_for_any_cpu_count(self, rule, view, ctx, monkeypatch):
+        ref = rule.critical_bids(view, ctx)  # the default budget
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", 4 * mechanisms._OPT_POINTS)  # 4 optimizer, 5 scan rows
+        forks = _counted_forks(monkeypatch)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(valuations, "_cpus", lambda: cpus)
+            forks.clear()
+            got = rule.critical_bids(view, ctx)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=f"{rule!r}, {cpus} CPUs")
+            assert (len(forks) > 0) == (cpus > 1)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("marginal", ["uniform", "grid"])
+    @pytest.mark.parametrize("model", ["weighted_sum", "max_signal", "l2"])
+    def test_revenue_optimal_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch):
+        ctx = make_context(SignalSpace(3, _DISTINCT_MARGINALS[marginal]), _DISTINCT_MODELS[model])
+        view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(97), 60)[:, 1:], ctx.model)
+        self._same_for_any_cpu_count(RevenueOptimalRule(1.0), view, ctx, monkeypatch)
+
+    @pytest.mark.parametrize("marginal", ["uniform", "grid"])
+    @pytest.mark.parametrize("model", ["l2", "log1p"])
+    def test_mask_scan_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch):
+        ctx = make_context(SignalSpace(3, _DISTINCT_MARGINALS[marginal]), _DISTINCT_MODELS[model])
+        view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(101), 200)[:, 1:], ctx.model)
+        scanned = []
+        scan = mechanisms._mask_scan
+        with monkeypatch.context() as m:
+            m.setattr(valuations, "_cpus", lambda: 1)
+            m.setattr(mechanisms, "_mask_scan", lambda base, stat, ctx: scanned.append(len(base)) or scan(base, stat, ctx))
+            MaskedRule(GVARule()).critical_bids(view, ctx)
+        assert sum(scanned) > 10  # rows for 3 or more 5-row scan chunks
+        self._same_for_any_cpu_count(MaskedRule(GVARule()), view, ctx, monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_parts_take_rows_by_stride(self, monkeypatch, budget, cpus):
+        monkeypatch.setattr(valuations, "_cpus", lambda: cpus)
+        forks = _counted_forks(monkeypatch)
+        x = np.arange(23.0)
+        # a chunk of part k holds rows k, k + W, ...: each row maps to k when its step from the last is W
+        out = valuations._chunked(lambda a: np.where(np.diff(a, prepend=a[0] - cpus) == cpus, a % cpus, -1.0), self.WIDTH, x)
+        assert np.array_equal(out, x % cpus) and out.flags.owndata
+        assert len(forks) == cpus  # every part forked, none run by the caller
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("N", [0, 1, ROWS])
+    def test_zero_rows_or_one_chunk_forks_nothing(self, monkeypatch, budget, N):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+        x = np.arange(float(N))
+        assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
+        assert forks == []
+
+    def test_a_call_in_a_part_runs_inline(self, monkeypatch, budget):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)  # a fork inside a part raises
+        inner = lambda a: valuations._chunked(lambda b: 2 * b, self.WIDTH, np.repeat(a, 3))[::3]  # 3 chunks
+        x = np.arange(23.0)
+        assert np.array_equal(valuations._chunked(inner, self.WIDTH, x), 2 * x)
+        assert len(forks) == 2
+
+    def test_a_call_from_a_reduce_thread_runs_inline(self, monkeypatch):
+        space = SignalSpace(3, UniformIID(1.0))
+        monkeypatch.setattr(valuations, "_CHUNK_CELLS", mechanisms._BATCH_CELLS * 3 * 8)  # 8-row spans, 24-row chunks
+        threads = []
+
+        def values_fn(profiles):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return {"x": valuations._chunked(lambda a: 2 * a, self.WIDTH, np.repeat(profiles[:, 0], 10))[::10]}
+
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)
+        ref = evaluate._reduce(space, ["x"], values_fn, 100, 5, 30)
+        threads.clear()
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+        assert evaluate._reduce(space, ["x"], values_fn, 100, 5, 30) == ref  # 4 chunks on 2 threads
+        assert threads and not any(threads) and forks == []
+
+    def test_a_call_beside_another_thread_runs_inline(self, monkeypatch, budget):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            x = np.arange(23.0)
+            assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bad row 0"), MechanismInvariantError("more than one winner", 103, 1, 2.0)], ids=repr
+    )
+    def test_an_error_in_a_part_arrives_whole(self, monkeypatch, budget, error):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+
+        def fn(a):
+            if 0.0 in a:  # part 0
+                raise error
+            if 1.0 in a:  # part 1, which the caller stops without waiting for it
+                time.sleep(30)
+            return a
+
+        start = time.monotonic()
+        with pytest.raises(type(error)) as err:
+            valuations._chunked(fn, self.WIDTH, np.arange(23.0))
+        assert time.monotonic() - start < 10
+        assert (type(err.value), str(err.value), vars(err.value)) == (type(error), str(error), vars(error))
+        assert len(forks) == 2 and multiprocessing.active_children() == []
+
+    def test_a_part_that_dies_is_a_runtime_error(self, monkeypatch, budget):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+
+        def fn(a):
+            if 1.0 in a:
+                os._exit(3)
+            return a
+
+        with pytest.raises(RuntimeError, match="died with exit code 3"):
+            valuations._chunked(fn, self.WIDTH, np.arange(23.0))
+        assert len(forks) == 2 and multiprocessing.active_children() == []

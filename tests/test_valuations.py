@@ -318,7 +318,8 @@ class TestRowSpans:
         spans = valuations._row_spans(5, valuations._CHUNK_CELLS + 1)
         assert spans == [slice(r, r + 1) for r in range(5)]
 
-    def test_chunked_joins_the_chunks(self):
+    def test_chunked_joins_the_chunks(self, monkeypatch):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)  # ``calls`` sees the chunks of this process only
         x = np.arange(2 * self.STEP + 3, dtype=float)
         calls = []
         out = valuations._chunked(lambda a, b: calls.append(len(a)) or a - b, 40, x, 2 * x)
