@@ -19,7 +19,6 @@ means.
 from __future__ import annotations
 
 import csv
-import errno
 import functools
 import math
 import os
@@ -538,27 +537,6 @@ def _write_part(name: Path, n: int, line: str, part) -> None:
         _write_blocks(fh, n, line, part())
 
 
-# what copy_file_range gives where the kernel or the filesystem does not offer it
-_NO_COPY_RANGE = {errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP}
-
-
-def _append(fh, name: Path) -> None:
-    """Append the file ``name`` at the offset of ``fh``, which must not be
-    opened for appending: by ``os.copy_file_range`` until it copies nothing,
-    or by ``shutil.copyfileobj`` from where it stopped if it is refused."""
-    with open(name, "rb") as text:
-        try:
-            while os.copy_file_range(text.fileno(), fh.fileno(), 1 << 30):
-                pass
-            return
-        except AttributeError:  # no copy_file_range on this platform
-            pass
-        except OSError as exc:
-            if exc.errno not in _NO_COPY_RANGE:
-                raise
-        shutil.copyfileobj(text, fh)
-
-
 def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
     """Write outcomes.csv for ``n`` agents: one line per profile with its
     signals, the winner ("" when none), the threshold of the agent with the
@@ -572,12 +550,12 @@ def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
     ``valuations._may_fork``, each part runs in its own forked process through
     ``valuations._forked`` and writes its own file, so what a part changes
     outside it is lost unless that is shared memory; otherwise the parts run
-    in the calling process.  The calling process appends the files in order
-    with ``os.copy_file_range``.  The text goes to a temporary file next to
-    ``path`` that replaces ``path`` only after the last part.  On any error, in
-    a block, in a part or from a process that dies, every process is stopped,
-    every temporary file is deleted and an earlier file at ``path`` is left as
-    it was; a part's own exception is raised again in the calling process.
+    in the calling process.  The calling process appends the files in order.
+    The text goes to a temporary file next to ``path`` that replaces ``path``
+    only after the last part.  On any error, in a block, in a part or from a
+    process that dies, every process is stopped, every temporary file is
+    deleted and an earlier file at ``path`` is left as it was; a part's own
+    exception is raised again in the calling process.
     """
     path = Path(path)
     names = [path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp") for k in range(max(1, len(parts)))]
@@ -589,10 +567,10 @@ def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
         if len(parts) > 1 and valuations._may_fork():
             writers = [functools.partial(_write_part, name, n, line, part) for name, part in zip(names, parts)]
             valuations._forked(writers)
-            with open(names[0], "r+b") as fh:  # not "ab": copy_file_range refuses a file opened for appending
-                fh.seek(0, os.SEEK_END)
+            with open(names[0], "ab") as fh:
                 for name in names[1:]:
-                    _append(fh, name)
+                    with open(name, "rb") as text:
+                        shutil.copyfileobj(text, fh)
         else:
             for part in parts:
                 _write_part(names[0], n, line, part)

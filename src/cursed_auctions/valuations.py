@@ -68,6 +68,7 @@ _MAX_EXACT_ENUM = 300_000  # most pairwise sums one exact-law step may form
 _LAW_BINS = 4096  # lattice points of the binned law
 _MAX_TAIL_KNOTS = 4097  # trapezoid knots of the continuous MaxSignal tail table
 _CHUNK_CELLS = 4_000_000  # most float cells one row chunk of a memory-bounding loop holds
+_FORK_CELLS = 32_000_000  # fewest float cells of a ``_chunked`` call that fans out into forked parts
 
 
 @dataclass(frozen=True)
@@ -445,16 +446,20 @@ def _chunked(fn, width: int, *arrays) -> np.ndarray:
     """``fn`` over the ``_row_spans`` of the equal-length ``arrays``, joined;
     each chunk's temporaries are freed before the next is built.
 
-    A call of more than one chunk, when ``_may_fork``, splits the rows by
-    stride into W = min(CPUs, chunks) parts, rows k, k + W, ... in part k, so
-    rows sorted by cost share the work evenly.  Each part copies its rows into
+    A call of more than one chunk and at least ``_FORK_CELLS`` cells (rows
+    times ``width``), when ``_may_fork``, splits the rows by stride into
+    W = min(CPUs, chunks) parts, rows k, k + W, ... in part k, so rows sorted
+    by cost share the work evenly.  Below that size a fork and the page faults
+    that follow it cost about what a second CPU saves: on 2 CPUs the threshold
+    optimizer's calls of 4-16M cells ran no faster forked, and 60M ran ~35%
+    faster.  Each part copies its rows into
     contiguous arrays, as the inline loop's chunks are, runs the same chunk
     loop over them in a forked process and writes into a shared anonymous
     ``mmap``; the caller waits and returns a copy.  ``fn`` must give each row
     a result that depends on that row alone, so the result does not depend on W.
     """
     N = len(arrays[0])
-    parts = min(_cpus(), len(_row_spans(N, width)))
+    parts = min(_cpus(), len(_row_spans(N, width))) if N * width >= _FORK_CELLS else 1
     if parts < 2 or not _may_fork():
         return _chunk_loop(fn, width, np.empty(N), arrays)
     import mmap

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import errno
 import itertools
 import math
 import multiprocessing
@@ -818,40 +817,6 @@ class TestOutcomesCsvParts:
             write_outcomes_csv(tmp_path / "outcomes.csv", self.N, parts)
         assert len(forks) == 3
         self._assert_no_leftovers(tmp_path, earlier)
-
-    @staticmethod
-    def _append(tmp_path, monkeypatch, error=None):
-        """``evaluate._append`` of a 256,000-byte file whose copy_file_range copies
-        5 bytes and then fails with ``error`` (None: os has no copy_file_range);
-        returns whether the result is the header and the file, and the calls."""
-        (tmp_path / "part").write_bytes(bytes(range(256)) * 1000)
-        (tmp_path / "whole").write_bytes(b"head\r\n")
-        real, calls = os.copy_file_range, []
-
-        def refusing(src, dst, count):
-            calls.append(count)
-            if len(calls) == 1:
-                return real(src, dst, 5)
-            raise OSError(error, os.strerror(error))
-
-        if error is None:
-            monkeypatch.delattr(os, "copy_file_range")
-        else:
-            monkeypatch.setattr(os, "copy_file_range", refusing)
-        with open(tmp_path / "whole", "r+b") as fh:
-            fh.seek(0, os.SEEK_END)
-            evaluate._append(fh, tmp_path / "part")
-        return (tmp_path / "whole").read_bytes() == b"head\r\n" + (tmp_path / "part").read_bytes(), calls
-
-    @pytest.mark.parametrize("error", [errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP, None])
-    def test_append_goes_on_where_copy_file_range_is_refused(self, tmp_path, monkeypatch, error):
-        same, calls = self._append(tmp_path, monkeypatch, error)
-        assert same and len(calls) == (0 if error is None else 2)
-
-    def test_append_raises_any_other_error(self, tmp_path, monkeypatch):
-        with pytest.raises(OSError) as err:
-            self._append(tmp_path, monkeypatch, errno.ENOSPC)
-        assert err.value.errno == errno.ENOSPC
 
 
 def test_masked_welfare_never_exceeds_optimal_pointwise(ctx):

@@ -844,9 +844,10 @@ def _counted_forks(monkeypatch):
 
 
 class TestChunkedParts:
-    """A ``_chunked`` call of several chunks runs its rows, split by stride,
-    in one forked process per CPU, and gives the bits one process gives; a
-    call of one chunk, in a part or beside another thread runs inline."""
+    """A ``_chunked`` call of several chunks and ``_FORK_CELLS`` cells runs its
+    rows, split by stride, in one forked process per CPU, and gives the bits one
+    process gives; a smaller call, or one in a part or beside another thread,
+    runs inline."""
 
     WIDTH = 40
     ROWS = 4  # rows of a chunk at WIDTH under the ``budget`` fixture
@@ -854,10 +855,12 @@ class TestChunkedParts:
     @pytest.fixture
     def budget(self, monkeypatch):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", self.WIDTH * self.ROWS)
+        monkeypatch.setattr(valuations, "_FORK_CELLS", 0)  # any call of two chunks fans out
 
     def _same_for_any_cpu_count(self, rule, view, ctx, monkeypatch):
         ref = rule.critical_bids(view, ctx)  # the default budget
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 4 * mechanisms._OPT_POINTS)  # 4 optimizer, 5 scan rows
+        monkeypatch.setattr(valuations, "_FORK_CELLS", 0)
         forks = _counted_forks(monkeypatch)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(valuations, "_cpus", lambda: cpus)
@@ -907,6 +910,16 @@ class TestChunkedParts:
         assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
         assert forks == []
 
+    def test_a_call_below_the_fork_budget_runs_inline(self, monkeypatch, budget):
+        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
+        forks = _counted_forks(monkeypatch)
+        x = np.arange(23.0)  # 23 * WIDTH cells in 6 chunks
+        for cells, forked in ((23 * self.WIDTH + 1, 0), (23 * self.WIDTH, 2)):
+            monkeypatch.setattr(valuations, "_FORK_CELLS", cells)
+            forks.clear()
+            assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
+            assert len(forks) == forked
+
     def test_a_call_in_a_part_runs_inline(self, monkeypatch, budget):
         monkeypatch.setattr(valuations, "_cpus", lambda: 2)
         forks = _counted_forks(monkeypatch)  # a fork inside a part raises
@@ -918,6 +931,7 @@ class TestChunkedParts:
     def test_a_call_from_a_reduce_thread_runs_inline(self, monkeypatch):
         space = SignalSpace(3, UniformIID(1.0))
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", mechanisms._BATCH_CELLS * 3 * 8)  # 8-row spans, 24-row chunks
+        monkeypatch.setattr(valuations, "_FORK_CELLS", 0)
         threads = []
 
         def values_fn(profiles):
