@@ -451,12 +451,12 @@ def _chunked(fn, width: int, *arrays) -> np.ndarray:
     W = min(CPUs, chunks) parts, rows k, k + W, ... in part k, so rows sorted
     by cost share the work evenly.  Below that size a fork and the page faults
     that follow it cost about what a second CPU saves: on 2 CPUs the threshold
-    optimizer's calls of 4-16M cells ran no faster forked, and 60M ran ~35%
-    faster.  Each part copies its rows into
-    contiguous arrays, as the inline loop's chunks are, runs the same chunk
-    loop over them in a forked process and writes into a shared anonymous
-    ``mmap``; the caller waits and returns a copy.  ``fn`` must give each row
-    a result that depends on that row alone, so the result does not depend on W.
+    optimizer's calls of 4-16M cells ran no faster forked, and those of 61M
+    took 25-40% less time.  Each part copies its rows into contiguous arrays,
+    as the inline loop's chunks are, runs the same chunk loop over them in a
+    forked process and writes into a shared anonymous ``mmap``; the caller
+    waits and returns a copy.  ``fn`` must give each row a result that
+    depends on that row alone, so the result does not depend on W.
     """
     N = len(arrays[0])
     parts = min(_cpus(), len(_row_spans(N, width))) if N * width >= _FORK_CELLS else 1
