@@ -502,62 +502,89 @@ def cmd_oracle_check(args) -> int:
 
 
 def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
-    checks = []
-    models = [("weighted_sum_0.5", WeightedSum(0.5)), ("weighted_sum_1.0", WeightedSum(1.0)), ("max_signal", MaxSignal())]
-    for n in ns:
-        for m in ms:
-            for label, model in models:
-                for chi in (0.0, 0.5, 1.0):
-                    grid = orc.GridModel(n=n, m=m, model=model, chi=chi)
-                    ctx = grid.context()
-                    profiles = grid.all_profiles()
-                    mechs = {"gva_compensated": Mechanism(GVARule(), chi, "compensated")}
-                    mechs["masked_gva"] = masked_gva(ctx, chi)
-                    mechs["revenue_optimal"] = Mechanism(RevenueOptimalRule(chi), chi, "compensated")
-                    if inject_broken:
-                        from .testing import RealizedPriceMechanism
+    """The grid-oracle checks for every (n, m, model, chi) grid, in that
+    nesting order, and whether all passed.
 
-                        mechs["broken_realized_price"] = RealizedPriceMechanism(GVARule(), chi, "compensated")
-                    scale = max(ctx.scale(), 1.0)
-                    others = grid.others_profiles()
-                    for mech_name, mech in mechs.items():
-                        batch = run_batch(mech, profiles, ctx)
-                        if mech_name == "revenue_optimal":
-                            # all_profiles() is agent-0 major: its first rows hold agent 0 at the lowest
-                            # atom facing each others_profiles() row in order
-                            t_opts = batch.thresholds[: len(others), 0]
-                        oracle_pay = orc.oracle_payments(grid, batch.thresholds, profiles)
-                        gap = float(np.max(np.abs(batch.payments - oracle_pay)))
-                        checks.append(
-                            {
-                                "name": f"payments n={n} m={m} {label} chi={chi} {mech_name}",
-                                "passed": bool(gap <= 1e-12 * scale),
-                                "max_gap": gap,
-                            }
-                        )
-                        if mech_name in ("masked_gva", "revenue_optimal", "broken_realized_price"):
-                            worst = orc.brute_force_best_response(grid, mech, 0, ctx).regret
-                            expected_ic = mech_name != "broken_realized_price"
-                            ok = (worst <= 1e-9 * scale) == expected_ic
-                            checks.append(
-                                {
-                                    "name": f"best_response n={n} m={m} {label} chi={chi} {mech_name}",
-                                    "passed": bool(ok),
-                                    "worst_regret": worst,
-                                }
-                            )
-                    # brute-force optimal thresholds vs the continuous optimizer
-                    spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
-                    t_oracle = orc.brute_force_rev_optimal_threshold(grid, others)
-                    worst_gap = float(np.max(np.abs(t_oracle - t_opts), initial=0.0))
-                    checks.append(
-                        {
-                            "name": f"thresholds n={n} m={m} {label} chi={chi}",
-                            "passed": bool(worst_gap <= spacing + 1e-9),
-                            "max_gap": worst_gap,
-                        }
-                    )
+    Every grid is built, and so checked against the oracle's size limits,
+    before any is run.  With W = min(CPUs, grids) >= 2, when
+    ``valuations._may_fork``, the grids run in W forked parts, grids k, k + W,
+    ... in part k, and their check lists come back through the pipe; the
+    checks are put back in grid order, so the result does not depend on W.
+    """
+    models = [("weighted_sum_0.5", WeightedSum(0.5)), ("weighted_sum_1.0", WeightedSum(1.0)), ("max_signal", MaxSignal())]
+    configs = [
+        (label, orc.GridModel(n=n, m=m, model=model, chi=chi))
+        for n in ns
+        for m in ms
+        for label, model in models
+        for chi in (0.0, 0.5, 1.0)
+    ]
+    check = functools.partial(_oracle_grid_checks, inject_broken=inject_broken)
+    parts = min(valuations._cpus(), len(configs))
+    if parts > 1 and valuations._may_fork():
+        done = valuations._forked([lambda k=k: [check(*c) for c in configs[k::parts]] for k in range(parts)])
+        per_grid = [None] * len(configs)
+        for k, lists in enumerate(done):
+            per_grid[k::parts] = lists
+    else:
+        per_grid = [check(*c) for c in configs]
+    checks = [row for rows in per_grid for row in rows]
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+
+
+def _oracle_grid_checks(label: str, grid, inject_broken: bool) -> list:
+    """The payment, best-response and threshold checks of one grid, as dicts."""
+    n, m, chi = grid.n, grid.m, grid.chi
+    checks = []
+    ctx = grid.context()
+    profiles = grid.all_profiles()
+    mechs = {"gva_compensated": Mechanism(GVARule(), chi, "compensated")}
+    mechs["masked_gva"] = masked_gva(ctx, chi)
+    mechs["revenue_optimal"] = Mechanism(RevenueOptimalRule(chi), chi, "compensated")
+    if inject_broken:
+        from .testing import RealizedPriceMechanism
+
+        mechs["broken_realized_price"] = RealizedPriceMechanism(GVARule(), chi, "compensated")
+    scale = max(ctx.scale(), 1.0)
+    others = grid.others_profiles()
+    for mech_name, mech in mechs.items():
+        batch = run_batch(mech, profiles, ctx)
+        if mech_name == "revenue_optimal":
+            # all_profiles() is agent-0 major: its first rows hold agent 0 at the lowest
+            # atom facing each others_profiles() row in order
+            t_opts = batch.thresholds[: len(others), 0]
+        oracle_pay = orc.oracle_payments(grid, batch.thresholds, profiles)
+        gap = float(np.max(np.abs(batch.payments - oracle_pay)))
+        checks.append(
+            {
+                "name": f"payments n={n} m={m} {label} chi={chi} {mech_name}",
+                "passed": bool(gap <= 1e-12 * scale),
+                "max_gap": gap,
+            }
+        )
+        if mech_name in ("masked_gva", "revenue_optimal", "broken_realized_price"):
+            worst = orc.brute_force_best_response(grid, mech, 0, ctx).regret
+            expected_ic = mech_name != "broken_realized_price"
+            ok = (worst <= 1e-9 * scale) == expected_ic
+            checks.append(
+                {
+                    "name": f"best_response n={n} m={m} {label} chi={chi} {mech_name}",
+                    "passed": bool(ok),
+                    "worst_regret": worst,
+                }
+            )
+    # brute-force optimal thresholds vs the continuous optimizer
+    spacing = grid.points[1] - grid.points[0] if grid.m > 1 else grid.s_bar
+    t_oracle = orc.brute_force_rev_optimal_threshold(grid, others)
+    worst_gap = float(np.max(np.abs(t_oracle - t_opts), initial=0.0))
+    checks.append(
+        {
+            "name": f"thresholds n={n} m={m} {label} chi={chi}",
+            "passed": bool(worst_gap <= spacing + 1e-9),
+            "max_gap": worst_gap,
+        }
+    )
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -388,30 +388,33 @@ def _may_fork() -> bool:
 
 
 def _run_part(conn, part) -> None:
-    """In a forked process: run ``part()``, then send None, or the exception
-    that stopped it, through ``conn``.  Any other failure, such as an
-    exception that cannot be pickled, ends the process without a message."""
+    """In a forked process: run ``part()``, then send (None, its return value),
+    or (the exception that stopped it, None), pickled, through ``conn``.  Any
+    other failure, such as a result or an exception that cannot be pickled,
+    ends the process without a message."""
     global _in_part
     _in_part = True
     try:
-        part()
+        result = part()
     except Exception as exc:
-        conn.send(exc)
+        conn.send((exc, None))
     else:
-        conn.send(None)
+        conn.send((None, result))
 
 
-def _forked(parts) -> None:
+def _forked(parts) -> list:
     """Run each zero-argument callable of ``parts`` in its own forked process,
-    and return when all have finished.
+    and return their return values, in part order, when all have finished.
 
-    Each process sends back None or its exception through a one-way pipe.  The
-    first failed part's exception, in part order, is raised again here, and a
-    process that ends without a message is a RuntimeError with its exit code.
-    On any error every process is killed; none outlives the call.  What a part
-    changes outside itself is lost unless it is shared memory or a file.
-    Forked, not spawned: a spawned process imports numpy again (~0.2 s), and a
-    part is a closure, which only a fork hands over without pickling.
+    Each process sends back its return value, pickled, or its exception
+    through a one-way pipe, so a result should be small.  The first failed
+    part's exception, in part order, is raised again here, and a process that
+    ends without a message, such as one whose result cannot be pickled, is a
+    RuntimeError with its exit code.  On any error every process is killed;
+    none outlives the call.  What a part changes outside itself is lost unless
+    it is shared memory or a file.  Forked, not spawned: a spawned process
+    imports numpy again (~0.2 s), and a part is a closure, which only a fork
+    hands over without pickling.
     """
     import multiprocessing
 
@@ -424,14 +427,16 @@ def _forked(parts) -> None:
             child.start()
             send.close()  # before the next fork, so the pipe ends when its process does
             children.append((child, receive))
+        results = []
         for child, receive in children:
             try:
-                error = receive.recv()
+                error, result = receive.recv()
             except EOFError:
                 child.join()
                 error = RuntimeError(f"a forked part died with exit code {child.exitcode}")
             if error is not None:
                 raise error
+            results.append(result)
     except BaseException:
         for child, _receive in children:
             child.kill()
@@ -440,6 +445,7 @@ def _forked(parts) -> None:
         for child, receive in children:
             child.join()
             receive.close()
+    return results
 
 
 def _chunked(fn, width: int, *arrays) -> np.ndarray:
@@ -461,7 +467,9 @@ def _chunked(fn, width: int, *arrays) -> np.ndarray:
     N = len(arrays[0])
     parts = min(_cpus(), len(_row_spans(N, width))) if N * width >= _FORK_CELLS else 1
     if parts < 2 or not _may_fork():
-        return _chunk_loop(fn, width, np.empty(N), arrays)
+        out = np.empty(N)
+        _chunk_loop(fn, width, out, arrays)
+        return out
     import mmap
 
     out = np.frombuffer(mmap.mmap(-1, 8 * N), dtype=float)  # anonymous, shared with the forked parts
@@ -472,11 +480,10 @@ def _chunked(fn, width: int, *arrays) -> np.ndarray:
     return out.copy()
 
 
-def _chunk_loop(fn, width: int, out: np.ndarray, arrays) -> np.ndarray:
-    """``out`` filled with ``fn`` over the ``_row_spans`` of ``arrays``."""
+def _chunk_loop(fn, width: int, out: np.ndarray, arrays) -> None:
+    """Fill ``out`` with ``fn`` over the ``_row_spans`` of ``arrays``."""
     for rows in _row_spans(len(out), width):
         out[rows] = fn(*(a[rows] for a in arrays))
-    return out
 
 
 def _law_mean(model: ConcaveSum, s: np.ndarray, atoms: np.ndarray, weights: np.ndarray):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,24 @@ from cursed_auctions.valuations import MaxSignal, WeightedSum
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _cpus(monkeypatch, count):
+    """Patch the affinity mask to ``count`` CPUs (None: keep the real one), and
+    return the list that counts the processes forked from here on; a fork
+    inside a forked process raises."""
+    if count is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    parent, fork, forked = os.getpid(), os.fork, []
+
+    def counting():
+        if os.getpid() != parent:
+            raise AssertionError("a forked part forked again")
+        forked.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
 
 
 class TestConfig:
@@ -167,22 +186,6 @@ class TestSimulateStreaming:
         monkeypatch.setattr(evaluate, "_csv_text", logged_csv_text)
         return calls
 
-    @staticmethod
-    def _cpus(monkeypatch, count):
-        """Patch the affinity mask to ``count`` CPUs (None: keep the real one),
-        and return the list that counts forks."""
-        if count is not None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        forked = []
-        fork = os.fork
-
-        def counting():
-            forked.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return forked
-
     def _reference(self, config: Path, out: Path) -> None:
         cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
         space, _model, ctx, mech = cfg.build()
@@ -201,7 +204,7 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize("samples", [0, ROWS])
     def test_files_match_the_all_at_once_path(self, tmp_path, monkeypatch, calls, samples, cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * self.SPAN)  # 64 floats per CSV cell
-        forks = self._cpus(monkeypatch, cpus)
+        forks = _cpus(monkeypatch, cpus)
         config = tmp_path / "config.json"
         space = {"n": 2, "marginal": {"type": "uniform"}}
         config.write_text(json.dumps({"space": space, "samples": samples, "chi": 1.0}))
@@ -226,7 +229,7 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
     def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, calls, earlier, cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        self._cpus(monkeypatch, cpus)
+        _cpus(monkeypatch, cpus)
         calls.fail_at = 100
         out = tmp_path / "out"
         out.mkdir()
@@ -243,7 +246,7 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch, calls, cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        self._cpus(monkeypatch, cpus)
+        _cpus(monkeypatch, cpus)
         calls.fail_at = 100  # the error names row 3 of that span
         with pytest.raises(MechanismInvariantError) as err:
             run_cli("--out", str(tmp_path / "out"), "--n", "2", "--samples", "250", "simulate")
@@ -409,19 +412,57 @@ class TestOracleCheck:
             return solve(rule, view, ctx)
 
         monkeypatch.setattr(RevenueOptimalRule, "critical_bids", counting)
+        monkeypatch.setattr(valuations, "_cpus", lambda: 1)  # the grids run here, where the spy sees them
         assert cli._oracle_suite([2, 3], [5])["all_passed"]
         grids = 2 * 3 * 3  # n values x models x chi values
         assert len(solves) == 2 * grids  # run_batch and the best response; the thresholds check reuses run_batch's
 
-    def test_oversized_grid_is_config_error(self, tmp_path):
-        code = run_cli("--out", str(tmp_path), "oracle-check", "--m-values", "50")
-        assert code == 2
+    def test_oversized_grid_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """Every grid is checked before any runs, so a bad size forks nothing."""
+        forks = _cpus(monkeypatch, 2)
+        for option, value, message in (("--m-values", "50", "1 <= m <= 21, got 50"), ("--n-list", "2,5", "2 <= n <= 4, got 5")):
+            code = run_cli("--out", str(tmp_path), "oracle-check", option, value)
+            assert code == 2
+            assert capsys.readouterr().err == f"config error: grid oracle supports {message}\n"
+        assert forks == [] and not (tmp_path / "oracle_check.json").exists()
+
+    def test_same_checks_for_any_cpu_count(self, monkeypatch):
+        dumps = set()
+        for cpus, forked in ((1, 0), (2, 2), (3, 3)):
+            forks = _cpus(monkeypatch, cpus)
+            dumps.add(json.dumps(cli._oracle_suite([2, 3], [1, 2, 5], inject_broken=True)))
+            assert len(forks) == forked and multiprocessing.active_children() == []
+        assert len(dumps) == 1
+
+    def test_a_suite_in_a_part_forks_nothing(self, monkeypatch):
+        forks = _cpus(monkeypatch, 2)  # a fork inside the part raises
+        ref = cli._oracle_suite([2], [2])
+        forks.clear()
+        assert valuations._forked([lambda: cli._oracle_suite([2], [2])]) == [ref]
+        assert len(forks) == 1 and multiprocessing.active_children() == []
+
+    def test_a_suite_beside_another_thread_forks_nothing(self, monkeypatch):
+        forks = _cpus(monkeypatch, 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            suite = cli._oracle_suite([2], [2])
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert suite["all_passed"] and not other.is_alive() and forks == []
+        assert multiprocessing.active_children() == []
 
     def test_leaves_numpy_ma_unimported(self, tmp_path):
         """numpy's unique and isin import numpy.ma on some paths; m = 21 reaches
-        isin's sorting path and the MaxSignal grid cases the tail table's knots."""
+        isin's sorting path and the MaxSignal grid cases the tail table's knots.
+        One CPU, so the grids run in the process whose modules are checked."""
         argv = ["--out", str(tmp_path), "oracle-check", "--n-list", "2", "--m-values", "3,21"]
-        code = f"import sys; from cursed_auctions.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        code = (
+            "import os, sys; os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); "
+            f"from cursed_auctions.cli import main; print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout

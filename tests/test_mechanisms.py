@@ -993,3 +993,42 @@ class TestChunkedParts:
         with pytest.raises(RuntimeError, match="died with exit code 3"):
             valuations._chunked(fn, self.WIDTH, np.arange(23.0))
         assert len(forks) == 2 and multiprocessing.active_children() == []
+
+
+class TestForked:
+    """``valuations._forked`` runs each part in its own forked process and
+    returns the parts' return values, pickled, in part order."""
+
+    def test_results_come_back_in_part_order(self, monkeypatch, tmp_path):
+        forks = _counted_forks(monkeypatch)
+        flag = tmp_path / "part 1 returned"
+
+        def last():  # part 0 returns only after part 1 has
+            deadline = time.monotonic() + 10
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return ("part 0", flag.exists())
+
+        got = valuations._forked([last, lambda: flag.touch() or [1.5, {"part": 1}], lambda: None])
+        assert got == [("part 0", True), [1.5, {"part": 1}], None]
+        assert len(forks) == 3 and multiprocessing.active_children() == []
+
+    def test_an_unpicklable_result_is_a_runtime_error(self, monkeypatch):
+        forks = _counted_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="died with exit code 1"):
+            valuations._forked([lambda: 0, lambda: (lambda: 1)])
+        assert len(forks) == 2 and multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bad row 0"), MechanismInvariantError("more than one winner", 103, 1, 2.0)], ids=repr
+    )
+    def test_an_error_in_a_part_arrives_whole(self, monkeypatch, error):
+        forks = _counted_forks(monkeypatch)
+
+        def fail():
+            raise error
+
+        with pytest.raises(type(error)) as err:
+            valuations._forked([lambda: [0.5], fail])
+        assert (type(err.value), str(err.value), vars(err.value)) == (type(error), str(error), vars(error))
+        assert len(forks) == 2 and multiprocessing.active_children() == []
