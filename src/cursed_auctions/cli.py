@@ -194,11 +194,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_simulate(args) -> int:
     """Sample, execute, write and reduce one row span at a time, so memory
     stays flat in the sample count: only the four per-row metric columns
-    outlive a span.  The spans are cut into one contiguous part per CPU of the
-    affinity mask, and ``write_outcomes_csv`` runs each part in a forked
-    process when there are several, so the metric columns are shared memory
-    that those processes fill.  A failed run leaves no outcomes.csv and keeps
-    an earlier one."""
+    outlive a span.  Each span is one part of ``write_outcomes_csv``, which
+    may run its parts in forked processes, so the metric columns are shared
+    memory that those processes fill.  A failed run leaves no outcomes.csv and
+    keeps an earlier one."""
     import mmap
 
     cfg = _load_config(args)
@@ -211,11 +210,9 @@ def cmd_simulate(args) -> int:
     # a span is one chunk of the CSV writer (64 float cells per CSV cell), which
     # is narrower than one chunk of run_batch (40 per row and agent)
     spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
-    count = min(valuations._cpus(), len(spans))
-    groups = [spans[k * len(spans) // count : (k + 1) * len(spans) // count] for k in range(count)]
 
-    def executed(group):
-        for span, profiles in zip(group, _draw_spans(space, RandomStream(cfg.seed), group)):
+    def executed(span):
+        for profiles in _draw_spans(space, RandomStream(cfg.seed), [span]):
             try:
                 batch = run_batch(mech, profiles, ctx)
             except MechanismInvariantError as exc:  # name the sample row, not the span row
@@ -225,7 +222,7 @@ def cmd_simulate(args) -> int:
                 values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
             yield profiles, batch
 
-    ev.write_outcomes_csv(out / "outcomes.csv", space.n, [functools.partial(executed, g) for g in groups])
+    ev.write_outcomes_csv(out / "outcomes.csv", space.n, [functools.partial(executed, s) for s in spans])
 
     summary = {"schema_version": ev.SCHEMA_VERSION, "config": cfg.to_dict(), "metrics": {}}
     for metric in metrics:
@@ -506,10 +503,9 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
     nesting order, and whether all passed.
 
     Every grid is built, and so checked against the oracle's size limits,
-    before any is run.  With W = min(CPUs, grids) >= 2, when
-    ``valuations._may_fork``, the grids run in W forked parts, grids k, k + W,
-    ... in part k, and their check lists come back through the pipe; the
-    checks are put back in grid order, so the result does not depend on W.
+    before any is run.  ``valuations._in_parts`` runs them in W parts, grids k,
+    k + W, ... in part k, and the checks are put back in grid order, so the
+    result does not depend on W.
     """
     models = [("weighted_sum_0.5", WeightedSum(0.5)), ("weighted_sum_1.0", WeightedSum(1.0)), ("max_signal", MaxSignal())]
     configs = [
@@ -520,14 +516,10 @@ def _oracle_suite(ns, ms, inject_broken: bool = False) -> dict:
         for chi in (0.0, 0.5, 1.0)
     ]
     check = functools.partial(_oracle_grid_checks, inject_broken=inject_broken)
-    parts = min(valuations._cpus(), len(configs))
-    if parts > 1 and valuations._may_fork():
-        done = valuations._forked([lambda k=k: [check(*c) for c in configs[k::parts]] for k in range(parts)])
-        per_grid = [None] * len(configs)
-        for k, lists in enumerate(done):
-            per_grid[k::parts] = lists
-    else:
-        per_grid = [check(*c) for c in configs]
+    done = valuations._in_parts(lambda k, W: [check(*c) for c in configs[k::W]], len(configs))
+    per_grid = [None] * len(configs)
+    for k, lists in enumerate(done):
+        per_grid[k :: len(done)] = lists
     checks = [row for rows in per_grid for row in rows]
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
 

@@ -19,10 +19,10 @@ means.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -404,14 +404,13 @@ def wallet_report(
 # sample through it span by span.  ``_csv_text`` encodes a row chunk with
 # whole-array steps (below); only rows holding a cell outside its fast range
 # go through "%".
-# Encoding costs about as much CPU as the rest of ``simulate``, so a part is a
-# contiguous share of the sample that one forked process draws, executes,
-# encodes and writes to its own file; the calling process appends the files in
-# order.  No float or text crosses a pipe: ``valuations._forked`` runs the
-# parts, and a process sends back None or its exception.  A chunk budgets 64
-# float cells per CSV cell, which keeps a chunk's encoder input and text small,
-# and ``simulate``'s spans, one writer chunk each, fine enough to share out
-# evenly between processes.
+# Encoding costs about as much CPU as the rest of ``simulate``, so a run of
+# parts is a contiguous share of the sample that one forked process draws,
+# executes, encodes and writes to its own file; the calling process appends the
+# files in order.  No float or text crosses a pipe: a run sends back None or
+# its exception.  A chunk budgets 64 float cells per CSV cell, which keeps a
+# chunk's encoder input and text small, and ``simulate``'s spans, one writer
+# chunk and one part each, fine enough to share out evenly between processes.
 #
 # The encoder.  A cell of |x| in [1e-4, 1e3) has the decimal exponent
 # e = floor(log10|x|) in -4..2, and s = fl(|x| * 10**(11 - e)) is one correctly
@@ -531,12 +530,6 @@ def _write_blocks(fh, n: int, line: str, blocks) -> None:
             fh.write(_csv_text(line, n, cells, winner))
 
 
-def _write_part(name: Path, n: int, line: str, part) -> None:
-    """Append the blocks of ``part()`` to the file ``name``."""
-    with open(name, "ab") as fh:
-        _write_blocks(fh, n, line, part())
-
-
 def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
     """Write outcomes.csv for ``n`` agents: one line per profile with its
     signals, the winner ("" when none), the threshold of the agent with the
@@ -546,38 +539,37 @@ def write_outcomes_csv(path, n: int, parts: Sequence[Callable]) -> None:
 
     A block raises ValueError, before any of its text is written, unless its
     profiles are ``n`` wide and its batch has one row per profile and ``n``
-    wide payments and thresholds.  From two parts on, when
-    ``valuations._may_fork``, each part runs in its own forked process through
-    ``valuations._forked`` and writes its own file, so what a part changes
-    outside it is lost unless that is shared memory; otherwise the parts run
-    in the calling process.  The calling process appends the files in order.
-    The text goes to a temporary file next to ``path`` that replaces ``path``
-    only after the last part.  On any error, in a block, in a part or from a
-    process that dies, every process is stopped, every temporary file is
-    deleted and an earlier file at ``path`` is left as it was; a part's own
-    exception is raised again in the calling process.
+    wide payments and thresholds.  ``valuations._in_parts`` shares the parts
+    out in W contiguous runs, each of which appends to its own file in a
+    temporary directory next to ``path``; a run may be a forked process, so
+    what a part changes outside it is lost unless that is shared memory.  The
+    calling process appends the files in order, and the result replaces
+    ``path`` only after the last run.  On any error, in a block, in a part or
+    from a process that dies, every process is stopped, the temporary
+    directory is deleted and an earlier file at ``path`` is left as it was; a
+    part's own exception is raised again in the calling process.
     """
     path = Path(path)
-    names = [path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp") for k in range(max(1, len(parts)))]
     header = [f"s_{i + 1}" for i in range(n)] + ["winner", "threshold"]
     header += [f"payment_{i + 1}" for i in range(n)] + ["revenue", "welfare"]
     line = ",".join(["%.12g"] * n + ["%s"] + ["%.12g"] * (n + 3)) + "\r\n"
+    temp = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
     try:
-        names[0].write_bytes((",".join(header) + "\r\n").encode("ascii"))  # the first part appends to it
-        if len(parts) > 1 and valuations._may_fork():
-            writers = [functools.partial(_write_part, name, n, line, part) for name, part in zip(names, parts)]
-            valuations._forked(writers)
-            with open(names[0], "ab") as fh:
-                for name in names[1:]:
-                    with open(name, "rb") as text:
-                        shutil.copyfileobj(text, fh)
-        else:
-            for part in parts:
-                _write_part(names[0], n, line, part)
-        os.replace(names[0], path)
+        (temp / "0").write_bytes((",".join(header) + "\r\n").encode("ascii"))  # run 0 appends to it
+
+        def run(k, W):
+            with open(temp / str(k), "ab") as fh:
+                for part in parts[k * len(parts) // W : (k + 1) * len(parts) // W]:
+                    _write_blocks(fh, n, line, part())
+
+        runs = len(valuations._in_parts(run, len(parts)))
+        with open(temp / "0", "ab") as fh:
+            for k in range(1, runs):
+                with open(temp / str(k), "rb") as text:
+                    shutil.copyfileobj(text, fh)
+        os.replace(temp / "0", path)
     finally:
-        for name in names:
-            name.unlink(missing_ok=True)
+        shutil.rmtree(temp)
 
 
 def write_estimates_csv(path, rows: Sequence[dict]) -> None:

@@ -375,55 +375,58 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_in_part = False  # True in a process that ``_forked`` started
+_in_part = False  # True in a process that ``_in_parts`` forked
 
 
-def _may_fork() -> bool:
-    """Whether a call may fan out into forked parts: only the outermost call
-    does, and only while it is the one live Python thread (an estimator's
-    thread never is), so no part forks again and no thread exists at a fork."""
-    import multiprocessing
-
-    return not _in_part and threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
-
-
-def _run_part(conn, part) -> None:
-    """In a forked process: run ``part()``, then send (None, its return value),
-    or (the exception that stopped it, None), pickled, through ``conn``.  Any
-    other failure, such as a result or an exception that cannot be pickled,
-    ends the process without a message."""
+def _run_part(conn, work, k: int, count: int) -> None:
+    """In a forked process: send (None, ``work(k, count)``), or (the exception
+    that stopped it, None), pickled, through ``conn``.  ``send`` pickles before
+    it writes, so when the result or exception cannot be pickled nothing is
+    written, and a RuntimeError that names the pickling error goes instead."""
     global _in_part
     _in_part = True
     try:
-        result = part()
+        message = (None, work(k, count))
     except Exception as exc:
-        conn.send((exc, None))
-    else:
-        conn.send((None, result))
+        message = (exc, None)
+    try:
+        conn.send(message)
+    except Exception as exc:
+        what = "result" if message[0] is None else "exception"
+        conn.send((RuntimeError(f"a forked part's {what} cannot be pickled: {exc!r}"), None))
 
 
-def _forked(parts) -> list:
-    """Run each zero-argument callable of ``parts`` in its own forked process,
-    and return their return values, in part order, when all have finished.
+def _in_parts(work, count: int) -> list:
+    """``[work(k, W) for k in range(W)]`` with W = min(CPUs, ``count``): the one
+    fan-out of every forked loop over ``count`` items, part k of W taking its
+    share of them.  The results must not depend on W.
 
-    Each process sends back its return value, pickled, or its exception
+    From W = 2 on, each part runs in its own forked process when ``fork``
+    exists, this is the outermost call (no call in a forked part is) and its
+    thread is the one live Python thread (an estimator's thread never is), so
+    no part forks again and no thread exists at a fork.  Otherwise the one
+    call ``work(0, 1)`` runs in the calling process.
+
+    A forked part sends back its return value, pickled, or its exception
     through a one-way pipe, so a result should be small.  The first failed
     part's exception, in part order, is raised again here, and a process that
-    ends without a message, such as one whose result cannot be pickled, is a
-    RuntimeError with its exit code.  On any error every process is killed;
-    none outlives the call.  What a part changes outside itself is lost unless
-    it is shared memory or a file.  Forked, not spawned: a spawned process
-    imports numpy again (~0.2 s), and a part is a closure, which only a fork
-    hands over without pickling.
+    ends without a message is a RuntimeError with its exit code.  On any error
+    every process is killed; none outlives the call.  What a part changes
+    outside itself is lost unless it is shared memory or a file.  Forked, not
+    spawned: a spawned process imports numpy again (~0.2 s), and ``work`` may
+    be a closure, which only a fork hands over without pickling.
     """
+    W = min(_cpus(), count)
+    if W < 2 or _in_part or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return [work(0, 1)]
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
     children = []  # (process, receiving end of its pipe) per part
     try:
-        for part in parts:
+        for k in range(W):
             receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_part, args=(send, part), daemon=True)
+            child = fork.Process(target=_run_part, args=(send, work, k, W), daemon=True)
             child.start()
             send.close()  # before the next fork, so the pipe ends when its process does
             children.append((child, receive))
@@ -452,31 +455,27 @@ def _chunked(fn, width: int, *arrays) -> np.ndarray:
     """``fn`` over the ``_row_spans`` of the equal-length ``arrays``, joined;
     each chunk's temporaries are freed before the next is built.
 
-    A call of more than one chunk and at least ``_FORK_CELLS`` cells (rows
-    times ``width``), when ``_may_fork``, splits the rows by stride into
-    W = min(CPUs, chunks) parts, rows k, k + W, ... in part k, so rows sorted
-    by cost share the work evenly.  Below that size a fork and the page faults
-    that follow it cost about what a second CPU saves: on 2 CPUs the threshold
-    optimizer's calls of 4-16M cells ran no faster forked, and those of 61M
-    took 25-40% less time.  Each part copies its rows into contiguous arrays,
-    as the inline loop's chunks are, runs the same chunk loop over them in a
-    forked process and writes into a shared anonymous ``mmap``; the caller
-    waits and returns a copy.  ``fn`` must give each row a result that
-    depends on that row alone, so the result does not depend on W.
+    A call of at least ``_FORK_CELLS`` cells (rows times ``width``) fills a
+    shared anonymous ``mmap`` through ``_in_parts`` over its chunks: part k of
+    W takes rows k, k + W, ..., so rows sorted by cost share the work evenly,
+    copies them into contiguous arrays, as the inline loop's chunks are, and
+    runs the same chunk loop over them; the caller returns a copy.  Below that
+    size a fork and the page faults that follow it cost about what a second
+    CPU saves: on 2 CPUs the threshold optimizer's calls of 4-16M cells ran no
+    faster forked, and those of 61M took 25-40% less time; such calls, and
+    calls of no rows, fill an ``np.empty`` inline.  ``fn`` must give each row
+    a result that depends on that row alone, so the result does not depend on W.
     """
     N = len(arrays[0])
-    parts = min(_cpus(), len(_row_spans(N, width))) if N * width >= _FORK_CELLS else 1
-    if parts < 2 or not _may_fork():
+    if not N or N * width < _FORK_CELLS:
         out = np.empty(N)
         _chunk_loop(fn, width, out, arrays)
         return out
     import mmap
 
     out = np.frombuffer(mmap.mmap(-1, 8 * N), dtype=float)  # anonymous, shared with the forked parts
-    _forked([
-        lambda k=k: _chunk_loop(fn, width, out[k::parts], [np.ascontiguousarray(a[k::parts]) for a in arrays])
-        for k in range(parts)
-    ])
+    part = lambda k, W: _chunk_loop(fn, width, out[k::W], [np.ascontiguousarray(a[k::W]) for a in arrays])
+    _in_parts(part, len(_row_spans(N, width)))
     return out.copy()
 
 
@@ -558,12 +557,16 @@ def check_single_crossing(
     sample_count: int = 10_000,
     stream: RandomStream = RandomStream(7),
 ) -> CheckReport:
-    """Sampled check that the higher-signal bidder has the weakly higher value."""
+    """Sampled check that the higher-signal bidder has the weakly higher value;
+    fewer than one sample is a ValueError."""
     tol = 1e-12 * max(value_scale(model, space), 1.0)
     n = space.n
+    spans = _row_spans(sample_count, 4 * n * n)
+    if not spans:  # a negative count is a ValueError in _row_spans
+        raise ValueError("sample_count must be positive: no property is checked on zero samples")
 
     def runs():  # per pair: the mask, value gap, masked gap and slack
-        for rows in _draw_spans(space, stream, _row_spans(sample_count, 4 * n * n)):
+        for rows in _draw_spans(space, stream, spans):
             vals = np.stack([value(model, rows, i) for i in range(n)], axis=1)
             # gap[r, i, j] = v_j - v_i over the ordered pairs i != j with s_i >= s_j
             pairs = (rows[:, :, None] >= rows[:, None, :]) & ~np.eye(n, dtype=bool)
@@ -599,9 +602,14 @@ def check_cursedness_monotonicity(
     analytically; concave-sum instances are decided empirically: the others of
     each sampled profile that is overestimated somewhere are shrunk by 8
     uniform factor draws, and each shrink's margin is the largest v - interim
-    over the own signals that beat the shrunk maximum.
+    over the own signals that beat the shrunk maximum.  Fewer than one sample
+    is a ValueError.
     """
     model, space = cache.model, cache.space
+    own_grid = np.linspace(0.0, space.s_bar, 33)
+    spans = _row_spans(sample_count, 4 * 8 * own_grid.size)
+    if not spans:  # a negative count is a ValueError in _row_spans
+        raise ValueError("sample_count must be positive: no property is checked on zero samples")
     if isinstance(model, (WeightedSum, MaxSignal)):
         return CheckReport(
             name="cursedness_monotonicity",
@@ -612,7 +620,6 @@ def check_cursedness_monotonicity(
         )
 
     tol = 1e-12 * max(value_scale(model, space), 1.0)
-    own_grid = np.linspace(0.0, space.s_bar, 33)
     mu = cache.expected_value(own_grid)
     gen = stream.generator()  # the shrink factors, drawn in row order across the runs
 
@@ -621,7 +628,7 @@ def check_cursedness_monotonicity(
         return (wins & (value_from_own_and_stat(model, own_grid, others_stat(model, rows)[:, None]) < mu)).any(axis=1)
 
     def runs():  # per (shrink, own signal): the win mask, v, v - interim, the masked margin
-        for rows in _draw_spans(space, stream.child(1), _row_spans(sample_count, 4 * 8 * own_grid.size)):
+        for rows in _draw_spans(space, stream.child(1), spans):
             others = rows[overestimated(rows[:, 1:]), 1:]
             # each such row's others shrunk coordinate-wise 8 times; d = v - interim
             # at every own signal that beats the shrunk maximum, -inf elsewhere

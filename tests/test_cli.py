@@ -23,24 +23,6 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def _cpus(monkeypatch, count):
-    """Patch the affinity mask to ``count`` CPUs (None: keep the real one), and
-    return the list that counts the processes forked from here on; a fork
-    inside a forked process raises."""
-    if count is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    parent, fork, forked = os.getpid(), os.fork, []
-
-    def counting():
-        if os.getpid() != parent:
-            raise AssertionError("a forked part forked again")
-        forked.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forked
-
-
 class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig()
@@ -202,9 +184,9 @@ class TestSimulateStreaming:
 
     @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
     @pytest.mark.parametrize("samples", [0, ROWS])
-    def test_files_match_the_all_at_once_path(self, tmp_path, monkeypatch, calls, samples, cpus):
+    def test_files_match_the_all_at_once_path(self, tmp_path, monkeypatch, calls, samples, cpus, set_cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * self.SPAN)  # 64 floats per CSV cell
-        forks = _cpus(monkeypatch, cpus)
+        forks = set_cpus(cpus)
         config = tmp_path / "config.json"
         space = {"n": 2, "marginal": {"type": "uniform"}}
         config.write_text(json.dumps({"space": space, "samples": samples, "chi": 1.0}))
@@ -227,9 +209,9 @@ class TestSimulateStreaming:
 
     @pytest.mark.parametrize("cpus", [1, 2])  # the span from row 100 runs inline, or in the second part's process
     @pytest.mark.parametrize("earlier", [None, b"s_1,s_2\r\nfrom an earlier run\r\n"])
-    def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, calls, earlier, cpus):
+    def test_failed_span_leaves_no_partial_file(self, tmp_path, monkeypatch, calls, earlier, cpus, set_cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        _cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         calls.fail_at = 100
         out = tmp_path / "out"
         out.mkdir()
@@ -244,9 +226,9 @@ class TestSimulateStreaming:
             assert (out / "outcomes.csv").read_bytes() == earlier
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch, calls, cpus):
+    def test_invariant_error_names_the_sample_row(self, tmp_path, monkeypatch, calls, cpus, set_cpus):
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * 2 + 4) * 100)  # 100-row spans at n = 2
-        _cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         calls.fail_at = 100  # the error names row 3 of that span
         with pytest.raises(MechanismInvariantError) as err:
             run_cli("--out", str(tmp_path / "out"), "--n", "2", "--samples", "250", "simulate")
@@ -417,32 +399,32 @@ class TestOracleCheck:
         grids = 2 * 3 * 3  # n values x models x chi values
         assert len(solves) == 2 * grids  # run_batch and the best response; the thresholds check reuses run_batch's
 
-    def test_oversized_grid_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_oversized_grid_is_config_error(self, tmp_path, set_cpus, capsys):
         """Every grid is checked before any runs, so a bad size forks nothing."""
-        forks = _cpus(monkeypatch, 2)
+        forks = set_cpus(2)
         for option, value, message in (("--m-values", "50", "1 <= m <= 21, got 50"), ("--n-list", "2,5", "2 <= n <= 4, got 5")):
             code = run_cli("--out", str(tmp_path), "oracle-check", option, value)
             assert code == 2
             assert capsys.readouterr().err == f"config error: grid oracle supports {message}\n"
         assert forks == [] and not (tmp_path / "oracle_check.json").exists()
 
-    def test_same_checks_for_any_cpu_count(self, monkeypatch):
+    def test_same_checks_for_any_cpu_count(self, set_cpus):
         dumps = set()
         for cpus, forked in ((1, 0), (2, 2), (3, 3)):
-            forks = _cpus(monkeypatch, cpus)
+            forks = set_cpus(cpus)
             dumps.add(json.dumps(cli._oracle_suite([2, 3], [1, 2, 5], inject_broken=True)))
             assert len(forks) == forked and multiprocessing.active_children() == []
         assert len(dumps) == 1
 
-    def test_a_suite_in_a_part_forks_nothing(self, monkeypatch):
-        forks = _cpus(monkeypatch, 2)  # a fork inside the part raises
+    def test_a_suite_in_a_part_forks_nothing(self, set_cpus):
+        forks = set_cpus(2)  # a fork inside a part raises
         ref = cli._oracle_suite([2], [2])
         forks.clear()
-        assert valuations._forked([lambda: cli._oracle_suite([2], [2])]) == [ref]
-        assert len(forks) == 1 and multiprocessing.active_children() == []
+        assert valuations._in_parts(lambda k, W: cli._oracle_suite([2], [2]), 2) == [ref, ref]
+        assert len(forks) == 2 and multiprocessing.active_children() == []
 
-    def test_a_suite_beside_another_thread_forks_nothing(self, monkeypatch):
-        forks = _cpus(monkeypatch, 2)
+    def test_a_suite_beside_another_thread_forks_nothing(self, set_cpus):
+        forks = set_cpus(2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()

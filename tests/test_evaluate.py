@@ -700,26 +700,18 @@ def _dies_in_child(line, n, cells, winner):
 
 
 class TestOutcomesCsvParts:
-    """Each part of the file after the first is written in its own forked
-    process; the bytes do not depend on the part count, and no process or
-    temporary file outlives the call."""
+    """With several CPUs, each contiguous run of parts is written in its own
+    forked process; the bytes do not depend on the part count, and no process
+    or temporary file outlives the call."""
 
     N, ROWS = 3, 50  # 50-row chunks at n = 3
     CUTS = (0, 60, 110, 110, 152, 153)  # five blocks, one empty and the last a one-row no-sale block
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """Chunks of ROWS rows, and the number of processes forked so far."""
+    def forks(self, monkeypatch, set_cpus):
+        """Chunks of ROWS rows, 3 CPUs, and the list that counts the processes forked."""
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 64 * (2 * self.N + 4) * self.ROWS)
-        forked = []
-        fork = os.fork
-
-        def counting():
-            forked.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return forked
+        return set_cpus(3)
 
     def _parts(self, count):
         """The five blocks cut into ``count`` contiguous parts, the mark at the

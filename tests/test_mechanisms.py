@@ -828,21 +828,6 @@ class TestInputValidation:
         assert batch.payments.shape == (0, 3) and batch.welfare.shape == (0,)
 
 
-def _counted_forks(monkeypatch):
-    """The list that counts the processes forked from here on; a fork inside a
-    forked process raises instead."""
-    parent, fork, forked = os.getpid(), os.fork, []
-
-    def counting():
-        if os.getpid() != parent:
-            raise AssertionError("a forked part forked again")
-        forked.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forked
-
-
 class TestChunkedParts:
     """A ``_chunked`` call of several chunks and ``_FORK_CELLS`` cells runs its
     rows, split by stride, in one forked process per CPU, and gives the bits one
@@ -857,14 +842,12 @@ class TestChunkedParts:
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", self.WIDTH * self.ROWS)
         monkeypatch.setattr(valuations, "_FORK_CELLS", 0)  # any call of two chunks fans out
 
-    def _same_for_any_cpu_count(self, rule, view, ctx, monkeypatch):
+    def _same_for_any_cpu_count(self, rule, view, ctx, monkeypatch, set_cpus):
         ref = rule.critical_bids(view, ctx)  # the default budget
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", 4 * mechanisms._OPT_POINTS)  # 4 optimizer, 5 scan rows
         monkeypatch.setattr(valuations, "_FORK_CELLS", 0)
-        forks = _counted_forks(monkeypatch)
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(valuations, "_cpus", lambda: cpus)
-            forks.clear()
+            forks = set_cpus(cpus)
             got = rule.critical_bids(view, ctx)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64), err_msg=f"{rule!r}, {cpus} CPUs")
             assert (len(forks) > 0) == (cpus > 1)
@@ -872,14 +855,14 @@ class TestChunkedParts:
 
     @pytest.mark.parametrize("marginal", ["uniform", "grid"])
     @pytest.mark.parametrize("model", ["weighted_sum", "max_signal", "l2"])
-    def test_revenue_optimal_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch):
+    def test_revenue_optimal_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch, set_cpus):
         ctx = make_context(SignalSpace(3, _DISTINCT_MARGINALS[marginal]), _DISTINCT_MODELS[model])
         view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(97), 60)[:, 1:], ctx.model)
-        self._same_for_any_cpu_count(RevenueOptimalRule(1.0), view, ctx, monkeypatch)
+        self._same_for_any_cpu_count(RevenueOptimalRule(1.0), view, ctx, monkeypatch, set_cpus)
 
     @pytest.mark.parametrize("marginal", ["uniform", "grid"])
     @pytest.mark.parametrize("model", ["l2", "log1p"])
-    def test_mask_scan_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch):
+    def test_mask_scan_thresholds_for_any_cpu_count(self, model, marginal, monkeypatch, set_cpus):
         ctx = make_context(SignalSpace(3, _DISTINCT_MARGINALS[marginal]), _DISTINCT_MODELS[model])
         view = OthersView.from_others(sample_profiles(ctx.space, RandomStream(101), 200)[:, 1:], ctx.model)
         scanned = []
@@ -889,12 +872,11 @@ class TestChunkedParts:
             m.setattr(mechanisms, "_mask_scan", lambda base, stat, ctx: scanned.append(len(base)) or scan(base, stat, ctx))
             MaskedRule(GVARule()).critical_bids(view, ctx)
         assert sum(scanned) > 10  # rows for 3 or more 5-row scan chunks
-        self._same_for_any_cpu_count(MaskedRule(GVARule()), view, ctx, monkeypatch)
+        self._same_for_any_cpu_count(MaskedRule(GVARule()), view, ctx, monkeypatch, set_cpus)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_parts_take_rows_by_stride(self, monkeypatch, budget, cpus):
-        monkeypatch.setattr(valuations, "_cpus", lambda: cpus)
-        forks = _counted_forks(monkeypatch)
+    def test_parts_take_rows_by_stride(self, budget, cpus, set_cpus):
+        forks = set_cpus(cpus)
         x = np.arange(23.0)
         # a chunk of part k holds rows k, k + W, ...: each row maps to k when its step from the last is W
         out = valuations._chunked(lambda a: np.where(np.diff(a, prepend=a[0] - cpus) == cpus, a % cpus, -1.0), self.WIDTH, x)
@@ -903,16 +885,14 @@ class TestChunkedParts:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("N", [0, 1, ROWS])
-    def test_zero_rows_or_one_chunk_forks_nothing(self, monkeypatch, budget, N):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+    def test_zero_rows_or_one_chunk_forks_nothing(self, budget, N, set_cpus):
+        forks = set_cpus(2)
         x = np.arange(float(N))
         assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
         assert forks == []
 
-    def test_a_call_below_the_fork_budget_runs_inline(self, monkeypatch, budget):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+    def test_a_call_below_the_fork_budget_runs_inline(self, monkeypatch, budget, set_cpus):
+        forks = set_cpus(2)
         x = np.arange(23.0)  # 23 * WIDTH cells in 6 chunks
         for cells, forked in ((23 * self.WIDTH + 1, 0), (23 * self.WIDTH, 2)):
             monkeypatch.setattr(valuations, "_FORK_CELLS", cells)
@@ -920,15 +900,14 @@ class TestChunkedParts:
             assert np.array_equal(valuations._chunked(lambda a: 2 * a, self.WIDTH, x), 2 * x)
             assert len(forks) == forked
 
-    def test_a_call_in_a_part_runs_inline(self, monkeypatch, budget):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)  # a fork inside a part raises
+    def test_a_call_in_a_part_runs_inline(self, budget, set_cpus):
+        forks = set_cpus(2)  # a fork inside a part raises
         inner = lambda a: valuations._chunked(lambda b: 2 * b, self.WIDTH, np.repeat(a, 3))[::3]  # 3 chunks
         x = np.arange(23.0)
         assert np.array_equal(valuations._chunked(inner, self.WIDTH, x), 2 * x)
         assert len(forks) == 2
 
-    def test_a_call_from_a_reduce_thread_runs_inline(self, monkeypatch):
+    def test_a_call_from_a_reduce_thread_runs_inline(self, monkeypatch, set_cpus):
         space = SignalSpace(3, UniformIID(1.0))
         monkeypatch.setattr(valuations, "_CHUNK_CELLS", mechanisms._BATCH_CELLS * 3 * 8)  # 8-row spans, 24-row chunks
         monkeypatch.setattr(valuations, "_FORK_CELLS", 0)
@@ -938,17 +917,15 @@ class TestChunkedParts:
             threads.append(threading.current_thread() is threading.main_thread())
             return {"x": valuations._chunked(lambda a: 2 * a, self.WIDTH, np.repeat(profiles[:, 0], 10))[::10]}
 
-        monkeypatch.setattr(valuations, "_cpus", lambda: 1)
+        set_cpus(1)
         ref = evaluate._reduce(space, ["x"], values_fn, 100, 5, 30)
         threads.clear()
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+        forks = set_cpus(2)
         assert evaluate._reduce(space, ["x"], values_fn, 100, 5, 30) == ref  # 4 chunks on 2 threads
         assert threads and not any(threads) and forks == []
 
-    def test_a_call_beside_another_thread_runs_inline(self, monkeypatch, budget):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+    def test_a_call_beside_another_thread_runs_inline(self, budget, set_cpus):
+        forks = set_cpus(2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
@@ -963,9 +940,8 @@ class TestChunkedParts:
     @pytest.mark.parametrize(
         "error", [ValueError("bad row 0"), MechanismInvariantError("more than one winner", 103, 1, 2.0)], ids=repr
     )
-    def test_an_error_in_a_part_arrives_whole(self, monkeypatch, budget, error):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+    def test_an_error_in_a_part_arrives_whole(self, budget, error, set_cpus):
+        forks = set_cpus(2)
 
         def fn(a):
             if 0.0 in a:  # part 0
@@ -981,9 +957,8 @@ class TestChunkedParts:
         assert (type(err.value), str(err.value), vars(err.value)) == (type(error), str(error), vars(error))
         assert len(forks) == 2 and multiprocessing.active_children() == []
 
-    def test_a_part_that_dies_is_a_runtime_error(self, monkeypatch, budget):
-        monkeypatch.setattr(valuations, "_cpus", lambda: 2)
-        forks = _counted_forks(monkeypatch)
+    def test_a_part_that_dies_is_a_runtime_error(self, budget, set_cpus):
+        forks = set_cpus(2)
 
         def fn(a):
             if 1.0 in a:
@@ -995,40 +970,79 @@ class TestChunkedParts:
         assert len(forks) == 2 and multiprocessing.active_children() == []
 
 
-class TestForked:
-    """``valuations._forked`` runs each part in its own forked process and
-    returns the parts' return values, pickled, in part order."""
+class TestInParts:
+    """``valuations._in_parts(work, count)`` returns ``[work(k, W) for k in
+    range(W)]`` with W = min(CPUs, count): from W = 2 on each part runs in its
+    own forked process and its return value comes back pickled, in part order;
+    otherwise ``work(0, 1)`` runs in the calling process."""
 
-    def test_results_come_back_in_part_order(self, monkeypatch, tmp_path):
-        forks = _counted_forks(monkeypatch)
+    def test_results_come_back_in_part_order(self, set_cpus, tmp_path):
+        forks = set_cpus(3)
         flag = tmp_path / "part 1 returned"
 
-        def last():  # part 0 returns only after part 1 has
-            deadline = time.monotonic() + 10
-            while not flag.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            return ("part 0", flag.exists())
+        def work(k, W):
+            if k == 0:  # part 0 returns only after part 1 has
+                deadline = time.monotonic() + 10
+                while not flag.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                return ("part 0 of", W, flag.exists())
+            if k == 1:
+                flag.touch()
+                return [1.5, {"part": 1}]
+            return None
 
-        got = valuations._forked([last, lambda: flag.touch() or [1.5, {"part": 1}], lambda: None])
-        assert got == [("part 0", True), [1.5, {"part": 1}], None]
+        assert valuations._in_parts(work, 5) == [("part 0 of", 3, True), [1.5, {"part": 1}], None]
         assert len(forks) == 3 and multiprocessing.active_children() == []
 
-    def test_an_unpicklable_result_is_a_runtime_error(self, monkeypatch):
-        forks = _counted_forks(monkeypatch)
-        with pytest.raises(RuntimeError, match="died with exit code 1"):
-            valuations._forked([lambda: 0, lambda: (lambda: 1)])
+    @pytest.mark.parametrize("cpus, count", [(1, 5), (3, 1), (3, 0)])
+    def test_one_part_runs_inline(self, set_cpus, cpus, count):
+        forks = set_cpus(cpus)
+        assert valuations._in_parts(lambda k, W: (k, W, os.getpid()), count) == [(0, 1, os.getpid())]
+        assert forks == []
+
+    def test_the_affinity_mask_sets_the_part_count(self, set_cpus):
+        """Under the real affinity mask: W forked parts, or the inline call when W = 1."""
+        forks = set_cpus(None)
+        W = min(len(os.sched_getaffinity(0)), 5)
+        assert valuations._in_parts(lambda k, parts: (k, parts), 5) == [(k, W) for k in range(W)]
+        assert len(forks) == (W if W > 1 else 0) and multiprocessing.active_children() == []
+
+    def test_a_call_in_a_part_runs_inline(self, set_cpus):
+        forks = set_cpus(2)  # a fork inside a part raises
+        got = valuations._in_parts(lambda k, W: valuations._in_parts(lambda j, V: (k, W, j, V), 3), 2)
+        assert got == [[(0, 2, 0, 1)], [(1, 2, 0, 1)]]
+        assert len(forks) == 2 and multiprocessing.active_children() == []
+
+    def test_an_unpicklable_result_is_a_runtime_error(self, set_cpus):
+        forks = set_cpus(2)
+        with pytest.raises(RuntimeError, match="a forked part's result cannot be pickled: AttributeError.*local object"):
+            valuations._in_parts(lambda k, W: k if k == 0 else (lambda: 1), 2)
+        assert len(forks) == 2 and multiprocessing.active_children() == []
+
+    def test_an_unpicklable_exception_is_a_runtime_error(self, set_cpus):
+        forks = set_cpus(2)
+
+        def work(k, W):
+            if k == 1:
+                raise ValueError(lambda: 1)
+            return k
+
+        with pytest.raises(RuntimeError, match="a forked part's exception cannot be pickled: AttributeError.*local object"):
+            valuations._in_parts(work, 2)
         assert len(forks) == 2 and multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "error", [ValueError("bad row 0"), MechanismInvariantError("more than one winner", 103, 1, 2.0)], ids=repr
     )
-    def test_an_error_in_a_part_arrives_whole(self, monkeypatch, error):
-        forks = _counted_forks(monkeypatch)
+    def test_an_error_in_a_part_arrives_whole(self, set_cpus, error):
+        forks = set_cpus(2)
 
-        def fail():
-            raise error
+        def work(k, W):
+            if k == 1:
+                raise error
+            return [0.5]
 
         with pytest.raises(type(error)) as err:
-            valuations._forked([lambda: [0.5], fail])
+            valuations._in_parts(work, 2)
         assert (type(err.value), str(err.value), vars(err.value)) == (type(error), str(error), vars(error))
         assert len(forks) == 2 and multiprocessing.active_children() == []

@@ -303,6 +303,16 @@ class TestStructuralChecks:
         with pytest.raises(ValueError, match="non-negative"):
             check_cursedness_monotonicity(make_interim_cache(space, ConcaveSum(l=LOG1P, g=IDENTITY, h=IDENTITY)), -1)
 
+    def test_zero_sample_count_rejected(self):
+        """A check of no sample would pass having checked nothing: beta = 5 fails at 100 samples."""
+        space = SignalSpace(3, UniformIID(1.0))
+        assert not check_single_crossing(WeightedSum(5.0), space, 100).passed
+        with pytest.raises(ValueError, match="sample_count must be positive"):
+            check_single_crossing(WeightedSum(5.0), space, 0)
+        for model in (ConcaveSum(l=LOG1P, g=IDENTITY, h=IDENTITY), WeightedSum(0.5)):
+            with pytest.raises(ValueError, match="sample_count must be positive"):
+                check_cursedness_monotonicity(make_interim_cache(space, model), 0)
+
 
 class TestRowSpans:
     STEP = valuations._CHUNK_CELLS // 40  # rows of a chunk at width 40
