@@ -44,7 +44,7 @@ mechs = {
 header = f"{'mechanism':>24} " + " ".join(f"{k:>10}" for k in CHECKERS)
 print(header)
 for name, mech in mechs.items():
-    draw = Draw(mech, ctx, plan)  # one sample and one run_batch, read by every checker
+    draw = Draw(mech, ctx, plan)  # the same sample for every checker, each drawing it in one pass over its spans
     cells = ["pass" if checker(draw).passed else "FAIL" for checker in CHECKERS.values()]
     print(f"{name:>24} " + " ".join(f"{c:>10}" for c in cells))
 

@@ -21,19 +21,19 @@ import numpy as np
 
 from . import evaluate as ev
 from . import oracle as orc
-from . import valuations
+from . import valuations, verify
 from .mechanisms import (
     GVARule,
     Mechanism,
-    MechanismInvariantError,
     OthersView,
     RevenueOptimalRule,
+    _executed,
     make_context,
     masked_gva,
     rule_from_config,
     run_batch,
 )
-from .signals import RandomStream, SignalSpace, UniformIID, _config_number, _draw_spans
+from .signals import RandomStream, SignalSpace, UniformIID, _config_number
 from .valuations import MaxSignal, WeightedSum, _row_spans, model_from_config
 from .verify import CHECKERS, Draw, SamplingPlan
 
@@ -212,12 +212,7 @@ def cmd_simulate(args) -> int:
     spans = _row_spans(cfg.samples, 64 * (2 * space.n + 4))
 
     def executed(span):
-        for profiles in _draw_spans(space, RandomStream(cfg.seed), [span]):
-            try:
-                batch = run_batch(mech, profiles, ctx)
-            except MechanismInvariantError as exc:  # name the sample row, not the span row
-                witness = MechanismInvariantError(exc.what, span.start + exc.row, exc.agent, exc.value)
-                raise witness.with_traceback(exc.__traceback__) from None
+        for profiles, batch in _executed(ctx, RandomStream(cfg.seed), [span], mech):
             for metric in metrics:
                 values[metric][span] = ev._metric_from_batch(metric, batch, profiles, ctx, mech)
             yield profiles, batch
@@ -236,8 +231,9 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     names = [p.strip() for p in args.properties.split(",") if p.strip()]
     unknown = [p for p in names if p not in CHECKERS]
-    if unknown:
-        raise ConfigError(f"unknown properties {unknown}; available: {sorted(CHECKERS)}")
+    if unknown or not names:
+        what = f"unknown properties {unknown}" if unknown else "--properties names no property"
+        raise ConfigError(f"{what}; available: {sorted(CHECKERS)}")
     _space, _model, ctx, mech = cfg.build()
     try:
         plan = SamplingPlan(
@@ -247,8 +243,7 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    draw = Draw(mech, ctx, plan)
-    reports = {name: CHECKERS[name](draw) for name in names}
+    reports = dict(zip(names, verify._pass(Draw(mech, ctx, plan), [verify._CHECKS[name] for name in names])))
     payload = {
         "config": cfg.to_dict(),
         "reports": {k: r.to_json() for k, r in reports.items()},

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import valuations
-from .mechanisms import _BATCH_CELLS, AuctionContext, Mechanism, run_batch
+from .mechanisms import AuctionContext, Mechanism, _batch_spans, run_batch
 from .signals import GenericIID, RandomStream, SignalSpace, UniformIID, _draw_spans
 from .valuations import (
     ConcaveSum,
@@ -189,7 +189,7 @@ def _reduce(
 
     def one(chunk):
         c, rows = chunk
-        spans = _row_spans(rows, _BATCH_CELLS * space.n)
+        spans = _batch_spans(rows, space.n)
         parts = [values_fn(profiles) for profiles in _draw_spans(space, RandomStream(seed, c), spans)]
         return {k: _moments(np.concatenate([p[k] for p in parts])) for k in keys}
 

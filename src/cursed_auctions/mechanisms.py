@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import SignalSpace, _checked_profiles, _checked_signals, _config_number
+from .signals import RandomStream, SignalSpace, _checked_profiles, _checked_signals, _config_number, _draw_spans
 from .valuations import (
     InterimCache,
     MaxSignal,
@@ -591,7 +591,7 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
         np.empty(N, dtype=np.intp), np.empty((N, n), dtype=bool), np.empty((N, n)),
         np.empty((N, n)), np.empty((N, n)), np.zeros(N), np.empty(N),
     )
-    for span in _row_spans(N, _BATCH_CELLS * n):
+    for span in _batch_spans(N, n):
         rows = profiles[span]
         q = _quote(mech, rows, ctx, range(n), span.start)
         w, pay = _outcomes(mech, q, rows.reshape(-1, 1), ctx)
@@ -610,6 +610,25 @@ def run_batch(mech: Mechanism, profiles: np.ndarray, ctx: AuctionContext) -> Bat
         out.winner[span] = np.where(n_winners == 1, np.argmax(win, axis=1), -1)
         out.revenue[span] = out.payments[span].sum(axis=1)
     return out
+
+
+def _batch_spans(N: int, n: int) -> list:
+    """The row spans ``run_batch`` quotes N profiles of n agents in."""
+    return _row_spans(N, _BATCH_CELLS * n)
+
+
+def _executed(ctx: AuctionContext, stream: RandomStream, spans, *mechs):
+    """Yield ``(profiles, *batches)`` for each slice of ``spans``, which
+    must tile the rows in order: the span's rows of ``sample_profiles(ctx.space,
+    stream, ...)`` and one ``run_batch`` of them per mechanism.  A
+    MechanismInvariantError names the row of the whole sample."""
+    for span, profiles in zip(spans, _draw_spans(ctx.space, stream, spans)):
+        try:
+            batches = [run_batch(mech, profiles, ctx) for mech in mechs]
+        except MechanismInvariantError as exc:
+            witness = MechanismInvariantError(exc.what, span.start + exc.row, exc.agent, exc.value)
+            raise witness.with_traceback(exc.__traceback__) from None
+        yield profiles, *batches
 
 
 def run(mech: Mechanism, profile: np.ndarray, ctx: AuctionContext) -> Outcome:
@@ -637,10 +656,13 @@ def agent_outcomes_for_bids(
     reports truthfully, so agent i's quote (critical bid, compensation and
     threshold price) is fixed per row while the win indicator and any
     report-dependent (broken) pricing vary across the grid.  The bid column
-    ``profiles[:, [i]]`` reproduces column i of ``run_batch`` exactly; a profile
-    or bid outside [0, s_bar] is a ValueError.  Returns (win (N, G), payments
-    (N, G), thresholds (N,), compensations (N,)).
+    ``profiles[:, [i]]`` reproduces column i of ``run_batch`` exactly; an agent
+    i outside range(n), or a profile or bid outside [0, s_bar], is a
+    ValueError.  Returns (win (N, G), payments (N, G), thresholds (N,),
+    compensations (N,)).
     """
+    if not 0 <= i < ctx.space.n:
+        raise ValueError(f"agent {i} is outside range({ctx.space.n})")
     q = _quote(mech, _checked_profiles(profiles, ctx.space), ctx, [i])
     win, payments = _outcomes(mech, q, _checked_signals(bids, ctx.space), ctx)
     return win, payments, q.t, q.compensation

@@ -206,7 +206,10 @@ def brute_force_best_response(
     """Exhaustive deviation search: at every own grid signal and others-profile,
     the cursed utility of every grid bid, through the mechanism itself, against
     truthful reporting.  The cursed value uses the oracle's exact interim
-    expectation, keeping the check independent of the mechanism's cache."""
+    expectation, keeping the check independent of the mechanism's cache.  An
+    agent i outside range(n) is a ValueError."""
+    if not 0 <= i < grid.n:
+        raise ValueError(f"agent {i} is outside range({grid.n})")
     ctx = ctx or grid.context()
     others = grid.others_profiles()
     bids = grid.points

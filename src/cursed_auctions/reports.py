@@ -1,7 +1,7 @@
 """Machine-readable results for property checks and comparisons.
 
 Every sampled check computes one margin per checked case, positive where the
-case violates the property, and builds its report run by run with ``_worst_case``.
+case violates the property, and builds its report run by run in a ``_WorstCases``.
 """
 
 from __future__ import annotations
@@ -50,25 +50,47 @@ class CheckReport:
         }
 
 
-def _worst_case(name: str, spans, tolerance: float, samples_checked: int) -> CheckReport:
-    """The report of a sampled check from the ``(margins, witness)`` runs of
-    consecutive cases that ``spans`` yields, a margin being positive where its
+class _WorstCases:
+    """The running report of a sampled check, built from the ``(margins,
+    witness)`` runs of its consecutive cases, a margin being positive where its
     case violates the property: the largest margin (0 if none is positive)
     and, as witnesses, ``{**witness(k), "margin": margins[k]}`` for the
     ``_MAX_WITNESSES`` largest positive margins, k indexing the run's flat
     margins: NaN first, then largest first, ties in case order, however the
-    cases are cut.  A run's witness is called before the next run is drawn."""
-    worst, kept = 0.0, []
-    for margins, witness in spans:
+    cases are cut.  ``add`` calls a run's witness before it returns."""
+
+    def __init__(self):
+        self.worst, self.kept = 0.0, []
+
+    def add(self, margins, witness) -> None:
         margins = np.ravel(margins)
-        worst = np.maximum(worst, margins.max(initial=0.0))  # NaN kept
         violating = np.flatnonzero(~(margins <= 0))  # positive or NaN
         order = np.lexsort((-margins[violating], ~np.isnan(margins[violating])))  # stable: ties keep ascending k
+        cases = []
         for k in violating[order[:_MAX_WITNESSES]]:
             m = float(margins[k])  # ranked NaN first, then largest
-            kept.append(((m == m, -m if m == m else 0.0), {**witness(int(k)), "margin": m}))
-        kept = sorted(kept, key=lambda c: c[0])[:_MAX_WITNESSES]  # stable: earlier runs' ties stay first
-    return CheckReport(name, worst, tolerance, samples_checked, [w for _, w in kept])
+            cases.append(((m == m, -m if m == m else 0.0), {**witness(int(k)), "margin": m}))
+        self._fold(margins.max(initial=0.0), cases)
+
+    def merge(self, later: "_WorstCases") -> "_WorstCases":
+        """Fold in the running report of the cases that come after these."""
+        return self._fold(later.worst, later.kept)
+
+    def _fold(self, worst, cases) -> "_WorstCases":
+        self.worst = np.maximum(self.worst, worst)  # NaN kept
+        self.kept = sorted(self.kept + cases, key=lambda c: c[0])[:_MAX_WITNESSES]  # stable: earlier ties stay first
+        return self
+
+    def report(self, name: str, tolerance: float, samples_checked: int) -> CheckReport:
+        return CheckReport(name, self.worst, tolerance, samples_checked, [w for _, w in self.kept])
+
+
+def _worst_case(name: str, spans, tolerance: float, samples_checked: int) -> CheckReport:
+    """The ``_WorstCases`` report of the ``(margins, witness)`` runs ``spans`` yields."""
+    cases = _WorstCases()
+    for margins, witness in spans:
+        cases.add(margins, witness)
+    return cases.report(name, tolerance, samples_checked)
 
 
 def _jsonify(obj):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cursed_auctions import cli, evaluate, valuations
+from cursed_auctions import cli, evaluate, mechanisms, valuations
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
 from cursed_auctions.mechanisms import MechanismInvariantError, Mechanism, OthersView, RevenueOptimalRule, run_batch
 from cursed_auctions.oracle import GridModel
@@ -164,7 +164,7 @@ class TestSimulateStreaming:
             return sorted(tuple(map(int, x.split()[1:])) for x in lines if x.split()[0] == kind)
 
         calls.fail_at = None
-        monkeypatch.setattr(cli, "run_batch", logged_run_batch)
+        monkeypatch.setattr(mechanisms, "run_batch", logged_run_batch)  # the one draw-and-execute loop's namespace
         monkeypatch.setattr(evaluate, "_csv_text", logged_csv_text)
         return calls
 
@@ -285,6 +285,12 @@ class TestVerify:
     def test_unknown_property_is_usage_error(self, tmp_path):
         code = run_cli("--out", str(tmp_path), "--samples", "10", "verify", "--properties", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("properties", [",", "", " , "])
+    def test_no_property_is_usage_error(self, tmp_path, capsys, properties):
+        code = run_cli("--out", str(tmp_path), "--samples", "10", "verify", "--properties", properties)
+        assert code == 2 and "names no property" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
 
 class TestExperiments:

@@ -817,6 +817,12 @@ class TestInputValidation:
             with pytest.raises(ValueError):
                 agent_outcomes_for_bids(mech, 0, profiles, bids, three_ctx)
 
+    @pytest.mark.parametrize("i", [-1, 3, 4])
+    def test_agent_outside_range_rejected(self, three_ctx, i):
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        with pytest.raises(ValueError, match="outside range"):
+            agent_outcomes_for_bids(mech, i, np.array([[0.5, 0.2, 0.1]]), np.array([0.0, 1.0]), three_ctx)
+
     def test_support_edge_bids_accepted(self, three_ctx):
         mech = Mechanism(GVARule(), 0.5, "compensated")
         profiles = np.array([[0.5, 0.2, 0.1]])

@@ -280,6 +280,17 @@ class TestBestResponse:
         broken = RealizedPriceMechanism(GVARule(), 0.5, "compensated")
         assert brute_force_best_response(grid, broken, i, ctx).regret > 1e-6
 
+    def test_agent_outside_range_rejected(self):
+        """Agents 0 and 1 have no regret here; -1 once built a wrong profile
+        layout and reported 0.5, and 2 raised IndexError."""
+        grid = GridModel(n=2, m=3, model=WeightedSum(0.5), chi=0.5)
+        ctx = grid.context()
+        mech = Mechanism(GVARule(), 0.5, "compensated")
+        assert [brute_force_best_response(grid, mech, i, ctx).regret for i in (0, 1)] == [0.0, 0.0]
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match="outside range"):
+                brute_force_best_response(grid, mech, i, ctx)
+
     @pytest.mark.parametrize("beta,chi", [(0.5, 0.0), (0.5, 0.5), (1.0, 0.0), (1.0, 0.5)])
     def test_others_stat_rounding_pinned(self, beta, chi):
         """The mechanism forms the others' weighted sum as S - s_i and the

@@ -12,7 +12,7 @@ import pytest
 from cursed_auctions import valuations
 from cursed_auctions.mechanisms import GVARule, make_context
 from cursed_auctions.reports import _MAX_WITNESSES, _worst_case
-from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID
+from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.testing import IntervalAllocationMechanism, RealizedPriceMechanism
 from cursed_auctions.valuations import (
     ConcaveSum,
@@ -85,7 +85,7 @@ def test_tied_allocation_drops_name_the_first_profiles():
     draw = Draw(IntervalAllocationMechanism(GVARule(), 0.5), ctx, plan)
     rep = check_allocation_monotone(draw)
     assert rep.samples_checked == 10_000 and [w["margin"] for w in rep.witnesses] == [1.0] * _MAX_WITNESSES
-    assert [w["profile"] for w in rep.witnesses] == draw.profiles[:_MAX_WITNESSES].tolist()
+    assert [w["profile"] for w in rep.witnesses] == sample_profiles(ctx.space, plan.stream, _MAX_WITNESSES).tolist()
 
 
 def test_worst_case_without_violations():
