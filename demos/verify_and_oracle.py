@@ -28,7 +28,7 @@ from cursed_auctions.oracle import (
     oracle_payments,
 )
 from cursed_auctions.testing import RealizedPriceMechanism
-from cursed_auctions.verify import CHECKERS, Draw, SamplingPlan
+from cursed_auctions.verify import CHECKERS, Draw, SamplingPlan, check_properties
 
 ctx = make_context(SignalSpace(3, UniformIID(1.0)), WeightedSum(0.5))
 plan = SamplingPlan(profile_count=3_000, deviation_grid_size=41, stream=RandomStream(5))
@@ -44,8 +44,8 @@ mechs = {
 header = f"{'mechanism':>24} " + " ".join(f"{k:>10}" for k in CHECKERS)
 print(header)
 for name, mech in mechs.items():
-    draw = Draw(mech, ctx, plan)  # the same sample for every checker, each drawing it in one pass over its spans
-    cells = ["pass" if checker(draw).passed else "FAIL" for checker in CHECKERS.values()]
+    reports = check_properties(Draw(mech, ctx, plan), list(CHECKERS))  # every checker in one pass over the sample
+    cells = ["pass" if rep.passed else "FAIL" for rep in reports.values()]
     print(f"{name:>24} " + " ".join(f"{c:>10}" for c in cells))
 
 print("\n== Exact enumeration on a 3-point grid ==")

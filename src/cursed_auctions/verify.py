@@ -1,19 +1,19 @@
 """Sampled checkers for the incentive and budget properties of auction mechanisms.
 
 Each checker reads one :class:`Draw`, the signal profiles a
-:class:`SamplingPlan` draws, in one pass over ``run_batch``'s row spans: each
-span is drawn and executed once (``mechanisms._executed``), and every check of
-the pass folds the runs of the span in hand into its own running report
-(``reports._WorstCases``), so a pass holds one span and the properties of one
-verify run are checked on the same sample and thresholds.  Each check
-computes one margin per case (profile; (eps, profile); (chi pair, profile,
-agent)), positive where the case violates the property; eps and chi pairs
-keep a running report each, merged in that order.
-Deviation-based checks evaluate a finite bid grid that always contains the
-truthful report, the support endpoints, and the agent's critical bid
-plus/minus a small nudge; for threshold mechanisms a bidder's utility is
-piecewise constant in the bid with a single jump at the critical bid, so this
-grid is exhaustive up to the nudge width.
+:class:`SamplingPlan` draws, in one pass (``_pass``) over ``run_batch``'s row
+spans: each span is drawn and executed once (``mechanisms._executed``), and
+every check of the pass folds the span in hand into its own running report
+(``reports._WorstCases``), so a pass holds one span.  ``check_properties``
+checks several properties in one pass, on the same sample and thresholds.
+Each check computes one margin per case (profile; (eps, profile); (chi pair,
+profile, agent)), positive where the case violates the property; eps and chi
+pairs keep a running report each, merged in that order.  Deviation-based
+checks evaluate a finite bid grid that always contains the truthful report,
+the support endpoints, and the agent's critical bid plus/minus a small nudge;
+for threshold mechanisms a bidder's utility is piecewise constant in the bid
+with a single jump at the critical bid, so this grid is exhaustive up to the
+nudge width.
 
 Tolerances default to 1e-9 times the value at the all-s_bar profile so that
 the same checks stay meaningful on [0, 1] and [0, 100] supports.
@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,17 +36,8 @@ from .signals import RandomStream
 from .valuations import _row_spans, cursed_value, profile_stats, value, value_scale
 
 __all__ = [
-    "SamplingPlan",
-    "Draw",
-    "check_cepic",
-    "check_epir",
-    "check_cepir",
-    "check_epbb",
-    "check_no_positive_transfers",
-    "check_allocation_monotone",
-    "check_chi_robustness",
-    "check_payment_chi_monotone",
-    "CHECKERS",
+    "SamplingPlan", "Draw", "check_cepic", "check_epir", "check_cepir", "check_epbb", "check_no_positive_transfers",
+    "check_allocation_monotone", "check_chi_robustness", "check_payment_chi_monotone", "check_properties", "CHECKERS",
 ]
 
 _NUDGE = 1e-6
@@ -62,6 +54,10 @@ class SamplingPlan:
     stream: RandomStream = field(default_factory=lambda: RandomStream(2024))
 
     def __post_init__(self):
+        for key in ("profile_count", "deviation_grid_size"):
+            count = getattr(self, key)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {count!r}")
         if self.profile_count < 1:
             raise ValueError("profile_count must be positive: no property is checked on zero profiles")
         if self.deviation_grid_size < 0:
@@ -84,18 +80,18 @@ class Draw:
         self.mech, self.ctx, self.plan = mech, ctx, plan
         self.tolerance = plan.resolve_tolerance(ctx)
 
-    def _spans(self):
-        """Each row span of ``run_batch``, drawn and executed, as a ``_Span``."""
+    def _spans(self, *extra: Mechanism):
+        """Each ``run_batch`` row span, executed by the draw's mechanism and then ``extra``, as a ``_Span``."""
         spans = _batch_spans(self.plan.profile_count, self.ctx.space.n)
-        for profiles, batch in _executed(self.ctx, self.plan.stream, spans, self.mech):
-            yield _Span(self, profiles, batch)
+        for profiles, *batches in _executed(self.ctx, self.plan.stream, spans, self.mech, *extra):
+            yield _Span(self, profiles, batches)
 
 
 class _Span:
-    """One drawn and executed row span of a Draw: its profiles and their batch."""
+    """One drawn and executed row span of a Draw: its profiles and batches, the draw's mechanism's (``batch``) first."""
 
-    def __init__(self, draw: Draw, profiles: np.ndarray, batch):
-        self.draw, self.profiles, self.batch = draw, profiles, batch
+    def __init__(self, draw: Draw, profiles: np.ndarray, batches: list):
+        self.draw, self.profiles, self.batches, self.batch = draw, profiles, batches, batches[0]
 
     def agent_quote(self, i: int, rows: slice = slice(None)) -> Quote:
         """Agent i's quote for the span's rows ``rows``, rebuilt from the
@@ -112,19 +108,23 @@ class _Span:
         return [cursed_value(ctx.interim, chi, P, i) for i in range(ctx.space.n)]
 
 
-def _pass(draw: Draw, checks) -> list:
-    """The reports of ``checks`` from one pass over the draw's spans.
+def _pass(draw: Draw, checks, *extra: Mechanism) -> list:
+    """The reports of ``checks`` from one pass over the draw's spans, executed
+    by its mechanism and then by ``extra``.
 
     A check is ``(name, parts, runs)``: ``runs(span)`` yields the ``(part,
     rows, margins, witness)`` runs of the span in hand, one margin per profile
-    of ``span.profiles[rows]``, each folded into running report ``part`` of
-    ``parts``; the parts are merged in order, so the cases run part-major, and
-    each witness names its profile."""
+    of ``span.profiles[rows]`` or per (profile, agent), each folded into
+    running report ``part`` of ``parts`` (N * parts samples); the parts are
+    merged in order, so the cases run part-major, and each witness names its
+    profile."""
     folds = [[_WorstCases() for _ in range(parts)] for _, parts, _ in checks]
-    for span in draw._spans():
+    for span in draw._spans(*extra):
         for (_, _, runs), fold in zip(checks, folds):
             for part, rows, margins, witness in runs(span):
-                fold[part].add(margins, lambda k: {"profile": span.profiles[rows][k].tolist(), **witness(k)})
+                profiles = span.profiles[rows]
+                per = np.size(margins) // len(profiles)  # cases per profile
+                fold[part].add(margins, lambda k: {"profile": profiles[k // per].tolist(), **witness(k)})
     N = draw.plan.profile_count
     merged = [functools.reduce(_WorstCases.merge, fold) for fold in folds]
     return [cases.report(name, draw.tolerance, N * parts) for cases, (name, parts, _) in zip(merged, checks)]
@@ -201,45 +201,42 @@ def _allocation_monotone_runs(span: _Span):
         yield 0, chunk, margin, lambda k: {"agent": int(agent[k]), "drop_at": float(s_grid[first[k] + 1])}
 
 
-_CHECKS = {  # the checks of CHECKERS, by the same names, as ``_pass`` takes them
-    "cepic": ("cepic", 1, _cepic_runs),
-    "epir": ("epir", 1, _ir_runs),
-    "cepir": ("cepir", 1, lambda span: _ir_runs(span, span.draw.mech.chi)),
-    "epbb": ("epbb", 1, lambda span: _whole(np.maximum(0.0, -span.batch.revenue))),
-    "npt": ("no_positive_transfers", 1, lambda span: _whole(np.abs(span.batch.compensations).max(axis=1))),
-    "allocation_monotone": ("allocation_monotone", 1, _allocation_monotone_runs),
+def _checker(name: str, runs, doc: str):
+    """The checker ``check_<name>``: a pass of its one check ``(name, 1, runs)``, which it carries as ``_check``."""
+
+    def checker(draw: Draw) -> CheckReport:
+        return _pass(draw, [checker._check])[0]
+
+    checker._check, checker.__doc__ = (name, 1, runs), doc
+    checker.__name__ = checker.__qualname__ = f"check_{name}"
+    return checker
+
+
+CHECKERS = {  # the checker of each property verify names, each a pass of its one check
+    "cepic": _checker(
+        "cepic", _cepic_runs,
+        "Truthful reporting maximizes the cursed utility against every sampled deviation, profile by profile.",
+    ),
+    "epir": _checker("epir", _ir_runs, "No agent's realized true-value utility is negative under truthful play."),
+    "cepir": _checker(
+        "cepir", lambda span: _ir_runs(span, span.draw.mech.chi),
+        "No agent's cursed utility is negative under truthful play.",
+    ),
+    "epbb": _checker(
+        "epbb", lambda span: _whole(np.maximum(0.0, -span.batch.revenue)),
+        "The seller's total collected payment is non-negative on every profile.",
+    ),
+    "npt": _checker(
+        "no_positive_transfers", lambda span: _whole(np.abs(span.batch.compensations).max(axis=1)),
+        "The participation constant is exactly zero at every sampled others-profile.",
+    ),
+    "allocation_monotone": _checker(
+        "allocation_monotone", _allocation_monotone_runs,
+        "Fixing the others, the win indicator is non-decreasing in the own report.",
+    ),
 }
-
-
-def check_cepic(draw: Draw) -> CheckReport:
-    """Truthful reporting maximizes the cursed utility against every sampled
-    deviation, profile by profile."""
-    return _pass(draw, [_CHECKS["cepic"]])[0]
-
-
-def check_epir(draw: Draw) -> CheckReport:
-    """No agent's realized true-value utility is negative under truthful play."""
-    return _pass(draw, [_CHECKS["epir"]])[0]
-
-
-def check_cepir(draw: Draw) -> CheckReport:
-    """No agent's cursed utility is negative under truthful play."""
-    return _pass(draw, [_CHECKS["cepir"]])[0]
-
-
-def check_epbb(draw: Draw) -> CheckReport:
-    """The seller's total collected payment is non-negative on every profile."""
-    return _pass(draw, [_CHECKS["epbb"]])[0]
-
-
-def check_no_positive_transfers(draw: Draw) -> CheckReport:
-    """The participation constant is exactly zero at every sampled others-profile."""
-    return _pass(draw, [_CHECKS["npt"]])[0]
-
-
-def check_allocation_monotone(draw: Draw) -> CheckReport:
-    """Fixing the others, the win indicator is non-decreasing in the own report."""
-    return _pass(draw, [_CHECKS["allocation_monotone"]])[0]
+(check_cepic, check_epir, check_cepir, check_epbb,
+ check_no_positive_transfers, check_allocation_monotone) = CHECKERS.values()
 
 
 def _chi_robustness(draw: Draw, eps_list: Sequence[float]):
@@ -285,23 +282,24 @@ def check_payment_chi_monotone(
         raise ValueError("a chi grid of fewer than two values compares nothing")
     if any(b < a for a, b in zip(chis, chis[1:])):
         raise ValueError("chi grid must be sorted ascending")
-    N, n = plan.profile_count, ctx.space.n
-    mechs = [Mechanism(rule, c, "compensated") for c in chis]
-    pairs = [_WorstCases() for _ in chis[1:]]  # one running report per chi pair, merged in pair order
-    for profiles, *batches in _executed(ctx, plan.stream, _batch_spans(N, n), *mechs):
-        for pair, (a, b) in enumerate(zip(batches, batches[1:])):
-            # (profile, agent): the payment's rise from one chi to the next
-            witness = lambda k: {"profile": profiles[k // n].tolist(), "agent": k % n, "chi_pair": chis[pair : pair + 2]}
-            pairs[pair].add(b.payments - a.payments, witness)
-    report = functools.reduce(_WorstCases.merge, pairs)
-    return report.report("payment_chi_monotone", plan.resolve_tolerance(ctx), N * len(chis))
+    n, mechs = ctx.space.n, [Mechanism(rule, c, "compensated") for c in chis]
+
+    def runs(span):  # (profile, agent): the payment's rise from one chi to the next
+        for pair, (a, b) in enumerate(zip(span.batches, span.batches[1:])):
+            witness = lambda k: {"agent": k % n, "chi_pair": chis[pair : pair + 2]}
+            yield pair, slice(None), b.payments - a.payments, witness
+
+    # a part per chi pair, and one left empty, so the report counts each profile at every chi
+    return _pass(Draw(mechs[0], ctx, plan), [("payment_chi_monotone", len(chis), runs)], *mechs[1:])[0]
 
 
-CHECKERS = {
-    "cepic": check_cepic,
-    "epir": check_epir,
-    "cepir": check_cepir,
-    "epbb": check_epbb,
-    "npt": check_no_positive_transfers,
-    "allocation_monotone": check_allocation_monotone,
-}
+def check_properties(draw: Draw, names: Iterable[str]) -> dict:
+    """The reports of the ``CHECKERS`` properties ``names`` on one draw, from
+    one pass, by name in the order of ``names``; a name given twice is checked
+    once, and an unknown name or no name at all is a ValueError."""
+    names = list(dict.fromkeys(names))
+    unknown = [name for name in names if name not in CHECKERS]
+    if unknown or not names:
+        what = f"unknown properties {unknown}" if unknown else "the property list names no property"
+        raise ValueError(f"{what}; available: {sorted(CHECKERS)}")
+    return dict(zip(names, _pass(draw, [CHECKERS[name]._check for name in names])))

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from cursed_auctions import verify
 from cursed_auctions.cli import _negative_revenue_formula, _oracle_suite
 from cursed_auctions.evaluate import (
     chi_sweep,
@@ -47,6 +46,7 @@ from cursed_auctions.verify import (
     check_epbb,
     check_epir,
     check_no_positive_transfers,
+    check_properties,
 )
 
 SEED = 2024
@@ -206,12 +206,9 @@ def test_c07_property_suites():
     all_checkers = ("cepic", "epir", "cepir", "epbb", "npt", "allocation_monotone")
     incentive_checkers = ("cepic", "epir", "cepir", "allocation_monotone")
 
-    def one_pass(mech):  # every property of one Draw in one pass, as verify checks them
-        reports = verify._pass(Draw(mech, ctx, plan), [verify._CHECKS[name] for name in all_checkers])
-        return dict(zip(all_checkers, reports))
-
-    masked = one_pass(masked_gva(ctx, 1.0))
-    rev_opt = one_pass(Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated"))
+    # every property of one Draw in one pass, as verify checks them
+    masked = check_properties(Draw(masked_gva(ctx, 1.0), ctx, plan), all_checkers)
+    rev_opt = check_properties(Draw(Mechanism(RevenueOptimalRule(1.0), 1.0, "compensated"), ctx, plan), all_checkers)
     failures = []
     for checker in all_checkers:
         rep = masked[checker]

@@ -15,6 +15,7 @@ from cursed_auctions import cli, evaluate, mechanisms, valuations
 from cursed_auctions.cli import ConfigError, ExperimentConfig, _negative_revenue_formula, main
 from cursed_auctions.mechanisms import MechanismInvariantError, Mechanism, OthersView, RevenueOptimalRule, run_batch
 from cursed_auctions.oracle import GridModel
+from cursed_auctions.reports import _WorstCases
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.valuations import MaxSignal, WeightedSum
 
@@ -291,6 +292,14 @@ class TestVerify:
         code = run_cli("--out", str(tmp_path), "--samples", "10", "verify", "--properties", properties)
         assert code == 2 and "names no property" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
+
+    def test_repeated_property_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        names, report = [], _WorstCases.report
+        monkeypatch.setattr(_WorstCases, "report", lambda cases, name, *a: names.append(name) or report(cases, name, *a))
+        code = run_cli("--out", str(tmp_path), "--samples", "50", "verify", "--properties", "epir,epbb,epir")
+        assert code == 0 and names == ["epir", "epbb"]  # one fold per name
+        assert sorted(json.loads((tmp_path / "verify.json").read_text())["reports"]) == ["epbb", "epir"]
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["epir", "epbb"]
 
 
 class TestExperiments:

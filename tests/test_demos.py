@@ -1,8 +1,9 @@
-"""Smoke tests: every script in demos/ and the README quick start run to completion."""
+"""Smoke tests: every script in demos/, the README quick start and its property checkers example run to completion."""
 
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,12 @@ def test_readme_quick_start_prints_its_comment(tmp_path):
     proc = _run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == code.rsplit("# ", 1)[1].strip() == "0 [110.   0.] 140.0"
+
+
+def test_readme_property_checkers_block_prints_its_comment(tmp_path):
+    section = (ROOT / "README.md").read_text().split("* **Property checkers**", 1)[1]
+    code = textwrap.dedent(section.split("```python\n", 1)[1].split("```", 1)[0])
+    proc = _run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "check_properties(draw, list(CHECKERS))" in code
+    assert proc.stdout.strip() == code.rsplit("# ", 1)[1].strip() == "True True"

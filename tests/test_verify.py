@@ -19,6 +19,7 @@ from cursed_auctions.mechanisms import (
     run,
     run_batch,
 )
+from cursed_auctions.reports import _WorstCases
 from cursed_auctions.signals import RandomStream, SignalSpace, UniformIID, sample_profiles
 from cursed_auctions.testing import (
     IntervalAllocationMechanism,
@@ -38,6 +39,7 @@ from cursed_auctions.verify import (
     check_epir,
     check_no_positive_transfers,
     check_payment_chi_monotone,
+    check_properties,
 )
 
 PLAN = SamplingPlan(profile_count=1500, deviation_grid_size=41, stream=RandomStream(2024))
@@ -257,6 +259,64 @@ def test_bad_tolerance_rejected(tolerance):
         SamplingPlan(tolerance=tolerance)
 
 
+@pytest.mark.parametrize(
+    "key, count",
+    [
+        ("profile_count", 10.5),
+        ("deviation_grid_size", 2.5),
+        ("profile_count", np.float64(3.0)),
+        ("deviation_grid_size", np.float64(3.0)),
+        ("profile_count", "20"),
+        ("profile_count", True),
+        ("deviation_grid_size", False),
+    ],
+)
+def test_non_integer_counts_rejected(key, count):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        SamplingPlan(**{key: count})
+
+
+def test_numpy_integer_counts_accepted(ctx):
+    plan = SamplingPlan(profile_count=np.int64(50), deviation_grid_size=np.int32(11))
+    rep = check_cepic(Draw(masked_gva(ctx, 1.0), ctx, plan))
+    assert rep.passed and rep.samples_checked == 50
+
+
+class TestCheckProperties:
+    def test_reports_by_name_in_the_order_given(self, ctx):
+        draw = Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, SamplingPlan(profile_count=100))
+        reports = check_properties(draw, ["npt", "epir", "epbb"])
+        assert list(reports) == ["npt", "epir", "epbb"]
+        assert [rep.name for rep in reports.values()] == ["no_positive_transfers", "epir", "epbb"]
+        for name, rep in reports.items():
+            assert rep.to_json() == CHECKERS[name](draw).to_json()
+
+    @pytest.mark.parametrize(
+        "names, what",
+        [
+            (["epir", "nonsense", "nonsense"], "unknown properties ['nonsense']"),
+            ([], "the property list names no property"),
+            (iter(()), "the property list names no property"),
+        ],
+    )
+    def test_unknown_or_no_name_rejected_before_anything_is_drawn(self, ctx, monkeypatch, names, what):
+        draw = Draw(masked_gva(ctx, 1.0), ctx, SamplingPlan(profile_count=100))
+        monkeypatch.setattr(draw, "_spans", None)  # rejected before any span: a call raises TypeError
+        with pytest.raises(ValueError) as err:
+            check_properties(draw, names)
+        assert str(err.value) == f"{what}; available: {sorted(CHECKERS)}"
+
+    def test_a_name_given_twice_is_checked_once(self, ctx, monkeypatch):
+        """One fold per name: over one span, a repeated name is folded and reported once."""
+        calls, add, report = [], _WorstCases.add, _WorstCases.report
+        monkeypatch.setattr(_WorstCases, "add", lambda cases, *a: calls.append("add") or add(cases, *a))
+        monkeypatch.setattr(_WorstCases, "report", lambda cases, name, *a: calls.append(name) or report(cases, name, *a))
+        draw = Draw(Mechanism(GVARule(), 1.0, "zero-transfer"), ctx, SamplingPlan(profile_count=100))
+        twice = check_properties(draw, ["epir", "epbb", "epir"])
+        assert calls == ["add", "add", "epir", "epbb"] and list(twice) == ["epir", "epbb"]
+        assert twice["epir"].to_json() == check_epir(draw).to_json()
+
+
 def test_zero_tolerance_accepted(ctx):
     rep = check_epir(Draw(Mechanism(GVARule(), 1.0, "compensated"), ctx, SamplingPlan(profile_count=50, tolerance=0.0)))
     assert rep.tolerance == 0.0 and rep.passed
@@ -329,7 +389,7 @@ def _seven(N, width):
 
 def _reports(draw) -> str:
     """Every report of ``draw``, witnesses included, from one pass, as one JSON text."""
-    checks = [*verify._CHECKS.values(), verify._chi_robustness(draw, [0.1, 0.2])]
+    checks = [*(checker._check for checker in CHECKERS.values()), verify._chi_robustness(draw, [0.1, 0.2])]
     return json.dumps([rep.to_json() for rep in verify._pass(draw, checks)])
 
 
@@ -416,12 +476,25 @@ class TestSpans:
     )
     def test_each_checker_gives_the_report_of_the_pass(self, ctx, monkeypatch, make):
         """Each public checker, making its own pass at 7-row spans, gives the
-        report of the one pass at one span."""
+        report of the one pass at one span, and so does check_properties over
+        all six names at 7-row spans."""
         draw = Draw(make(), ctx, self.PLAN)
         whole = _reports(draw)
         monkeypatch.setattr(mechanisms, "_row_spans", _seven)
         separate = [checker(draw).to_json() for checker in CHECKERS.values()]
         assert json.dumps(separate + [check_chi_robustness(draw, [0.1, 0.2]).to_json()]) == whole
+        together = check_properties(draw, list(CHECKERS))
+        assert list(together) == list(CHECKERS)
+        assert [rep.to_json() for rep in together.values()] == separate
+
+    def test_check_properties_quotes_each_span_once(self, ctx, monkeypatch):
+        """check_properties checks all six properties in one pass, which calls
+        critical_bids once per run_batch span."""
+        monkeypatch.setattr(mechanisms, "_row_spans", _seven)
+        mech = Mechanism(_CountingRule(RevenueOptimalRule(0.63)), 0.63, "compensated")
+        reports = check_properties(Draw(mech, ctx, self.PLAN), list(CHECKERS))
+        assert list(reports) == list(CHECKERS)
+        assert mech.rule.calls == [7 * 3] * 28 + [4 * 3]
 
     def test_tied_margins_across_a_span_edge(self, ctx, monkeypatch):
         """Ties keep profile order across spans: a window of 0.7 makes some
